@@ -8,15 +8,17 @@ performs
     1. u    <- solve (F^T F + c rho I) u = F^T Y + rho sum_copies (z - lam)
               by preconditioned conjugate gradients (c = number of copies),
     2. z1   <- group_prox(u + lam1, beta / rho),
-    3. z2   <- project_cone(u + lam2) blockwise (split mode only),
+    3. z2   <- project_to_cones(u + lam2) (split mode only): every column is
+              projected onto its pattern cone exactly, through the
+              Lawson-Hanson dual of ``gates.exact_cone_project``,
     4. lam  <- lam + (u - z),
 
 with primal residual ||u - z||_F and dual residual rho ||z - z_prev||_F.
 Fixed points are exactly the minimisers of the convex objective.
 
 Final weights are read from z1, whose prox step produces exact group
-sparsity; in split mode the kept columns get one tight cone projection so the
-stored weights are feasible to projection tolerance.
+sparsity; in split mode the kept columns get the same exact cone projection,
+so the stored weights are feasible to linear-algebra roundoff.
 
 Note on defaults: rho = 1e-4 and beta = 1e-3 give a prox threshold beta/rho
 of 10, far above the weight scale of unit-scale embedding problems, so short
@@ -35,9 +37,9 @@ import numpy as np
 
 from . import cert as _cert
 from . import head as _head
-from .cvxprog import ConvexProblem, ObjectiveValue, group_prox, objective
+from .cvxprog import ConvexProblem, ObjectiveValue, group_prox, objective, project_to_cones
 from .dataio import FeatureMatrix, LabelSet
-from .gates import ConeSpec, enumerate_patterns, exact_cone_project, sample_gates
+from .gates import ConeSpec, enumerate_patterns, sample_gates
 from .linops import GatedOperator, PcgConfig, nystrom_precond, pcg_solve
 
 
@@ -61,7 +63,6 @@ class AdmmConfig:
     penalty_kind: str = "l21"
     seed: int = 0
     stop_tol: float | None = None     # set (e.g. 1e-6) to stop on small residuals
-    project_tol: float = 1e-10        # final cone cleanup of stored weights
 
     def __post_init__(self):
         if self.rho <= 0:
@@ -86,7 +87,6 @@ class AdmmState:
     z2: np.ndarray | None = None
     lam2: np.ndarray | None = None
     history: tuple[IterationRecord, ...] = ()
-    projection_failures: int = 0
 
     @property
     def primal_res(self) -> float:
@@ -99,72 +99,6 @@ class AdmmState:
 
 class TrainingError(ValueError):
     """Degenerate training input."""
-
-
-class ConeProjectorBatch:
-    """Project every consensus column onto its pattern cone in one shot.
-
-    Works in the dual: the projection of x onto {v : a_i . v >= 0} is
-    x + A^T mu* with mu* >= 0 minimising ||A^T mu + x||. All blocks share the
-    data rows (only the signs differ), so one accelerated projected-gradient
-    run updates the whole (B, n, m) dual stack; the dual state persists
-    between calls, which makes successive consensus projections cheap once
-    the targets settle. Convergence is judged on worst half-space violation
-    plus complementarity slackness of the primal iterate.
-    """
-
-    def __init__(self, X: np.ndarray, active: np.ndarray, tol: float = 1e-8,
-                 max_iters: int = 2000):
-        self.X = np.asarray(X, dtype=np.float64)
-        self.signs = np.where(np.asarray(active, dtype=bool), 1.0, -1.0)  # (B, n)
-        gram = self.X.T @ self.X
-        self.L = max(float(np.linalg.eigvalsh(gram).max()), np.finfo(np.float64).tiny)
-        self.tol = tol
-        self.max_iters = max_iters
-        self.mu: np.ndarray | None = None
-
-    def _primal(self, target: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        return target + np.einsum("nd,bnm->bdm", self.X, self.signs[:, :, None] * mu)
-
-    def _slack(self, v: np.ndarray) -> np.ndarray:
-        return self.signs[:, :, None] * np.einsum("nd,bdm->bnm", self.X, v)
-
-    def project(self, target: np.ndarray) -> tuple[np.ndarray, bool]:
-        target = np.asarray(target, dtype=np.float64)
-        B, _, m = target.shape
-        n = self.X.shape[0]
-        if self.mu is None or self.mu.shape != (B, n, m):
-            self.mu = np.zeros((B, n, m))
-        mu = self.mu
-        mom = mu.copy()
-        t = 1.0
-        scale = max(1.0, float(np.abs(target).max()))
-        prev_obj = np.inf
-        for it in range(self.max_iters):
-            v = self._primal(target, mom)
-            slack = self._slack(v)
-            grad = slack  # d/dmu (1/2)||A^T mu + x||^2 = A v
-            cand = np.maximum(0.0, mom - grad / self.L)
-            v_cand = self._primal(target, cand)
-            obj = 0.5 * float(np.vdot(v_cand, v_cand))
-            if obj > prev_obj:
-                mom, t = mu, 1.0  # momentum restart
-                v = self._primal(target, mom)
-                cand = np.maximum(0.0, mom - self._slack(v) / self.L)
-                v_cand = self._primal(target, cand)
-                obj = 0.5 * float(np.vdot(v_cand, v_cand))
-            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-            mom = cand + ((t - 1.0) / t_next) * (cand - mu)
-            mu, t, prev_obj = cand, t_next, obj
-            if it % 4 == 0 or it == self.max_iters - 1:
-                slack_c = self._slack(v_cand)
-                viol = max(0.0, -float(slack_c.min()))
-                comp = float(np.abs(mu * slack_c).max())
-                if viol <= self.tol * scale and comp <= np.sqrt(self.tol) * scale:
-                    self.mu = mu
-                    return v_cand, True
-        self.mu = mu
-        return self._primal(target, mu), False
 
 
 def init_state(prob: ConvexProblem) -> AdmmState:
@@ -196,7 +130,7 @@ def build_preconditioner(prob: ConvexProblem, cfg: AdmmConfig):
 
 
 def admm_step(prob: ConvexProblem, cfg: AdmmConfig, state: AdmmState,
-              precond=None, projector=None) -> AdmmState:
+              precond=None) -> AdmmState:
     """One consensus iteration; returns the advanced state."""
     if prob.mode != cfg.mode:
         raise ValueError(f"problem mode {prob.mode!r} != config mode {cfg.mode!r}")
@@ -218,12 +152,8 @@ def admm_step(prob: ConvexProblem, cfg: AdmmConfig, state: AdmmState,
     lam1 = state.lam1 + u - z1
 
     z2 = lam2 = None
-    failures = state.projection_failures
     if copies == 2:
-        if projector is None:
-            projector = ConeProjectorBatch(op.X, op.masks.astype(bool))
-        z2, ok = projector.project(u + state.lam2)
-        failures += 0 if ok else 1
+        z2 = project_to_cones(prob, u + state.lam2)
         lam2 = state.lam2 + u - z2
 
     primal_sq = float(np.vdot(u - z1, u - z1))
@@ -237,7 +167,7 @@ def admm_step(prob: ConvexProblem, cfg: AdmmConfig, state: AdmmState,
         dual=rho * float(np.sqrt(dual_sq)),
         pcg_iters=sol.iters,
     )
-    return AdmmState(u, z1, lam1, z2, lam2, state.history + (record,), failures)
+    return AdmmState(u, z1, lam1, z2, lam2, state.history + (record,))
 
 
 def residuals(state: AdmmState) -> tuple[float, float]:
@@ -249,12 +179,9 @@ def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmState:
     """Run the configured number of iterations (or stop on small residuals)."""
     state = init_state(prob)
     precond = build_preconditioner(prob, cfg)
-    projector = None
-    if prob.mode == "exact":
-        projector = ConeProjectorBatch(prob.op.X, prob.op.masks.astype(bool))
     for it in range(cfg.admm_iters):
         tick = time.perf_counter()
-        state = admm_step(prob, cfg, state, precond=precond, projector=projector)
+        state = admm_step(prob, cfg, state, precond=precond)
         if log is not None:
             rec = state.history[-1]
             log({
@@ -270,11 +197,6 @@ def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmState:
             })
         if cfg.stop_tol is not None and max(residuals(state)) <= cfg.stop_tol:
             break
-    if state.projection_failures:
-        warnings.warn(
-            f"{state.projection_failures} cone projections hit the iteration cap",
-            stacklevel=2,
-        )
     return state
 
 
@@ -318,15 +240,8 @@ def train(X, labels: LabelSet, gate_cfg: GateConfig, cfg: AdmmConfig,
 
     P = gates.P
     if cfg.mode == "exact":
-        # exact final projection: zero columns are cone fixed points, so the
-        # prox sparsity survives while the kept columns become feasible to
-        # linear-algebra precision
-        projected = state.z1.copy()
-        for b in range(projected.shape[0]):
-            cone = cones[b % P]
-            for k in range(K):
-                if np.any(projected[b, :, k] != 0.0):
-                    projected[b, :, k] = exact_cone_project(cone, projected[b, :, k])
+        # z1 carries the prox sparsity; projecting it keeps that sparsity
+        projected = project_to_cones(prob, state.z1)
         V, W = projected[:P].copy(), projected[P:].copy()
     else:
         V = state.z1.copy()

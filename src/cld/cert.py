@@ -98,10 +98,6 @@ def bundle_from_weights(V: np.ndarray, W: np.ndarray, K: int, penalty_kind: str)
     )
 
 
-def bundle_for_head(head: "_head.TrainedHead") -> CertificateBundle:
-    return bundle_from_weights(head.V, head.W, head.K, head.penalty_kind)
-
-
 def bundle_to_dict(bundle: CertificateBundle) -> dict:
     return {
         "B_l21": float(bundle.B_l21).hex(),
@@ -140,19 +136,10 @@ def certify_example(head: "_head.TrainedHead", h: np.ndarray, y: int,
     audio-space radius radius / L_E is reported as well; it is never
     estimated here.
     """
-    if L_E is not None and L_E <= 0:
-        raise ValueError("L_E must be positive")
-    logits = _head.predict(head, h, inference="relu")
-    mar = _head.margin(logits, y)
-    B = head.cert.B_l21 if head.cert is not None else var_bound_l21(head)
-    r = _radius(mar, B)
-    return ExampleCertificate(
-        pred=int(np.argmax(logits)),
-        margin=mar,
-        radius_feature=r,
-        radius_audio=None if L_E is None else r / L_E,
-        certified=mar > 0.0,
-    )
+    h = np.asarray(h, dtype=np.float64)
+    if h.ndim != 1:
+        raise ValueError("certify_example expects a single vector; use certify_batch for matrices")
+    return certify_batch(head, h[None, :], [y], L_E=L_E)[0]
 
 
 def margin_gap_check(head: "_head.TrainedHead", h: np.ndarray, y: int,
@@ -172,6 +159,9 @@ def margin_gap_check(head: "_head.TrainedHead", h: np.ndarray, y: int,
 
 def certify_batch(head: "_head.TrainedHead", H: np.ndarray, class_ids: np.ndarray,
                   L_E: float | None = None) -> list[ExampleCertificate]:
+    """``certify_example`` for every row of H, from one relu-mode forward pass."""
+    if L_E is not None and not L_E > 0:
+        raise ValueError("L_E must be positive")
     H = np.atleast_2d(np.asarray(H, dtype=np.float64))
     logits = _head.predict_batch(head, H, inference="relu")
     B = head.cert.B_l21 if head.cert is not None else var_bound_l21(head)

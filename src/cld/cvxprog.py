@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import ConeSpec, cone_violation
+from .gates import ConeSpec, cone_violation, exact_cone_project
 from .linops import GatedOperator
 
 PENALTY_KINDS = ("l21", "frobenius")
@@ -106,14 +106,31 @@ class ObjectiveValue:
     cone_violation: float = 0.0
 
 
+def _column_cones(prob: ConvexProblem, S: np.ndarray):
+    """Yield (b, k, cone) for every (b, :, k) column; block b uses cone b mod P."""
+    P = len(prob.cones)
+    for b in range(S.shape[0]):
+        for k in range(S.shape[2]):
+            yield b, k, prob.cones[b % P]
+
+
 def max_cone_violation(prob: ConvexProblem, S: np.ndarray) -> float:
     """Worst half-space violation over all blocks and class columns."""
-    worst = 0.0
-    for b in range(S.shape[0]):
-        cone = prob.cones[b % len(prob.cones)]
-        for k in range(S.shape[2]):
-            worst = max(worst, cone_violation(cone, S[b, :, k]))
-    return worst
+    return max((cone_violation(cone, S[b, :, k]) for b, k, cone in _column_cones(prob, S)),
+               default=0.0)
+
+
+def project_to_cones(prob: ConvexProblem, S: np.ndarray) -> np.ndarray:
+    """Exact projection of every column of a (B, d, K) stack onto its cone.
+
+    Zero columns are cone fixed points and are skipped, so group sparsity of
+    S survives; the other columns become feasible to linear-algebra roundoff.
+    """
+    out = np.array(S, dtype=np.float64)
+    for b, k, cone in _column_cones(prob, out):
+        if np.any(out[b, :, k]):
+            out[b, :, k] = exact_cone_project(cone, out[b, :, k])
+    return out
 
 
 def objective(prob: ConvexProblem, S: np.ndarray) -> ObjectiveValue:

@@ -3,8 +3,10 @@
 A gate is a direction g in feature space; its pattern over a training matrix
 X is the boolean vector 1(Xg >= 0) (ties at zero count as active). The set of
 weights that realises a fixed pattern D is the polyhedral cone
-{v : (2D - I) X v >= 0}; projections onto that cone are computed with
-Dykstra's cyclic algorithm over the n defining half-spaces.
+{v : (2D - I) X v >= 0}. The program projects onto that cone exactly with
+``exact_cone_project``, which solves the cone's dual by Lawson-Hanson
+nonnegative least squares. ``project_cone`` (Dykstra's cyclic algorithm over
+the n defining half-spaces) is kept as the independent check of it.
 """
 
 from __future__ import annotations

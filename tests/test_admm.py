@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,14 @@ from cld.admm import (
     TrainingError,
     admm_solve,
     admm_step,
+    build_preconditioner,
     init_state,
     residuals,
     train,
 )
-from cld.cvxprog import group_prox, objective
+from cld.cvxprog import ConvexProblem, group_prox, max_cone_violation, objective
 from cld.dataio import LabelSet
+from cld.gates import ConeSpec, enumerate_patterns
 from cld.head import predict_batch
 from cld.linops import GatedOperator, PcgConfig
 from cld.oracle import FistaConfig, dense_solve_smallest, fista_solve
@@ -120,10 +124,33 @@ class TestTrain:
         labels = LabelSet(y, {"a": 0, "b": 1})
         cfg = AdmmConfig(rho=0.1, admm_iters=60, mode="exact",
                          pcg=PcgConfig(preconditioner="nystrom", rank=30))
-        head = train(X, labels, GateConfig(enumerate_all=True), cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            head = train(X, labels, GateConfig(enumerate_all=True), cfg)
         gated = predict_batch(head, X, inference="gated")
         relu = predict_batch(head, X, inference="relu")
         assert np.max(np.abs(gated - relu)) <= 1e-6
+
+    @pytest.mark.parametrize("n, d, seed", [(10, 2, 3), (9, 3, 7)])
+    def test_exact_mode_cone_copy_stays_feasible(self, n, d, seed):
+        # the z2 copy is an exact projection, so every iterate lies in its
+        # pattern cones to roundoff, not just to an iteration tolerance
+        rng = np.random.default_rng(seed)
+        K = 2
+        X = rng.standard_normal((n, d))
+        y = rng.integers(0, K, n)
+        y[:K] = np.arange(K)
+        gates = enumerate_patterns(X)
+        prob = ConvexProblem(GatedOperator.split(X, gates, K), np.eye(K)[y], 1e-3,
+                             mode="exact",
+                             cones=tuple(ConeSpec(p, X) for p in gates.patterns))
+        cfg = AdmmConfig(rho=0.1, mode="exact",
+                         pcg=PcgConfig(rel_tol=1e-9, preconditioner="nystrom", rank=60))
+        precond = build_preconditioner(prob, cfg)
+        state = init_state(prob)
+        for _ in range(20):
+            state = admm_step(prob, cfg, state, precond=precond)
+            assert max_cone_violation(prob, state.z2) <= 1e-10
 
     def test_missing_class_rejected(self):
         X = np.random.default_rng(10).standard_normal((6, 2))

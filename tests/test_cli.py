@@ -191,6 +191,16 @@ class TestCertify:
             ra = s.split(",")[5]
             assert float(ra) == pytest.approx(rf / 2.0)
 
+    @pytest.mark.parametrize("le", ["0", "-1"])
+    def test_nonpositive_le_exits_2(self, dataset, model, tmp_path, capsys, le):
+        out = tmp_path / "c.csv"
+        rc = main(["certify", "--model", str(model),
+                   "--manifest", str(dataset / "manifest.json"),
+                   "--out", str(out), "--summary", str(tmp_path / "s.json"), "--L-E", le])
+        assert rc == 2
+        assert "L_E must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_misclassified_rows_have_zero_radius(self, dataset, model, tmp_path):
         # flip every label; margins go negative and radii clamp to zero
         manifest = json.loads((dataset / "manifest.json").read_text())
