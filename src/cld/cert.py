@@ -179,17 +179,16 @@ def certify_batch(head: "_head.TrainedHead", H: np.ndarray, class_ids: np.ndarra
     return out
 
 
-def certified_accuracy(head: "_head.TrainedHead", H: np.ndarray, class_ids: np.ndarray,
+def certified_accuracy(certs: list[ExampleCertificate], class_ids: np.ndarray,
                        eps_grid: np.ndarray) -> np.ndarray:
     """Fraction of examples correctly predicted with radius >= eps, per eps.
 
-    Non-increasing in eps by construction; at eps = 0 it equals plain
-    relu-mode accuracy.
+    ``certs`` come from ``certify_batch`` on the examples labelled ``class_ids``.
+    Non-increasing in eps; at eps = 0 it equals plain relu-mode accuracy.
     """
     class_ids = np.asarray(class_ids)
     if class_ids.size == 0:
         raise ValueError("certified_accuracy needs a nonempty evaluation set")
-    certs = certify_batch(head, H, class_ids)
-    correct = np.array([c.pred == y for c, y in zip(certs, class_ids)])
+    correct = np.array([c.pred == y for c, y in zip(certs, class_ids, strict=True)])
     radii = np.array([c.radius_feature for c in certs])
     return np.array([float(np.mean(correct & (radii >= eps))) for eps in np.asarray(eps_grid)])

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .admm import AdmmConfig, GateConfig, TrainingError, train
-from .cert import certify_batch, certified_accuracy, var_bound_fro, var_bound_l21, amgm_bound
+from .cert import bundle_from_weights, certify_batch, certified_accuracy
 from .cvxprog import ConvexProblem, objective
 from .dataio import (
     AlignmentError,
@@ -37,7 +37,7 @@ from .dataio import (
     write_manifest,
 )
 from .gates import enumerate_patterns
-from .head import ModelFormatError, load_model, predict_batch, save_model, to_relu
+from .head import ModelFormatError, load_model, predict_batch, save_model
 from .linops import GatedOperator, PcgConfig
 from .metrics import evaluate
 from .oracle import FistaConfig, dense_solve_smallest, fista_solve, _DENSE_GUARD
@@ -264,12 +264,12 @@ def cmd_predict(args) -> int:
     names = head.class_names
     header = "id,pred_class,pred_label," + ",".join(f"logit_{k}" for k in range(head.K))
     lines = [header]
-    for ex_id, h in zip(ids, H):
-        t0 = time.perf_counter()
-        logits = predict_batch(head, h[None, :], args.inference)[0]
-        log({"id": ex_id, "latency_ms": (time.perf_counter() - t0) * 1e3})
-        pred = int(np.argmax(logits))
-        lines.append(f"{ex_id},{pred},{names[pred]}," + ",".join(_fmt(v) for v in logits))
+    t0 = time.perf_counter()
+    logits = predict_batch(head, H, args.inference)
+    log({"rows": len(ids), "latency_ms": (time.perf_counter() - t0) * 1e3})
+    for ex_id, row in zip(ids, logits):
+        pred = int(np.argmax(row))
+        lines.append(f"{ex_id},{pred},{names[pred]}," + ",".join(_fmt(v) for v in row))
     _atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"predictions for {len(ids)} examples written to {args.out}")
     return 0
@@ -296,13 +296,13 @@ def cmd_certify(args) -> int:
         )
     _atomic_write(args.out, "\n".join(lines) + "\n")
     eps = _parse_grid(args.eps_grid)
-    curve = certified_accuracy(head, X.values, labels.class_ids, eps)
+    curve = certified_accuracy(certs, labels.class_ids, eps)
     radii = np.array([c.radius_feature for c in certs])
-    net = to_relu(head)
+    bundle = head.cert or bundle_from_weights(head.V, head.W, head.K, head.penalty_kind)
     summary = {
         "n": labels.n,
-        "bounds": {"B_l21": var_bound_l21(head), "B_fro_scaled": var_bound_fro(head),
-                   "B_amgm": amgm_bound(net)},
+        "bounds": {"B_l21": bundle.B_l21, "B_fro_scaled": bundle.B_fro_scaled,
+                   "B_amgm": bundle.B_amgm},
         "relu_accuracy": float(np.mean([c.pred == y for c, y in zip(certs, labels.class_ids)])),
         "certified_fraction": float(np.mean([c.certified for c in certs])),
         "mean_radius": float(radii.mean()),
@@ -388,7 +388,8 @@ def cmd_bench(args) -> int:
         sub = order[:n_train]
         sub_labels = type(data.labels)(data.labels.class_ids[sub], data.labels.label_map)
         t0 = time.perf_counter()
-        head = train(X[sub], sub_labels, gate_cfg, cfg)
+        head = train(X[sub], sub_labels, gate_cfg, cfg,
+                     log=lambda rec: log({"size": size, **rec}))
         log({"size": size, "phase": "train", "seconds": time.perf_counter() - t0})
         t0 = time.perf_counter()
         logits = predict_batch(head, X[test_idx])

@@ -67,10 +67,16 @@ class ConeSpec:
     pattern: GatePattern
     X: np.ndarray
 
-    def signed_rows(self) -> np.ndarray:
-        """Rows a_i with the cone written as {v : a_i . v >= 0 for all i}."""
+    def __post_init__(self):
         signs = np.where(self.pattern.active, 1.0, -1.0)
-        return signs[:, None] * np.asarray(self.X, dtype=np.float64)
+        rows = signs[:, None] * np.asarray(self.X, dtype=np.float64)
+        rows = rows[np.einsum("ij,ij->i", rows, rows) > 0.0]  # zero rows constrain nothing
+        rows.setflags(write=False)
+        object.__setattr__(self, "_rows", rows)
+
+    def signed_rows(self) -> np.ndarray:
+        """Nonzero rows a_i of the cone {v : a_i . v >= 0}; built once, read-only."""
+        return self._rows
 
 
 def pattern_of(X: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -146,8 +152,6 @@ def project_cone(
         raise ValueError("tol must be positive")
     A = cone.signed_rows()
     norms2 = np.einsum("ij,ij->i", A, A)
-    keep = norms2 > 0.0  # zero rows constrain nothing
-    A, norms2 = A[keep], norms2[keep]
     x = np.asarray(v, dtype=np.float64).copy()
     if A.shape[0] == 0:
         return x, True
@@ -210,8 +214,6 @@ def exact_cone_project(cone: ConeSpec, v: np.ndarray) -> np.ndarray:
     roundoff rather than iteration tolerance.
     """
     A = cone.signed_rows()
-    keep = np.einsum("ij,ij->i", A, A) > 0.0
-    A = A[keep]
     x = np.asarray(v, dtype=np.float64)
     if A.shape[0] == 0:
         return x.copy()

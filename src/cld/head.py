@@ -13,6 +13,8 @@ inference modes exist with different semantics:
 For heads trained in split (cone-constrained) mode the two coincide on the
 training set; for relaxed heads they may differ away from it. Relaxed heads
 default to gated inference, split-mode heads to relu.
+Both forms are built once, when the head is constructed, so every prediction
+and certificate is one batched forward pass.
 """
 
 from __future__ import annotations
@@ -59,8 +61,6 @@ class ReluNetwork:
     def apply(self, H: np.ndarray) -> np.ndarray:
         """Logits for a batch of embeddings (rows of H)."""
         H = np.atleast_2d(np.asarray(H, dtype=np.float64))
-        if self.m == 0:
-            return np.zeros((H.shape[0], self.output.shape[1]))
         return np.maximum(H @ self.hidden.T, 0.0) @ self.output
 
 
@@ -76,14 +76,26 @@ class TrainedHead:
     train_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        V = np.asarray(self.V, dtype=np.float64)
-        W = np.asarray(self.W, dtype=np.float64)
+        V = np.array(self.V, dtype=np.float64)
+        W = np.array(self.W, dtype=np.float64)
         if V.shape != W.shape or V.ndim != 3:
             raise ModelFormatError(f"V/W must be matching 3-D stacks, got {V.shape} and {W.shape}")
         if V.shape[0] != self.gates.P:
             raise ModelFormatError(f"{V.shape[0]} weight blocks for {self.gates.P} gates")
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "W", W)
+        P, d, K = V.shape
+        # relu form: one unit per nonzero column, in (p, k) order, V's before W's
+        cols = np.stack([V, W], axis=3).transpose(0, 2, 3, 1).reshape(-1, d)
+        outs = np.tile(np.kron(np.eye(K), [[1.0], [-1.0]]), (P, 1))    # +e_k, -e_k
+        keep = np.any(cols != 0.0, axis=1)
+        net = ReluNetwork(cols[keep], outs[keep])
+        object.__setattr__(self, "_relu", net)
+        # gated form: the generators, and V - W as a d x PK matrix
+        object.__setattr__(self, "_generators", self.gates.generators())
+        object.__setattr__(self, "_diff", (V - W).transpose(1, 0, 2).reshape(d, P * K))
+        for a in (V, W, net.hidden, net.output):  # both forms are built from these once
+            a.setflags(write=False)
 
     @property
     def P(self) -> int:
@@ -108,26 +120,12 @@ class TrainedHead:
 
 
 def to_relu(head: TrainedHead) -> ReluNetwork:
-    """Map the head to its explicit ReLU network, pruning zero columns.
+    """The head's explicit ReLU network, built once with the head.
 
-    Every nonzero column V[p, :, k] becomes a hidden unit with output +e_k;
-    every nonzero W[p, :, k] one with output -e_k.
+    Every nonzero column V[p, :, k] is a hidden unit with output +e_k; every
+    nonzero W[p, :, k] one with output -e_k.
     """
-    hidden, output = [], []
-    eye = np.eye(head.K)
-    for p in range(head.P):
-        for k in range(head.K):
-            v = head.V[p, :, k]
-            if np.any(v != 0.0):
-                hidden.append(v)
-                output.append(eye[k])
-            w = head.W[p, :, k]
-            if np.any(w != 0.0):
-                hidden.append(w)
-                output.append(-eye[k])
-    if not hidden:
-        return ReluNetwork(np.zeros((0, head.d)), np.zeros((0, head.K)))
-    return ReluNetwork(np.stack(hidden), np.stack(output))
+    return head._relu
 
 
 def predict_batch(head: TrainedHead, H: np.ndarray, inference: str | None = None) -> np.ndarray:
@@ -138,13 +136,10 @@ def predict_batch(head: TrainedHead, H: np.ndarray, inference: str | None = None
     H = np.atleast_2d(np.asarray(H, dtype=np.float64))
     if H.shape[1] != head.d:
         raise ValueError(f"embeddings have dimension {H.shape[1]}, head expects {head.d}")
-    m = H.shape[0]
     if inference == "relu":
-        return to_relu(head).apply(H)
-    G = head.gates.generators()                       # (P, d)
-    ind = (H @ G.T >= 0.0).astype(np.float64)          # (m, P)
-    diff = head.V - head.W                             # (P, d, K)
-    T = (H @ diff.transpose(1, 0, 2).reshape(head.d, head.P * head.K)).reshape(m, head.P, head.K)
+        return head._relu.apply(H)
+    ind = (H @ head._generators.T >= 0.0).astype(np.float64)           # (m, P)
+    T = (H @ head._diff).reshape(H.shape[0], head.P, head.K)           # (m, P, K)
     return np.einsum("mp,mpk->mk", ind, T)
 
 

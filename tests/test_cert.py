@@ -156,26 +156,29 @@ class TestMarginGap:
 class TestCertifiedAccuracy:
     def test_eps_zero_equals_relu_accuracy(self, trained):
         head, X, labels = trained
-        curve = certified_accuracy(head, X, labels.class_ids, np.array([0.0]))
+        curve = certified_accuracy(certify_batch(head, X, labels.class_ids), labels.class_ids,
+                                   np.array([0.0]))
         preds = predict_batch(head, X, "relu").argmax(axis=1)
         assert curve[0] == pytest.approx(np.mean(preds == labels.class_ids))
 
     def test_huge_eps_gives_zero(self, trained):
         head, X, labels = trained
-        curve = certified_accuracy(head, X, labels.class_ids, np.array([1e12]))
+        curve = certified_accuracy(certify_batch(head, X, labels.class_ids), labels.class_ids,
+                                   np.array([1e12]))
         assert curve[0] == 0.0
 
     def test_monotone_non_increasing(self, trained):
         head, X, labels = trained
         eps = np.linspace(0.0, 1.0, 25)
-        curve = certified_accuracy(head, X, labels.class_ids, eps)
+        curve = certified_accuracy(certify_batch(head, X, labels.class_ids), labels.class_ids, eps)
         assert np.all(np.diff(curve) <= 1e-12)
 
     def test_empty_set_rejected(self, trained):
         head, _, _ = trained
+        empty = np.zeros(0, dtype=int)
+        certs = certify_batch(head, np.zeros((0, head.d)), empty)
         with pytest.raises(ValueError):
-            certified_accuracy(head, np.zeros((0, head.d)), np.zeros(0, dtype=int),
-                               np.array([0.0]))
+            certified_accuracy(certs, empty, np.array([0.0]))
 
 
 class TestSoundnessAdversarial:

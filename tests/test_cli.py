@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cld.cli import main
-from cld.dataio import SequenceFeature, write_features, write_sequence
+from cld.dataio import SequenceFeature, read_features, write_features, write_sequence
 from cld.head import load_model, predict_batch
 
 FAST_TRAIN = ["--rho", "0.1", "--admm-iters", "60", "--stop-tol", "1e-8",
@@ -117,6 +117,18 @@ class TestPredict:
         np.testing.assert_array_equal(got, expected)
         latencies = [json.loads(l) for l in (tmp_path / "p.log").read_text().splitlines()]
         assert all("latency_ms" in rec for rec in latencies)
+
+    @pytest.mark.parametrize("inference", ["gated", "relu"])
+    def test_logits_equal_library_bit_for_bit(self, dataset, model, tmp_path, inference):
+        out = tmp_path / "preds.csv"
+        rc = main(["predict", "--model", str(model),
+                   "--features", str(dataset / "features.cldf"), "--inference", inference,
+                   "--out", str(out), "--log", str(tmp_path / "p.log")])
+        assert rc == 0
+        rows = [l.split(",") for l in out.read_text().strip().splitlines()[1:]]
+        got = np.array([[float(x) for x in r[3:]] for r in rows])
+        H = read_features(dataset / "features.cldf").values
+        np.testing.assert_array_equal(got, predict_batch(load_model(model), H, inference))
 
     def test_zero_vector_breaks_tie_to_class_zero(self, model, tmp_path):
         feats = tmp_path / "zero.csv"
@@ -303,6 +315,18 @@ class TestBench:
         log = (tmp_path / "b1.log").read_text()
         assert "seconds" in log
         assert "seconds" not in csv1.decode()
+
+    def test_log_holds_admm_iterations_for_every_size(self, tmp_path):
+        log = tmp_path / "b.log"
+        rc = main(["bench", "--languages", "2", "--accents", "1,1", "--dim", "4",
+                   "--samples-per-accent", "20", "--sizes", "12,24",
+                   "--out", str(tmp_path / "r"), "--log", str(log),
+                   "--admm-iters", "3", "--rho", "0.1"])
+        assert rc == 0
+        records = [json.loads(l) for l in log.read_text().splitlines()]
+        iters = [rec for rec in records if "iter" in rec]
+        assert {rec["size"] for rec in iters} == {12, 24}
+        assert all(len([r for r in iters if r["size"] == s]) == 3 for s in (12, 24))
 
     def test_oversized_request_capped_with_warning(self, tmp_path, capsys):
         rc = main(["bench", "--languages", "2", "--accents", "1,1", "--dim", "4",

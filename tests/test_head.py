@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cld.admm import AdmmConfig, GateConfig, train
 from cld.cert import bundle_from_weights, var_bound_l21
@@ -47,7 +49,45 @@ def trained():
     return head, X, labels
 
 
+def reference_to_relu(head):
+    """The column-by-column ReLU map, kept as the reference for the vectorised one."""
+    hidden, output = [], []
+    eye = np.eye(head.K)
+    for p in range(head.P):
+        for k in range(head.K):
+            v = head.V[p, :, k]
+            if np.any(v != 0.0):
+                hidden.append(v)
+                output.append(eye[k])
+            w = head.W[p, :, k]
+            if np.any(w != 0.0):
+                hidden.append(w)
+                output.append(-eye[k])
+    if not hidden:
+        return ReluNetwork(np.zeros((0, head.d)), np.zeros((0, head.K)))
+    return ReluNetwork(np.stack(hidden), np.stack(output))
+
+
 class TestToRelu:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5),
+           st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    @example(2, 3, 2, 0.0, 0)
+    def test_matches_column_loop(self, P, d, K, keep, seed):
+        # keep = 0 gives the all-zero head; otherwise a random share of the
+        # V and W columns is zeroed out
+        rng = np.random.default_rng(seed)
+        V = rng.standard_normal((P, d, K)) * (rng.random((P, 1, K)) < keep)
+        W = rng.standard_normal((P, d, K)) * (rng.random((P, 1, K)) < keep)
+        head = make_head(V, W)
+        net, ref = to_relu(head), reference_to_relu(head)
+        assert np.array_equal(net.hidden, ref.hidden)
+        assert np.array_equal(net.output, ref.output)
+
+    def test_network_is_built_once(self, trained):
+        head = trained[0]
+        assert to_relu(head) is to_relu(head)
+
     def test_direct_construction(self):
         V = np.zeros((1, 2, 2))
         V[0, :, 0] = [1.0, 0.0]
