@@ -6,7 +6,8 @@ mode) z2 receives the pattern-cone constraints via projection. One iteration
 performs
 
     1. u    <- solve (F^T F + c rho I) u = F^T Y + rho sum_copies (z - lam)
-              by preconditioned conjugate gradients (c = number of copies),
+              by conjugate gradients preconditioned with a Nystrom sketch
+              of F^T F, built once per run (c = number of copies),
     2. z1   <- group_prox(u + lam1, beta / rho),
     3. z2   <- project_to_cones(u + lam2) (split mode only): every column is
               projected onto its pattern cone exactly, through the
@@ -22,9 +23,10 @@ so the stored weights are feasible to linear-algebra roundoff.
 
 Note on defaults: rho = 1e-4 and beta = 1e-3 give a prox threshold beta/rho
 of 10, far above the weight scale of unit-scale embedding problems, so short
-default runs leave z1 at zero. Runs that must reach the optimum (oracle
-comparisons, benchmarks) should pass a larger rho and iteration budget, e.g.
-rho ~ 0.1 with a few hundred iterations and ``stop_tol`` set.
+default runs leave z1 at zero, and ``train`` warns when its head comes out
+all zero. Runs that must reach the optimum (oracle comparisons, benchmarks)
+should pass a larger rho and iteration budget, e.g. rho ~ 0.1 with a few
+hundred iterations and ``stop_tol`` set.
 """
 
 from __future__ import annotations
@@ -115,17 +117,11 @@ def _fit_matvec(prob: ConvexProblem):
 
 
 def build_preconditioner(prob: ConvexProblem, cfg: AdmmConfig):
-    """Preconditioner for F^T F + c rho I per the pcg config (or None)."""
+    """Rank-``cfg.pcg.rank`` Nystrom preconditioner for F^T F + c rho I."""
     copies = 2 if prob.mode == "exact" else 1
-    sigma = copies * cfg.rho
-    if cfg.pcg.preconditioner == "identity":
-        return None
-    if cfg.pcg.preconditioner == "jacobi":
-        diag = prob.op.gram_diag() + sigma
-        return lambda r: r / diag
     dim = int(np.prod(prob.op.block_shape))
     rank = min(cfg.pcg.rank, dim)
-    return nystrom_precond(_fit_matvec(prob), dim, rank, sigma=sigma,
+    return nystrom_precond(_fit_matvec(prob), dim, rank, sigma=copies * cfg.rho,
                            seed=cfg.seed, shape=prob.op.block_shape)
 
 
@@ -143,7 +139,7 @@ def admm_step(prob: ConvexProblem, cfg: AdmmConfig, state: AdmmState,
     rhs = op.adjoint(prob.Y) + rho * (state.z1 - state.lam1)
     if copies == 2:
         rhs = rhs + rho * (state.z2 - state.lam2)
-    if precond is None and cfg.pcg.preconditioner != "identity":
+    if precond is None:
         precond = build_preconditioner(prob, cfg)
     sol = pcg_solve(matvec, rhs, cfg.pcg, precond=precond, x0=state.u)
     u = sol.x
@@ -248,13 +244,20 @@ def train(X, labels: LabelSet, gate_cfg: GateConfig, cfg: AdmmConfig,
         W = np.zeros_like(V)
 
     bundle = _cert.bundle_from_weights(V, W, K, cfg.penalty_kind)
+    if bundle.B_l21 == 0.0:
+        warnings.warn(
+            "trained head is all zero (B_l21 = 0), so every prediction is a tie; "
+            f"the prox threshold beta/rho = {cfg.beta / cfg.rho:g} may be too large "
+            f"for {len(state.history)} ADMM iterations",
+            stacklevel=2,
+        )
     meta = {
         "admm": {
             "rho": cfg.rho, "beta": cfg.beta, "admm_iters": cfg.admm_iters,
             "mode": cfg.mode, "penalty_kind": cfg.penalty_kind, "seed": cfg.seed,
             "stop_tol": cfg.stop_tol,
             "pcg": {"max_iters": cfg.pcg.max_iters, "rel_tol": cfg.pcg.rel_tol,
-                    "preconditioner": cfg.pcg.preconditioner, "rank": cfg.pcg.rank},
+                    "rank": cfg.pcg.rank},
         },
         "gates": {"count": gate_cfg.count, "seed": gate_cfg.seed,
                   "dedup": gate_cfg.dedup, "enumerate_all": gate_cfg.enumerate_all,

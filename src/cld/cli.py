@@ -105,7 +105,6 @@ def _solver_configs(args, K: int) -> tuple[GateConfig, AdmmConfig]:
     pcg = PcgConfig(
         max_iters=int(_setting(args, config, "pcg_iters", 32)),
         rel_tol=float(_setting(args, config, "pcg_tol", 1e-8)),
-        preconditioner=str(_setting(args, config, "precond", "nystrom")),
         rank=int(_setting(args, config, "rank", 20)),
     )
     stop_tol = _setting(args, config, "stop_tol", None)
@@ -135,9 +134,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--admm-iters", dest="admm_iters", type=int, help="outer iterations (default 6)")
     p.add_argument("--pcg-iters", dest="pcg_iters", type=int, help="inner solver cap (default 32)")
     p.add_argument("--pcg-tol", dest="pcg_tol", type=float, help="inner relative tolerance (default 1e-8)")
-    p.add_argument("--precond", choices=("identity", "jacobi", "nystrom"),
-                   help="inner-solver preconditioner (default nystrom)")
-    p.add_argument("--rank", type=int, help="preconditioner sketch rank (default 20)")
+    p.add_argument("--rank", type=int, help="Nystrom preconditioner sketch rank (default 20)")
     p.add_argument("--gates", type=int, help="activation patterns to sample (default 10 binary / 32 multiclass)")
     p.add_argument("--enumerate-gates", dest="enumerate_gates", action="store_true",
                    help="enumerate the complete pattern set (tiny instances only)")
@@ -145,7 +142,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--penalty", choices=("l21", "frobenius"), help="penalty kind (default l21)")
     p.add_argument("--stop-tol", dest="stop_tol", type=float,
                    help="stop early once both residuals fall below this")
-    p.add_argument("--seed", type=int, help="seed for gates / preconditioner probes (default 0)")
+    p.add_argument("--seed", type=int, help="seed for gates / Nystrom probes (default 0)")
 
 
 def _head_objective(head, X, Y):

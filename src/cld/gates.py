@@ -4,9 +4,10 @@ A gate is a direction g in feature space; its pattern over a training matrix
 X is the boolean vector 1(Xg >= 0) (ties at zero count as active). The set of
 weights that realises a fixed pattern D is the polyhedral cone
 {v : (2D - I) X v >= 0}. The program projects onto that cone exactly with
-``exact_cone_project``, which solves the cone's dual by Lawson-Hanson
-nonnegative least squares. ``project_cone`` (Dykstra's cyclic algorithm over
-the n defining half-spaces) is kept as the independent check of it.
+``exact_cone_project``, which solves the cone's dual nonnegative least-squares
+problem with ``scipy.optimize.nnls`` (Lawson-Hanson). ``project_cone``
+(Dykstra's cyclic algorithm over the n defining half-spaces) is kept as the
+independent check of it.
 """
 
 from __future__ import annotations
@@ -168,56 +169,24 @@ def project_cone(
     return x, False
 
 
-def _nnls(M: np.ndarray, b: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Lawson-Hanson active-set solve of min ||M mu - b|| subject to mu >= 0.
-
-    Finite, deterministic, and solved to working precision; used instead of
-    library NNLS because exact dual solutions are what make cone projections
-    trustworthy.
-    """
-    m, n = M.shape
-    if tol is None:
-        tol = 10.0 * max(m, n) * np.finfo(np.float64).eps * max(np.abs(M).max(initial=0.0), 1.0)
-    passive = np.zeros(n, dtype=bool)
-    mu = np.zeros(n)
-    resid = b.copy()
-    for _ in range(3 * n + 10):
-        w = M.T @ resid
-        w[passive] = -np.inf
-        j = int(np.argmax(w))
-        if w[j] <= tol:
-            break
-        passive[j] = True
-        while True:
-            s_passive, *_ = np.linalg.lstsq(M[:, passive], b, rcond=None)
-            if s_passive.size == 0 or s_passive.min() > 0.0:
-                mu = np.zeros(n)
-                mu[passive] = s_passive
-                break
-            current = mu[passive]
-            mask = s_passive <= 0.0
-            alpha = np.min(current[mask] / (current[mask] - s_passive[mask]))
-            mu[passive] = current + alpha * (s_passive - current)
-            passive = passive & (mu > tol)
-            mu[~passive] = 0.0
-        resid = b - M @ mu
-    return mu
-
-
 def exact_cone_project(cone: ConeSpec, v: np.ndarray) -> np.ndarray:
     """Exact Euclidean projection onto the pattern cone via its dual program.
 
     The projection of x onto {v : a_i . v >= 0} is x + A^T mu* where mu*
     minimises ||A^T mu + x|| over mu >= 0 (Moreau decomposition against the
     polar cone). The dual is a small nonnegative least-squares problem solved
-    by an active-set method, so the result is exact up to linear-algebra
-    roundoff rather than iteration tolerance.
+    by ``scipy.optimize.nnls`` (Lawson-Hanson active set), so the result is
+    exact up to linear-algebra roundoff rather than iteration tolerance.
+    Raises ``RuntimeError`` if the active-set method hits scipy's iteration
+    cap rather than return a point that may not be the projection.
     """
+    from scipy.optimize import nnls
+
     A = cone.signed_rows()
     x = np.asarray(v, dtype=np.float64)
     if A.shape[0] == 0:
         return x.copy()
-    mu = _nnls(A.T, -x)
+    mu, _ = nnls(A.T, -x)
     return x + A.T @ mu
 
 

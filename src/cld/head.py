@@ -214,6 +214,19 @@ def save_model(head: TrainedHead, path) -> None:
     os.replace(tmp, path)
 
 
+def _decode_pattern(bits: str, path) -> np.ndarray:
+    """Boolean pattern from its stored string of '0'/'1' characters."""
+    # "replace" keeps one byte per character, so positions stay aligned
+    codes = np.frombuffer(bits.encode("ascii", "replace"), dtype=np.uint8)
+    bad = np.flatnonzero((codes != ord("0")) & (codes != ord("1")))
+    if bad.size:
+        raise ModelFormatError(
+            f"{path}: gate pattern has {bits[bad[0]]!r} at position {bad[0]}; "
+            "only 0 and 1 are allowed"
+        )
+    return codes == ord("1")
+
+
 def load_model(path) -> TrainedHead:
     """Read a model file, recomputing and checking its certificate bundle."""
     from .cert import bundle_from_weights, bundle_to_dict, dict_to_bundle
@@ -228,7 +241,7 @@ def load_model(path) -> TrainedHead:
     gates_doc = doc["gates"]
     patterns = tuple(
         GatePattern(
-            np.array([c == "1" for c in bits]),
+            _decode_pattern(bits, path),
             np.array([float.fromhex(x) for x in gen], dtype=np.float64),
         )
         for bits, gen in zip(gates_doc["patterns"], gates_doc["generators"])

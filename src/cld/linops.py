@@ -97,20 +97,12 @@ class GatedOperator:
         out = self.X.T @ RB.reshape(self.n, self.B * self.K)
         return out.reshape(self.d, self.B, self.K).transpose(1, 0, 2)
 
-    def gram_diag(self) -> np.ndarray:
-        """Exact diagonal of the Gram operator, shape (B, d, K).
-
-        Entry (b, j, k) is sum_i mask_b[i] x_ij^2, independent of k.
-        """
-        diag_bd = self.masks @ (self.X * self.X)  # (B, d)
-        return np.repeat(diag_bd[:, :, None], self.K, axis=2)
-
 
 @dataclass(frozen=True)
 class PcgConfig:
     max_iters: int = 32
     rel_tol: float = 1e-8
-    preconditioner: str = "identity"  # identity | jacobi | nystrom
+    preconditioner: str = "nystrom"  # the only one; the field stays for existing callers
     rank: int = 20
 
     def __post_init__(self):
@@ -118,7 +110,7 @@ class PcgConfig:
             raise ValueError("max_iters must be >= 1")
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
-        if self.preconditioner not in ("identity", "jacobi", "nystrom"):
+        if self.preconditioner != "nystrom":
             raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
         if self.rank < 1:
             raise ValueError("rank must be >= 1")

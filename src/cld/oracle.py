@@ -51,10 +51,6 @@ class FistaResult:
         return min(self.objective_history)
 
 
-def _full_objective(prob: ConvexProblem, S: np.ndarray) -> float:
-    return loss(prob.op.apply(S), prob.Y) + prob.beta * penalty(S, prob.penalty_kind)
-
-
 def fista_solve(prob: ConvexProblem, cfg: FistaConfig = FistaConfig()) -> FistaResult:
     """Monotone accelerated proximal gradient for the relaxed program.
 

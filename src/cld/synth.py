@@ -51,10 +51,6 @@ class SynthSpec:
     def total_accents(self) -> int:
         return sum(self.accents_per_language)
 
-    @property
-    def total_samples(self) -> int:
-        return self.total_accents * self.samples_per_accent
-
     def language_names(self) -> list[str]:
         names = list(_DEFAULT_LANGS[: self.languages])
         names += [f"lang{i}" for i in range(len(names), self.languages)]

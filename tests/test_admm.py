@@ -54,8 +54,7 @@ class TestAdmmStep:
         # from a zero state, z1 must equal group_prox(u, beta/rho) of the
         # solver's own u output
         prob = random_problem(n=12, d=3, K=2, P=3, beta=1e-2, seed=2)
-        cfg = AdmmConfig(rho=0.25, beta=1e-2, admm_iters=1,
-                         pcg=PcgConfig(preconditioner="identity"))
+        cfg = AdmmConfig(rho=0.25, beta=1e-2, admm_iters=1)
         state = admm_step(prob, cfg, init_state(prob))
         np.testing.assert_array_equal(
             state.z1, group_prox(state.u, cfg.beta / cfg.rho, prob.penalty_kind)
@@ -107,8 +106,7 @@ class TestTrain:
 
     def test_gated_inference_equals_training_fit(self):
         X, labels, _ = cluster_data(n=60, d=6, K=3, seed=8)
-        cfg = AdmmConfig(rho=0.1, admm_iters=40,
-                         pcg=PcgConfig(preconditioner="jacobi"))
+        cfg = AdmmConfig(rho=0.1, admm_iters=40)
         head = train(X, labels, GateConfig(count=6, seed=8), cfg)
         op = GatedOperator.relaxed(X, head.gates, labels.K)
         fitted = op.apply(head.V)
@@ -151,6 +149,12 @@ class TestTrain:
         for _ in range(20):
             state = admm_step(prob, cfg, state, precond=precond)
             assert max_cone_violation(prob, state.z2) <= 1e-10
+
+    def test_default_config_warns_on_all_zero_head(self):
+        X, labels, _ = cluster_data(n=60, d=6, K=2, seed=19)
+        with pytest.warns(UserWarning, match="all zero"):
+            head = train(X, labels, GateConfig(count=6, seed=19), AdmmConfig())
+        assert head.cert.B_l21 == 0.0
 
     def test_missing_class_rejected(self):
         X = np.random.default_rng(10).standard_normal((6, 2))

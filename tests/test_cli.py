@@ -348,8 +348,9 @@ class TestVerifyCommand:
 
     def test_unconverged_run_exits_3(self, dataset, capsys):
         # paper-default iteration budget leaves the objective far from optimal
-        rc = main(["verify", "--manifest", str(dataset / "manifest.json"),
-                   "--gates", "4", "--admm-iters", "2", "--seed", "0"])
+        with pytest.warns(UserWarning, match="all zero"):
+            rc = main(["verify", "--manifest", str(dataset / "manifest.json"),
+                       "--gates", "4", "--admm-iters", "2", "--seed", "0"])
         assert rc == 3
         assert "verification failed" in capsys.readouterr().err
 
@@ -358,8 +359,9 @@ class TestVerifyCommand:
         assert main(["synth", "--out", str(data), "--languages", "2",
                      "--accents", "1,1", "--dim", "64",
                      "--samples-per-accent", "300", "--seed", "1"]) == 0
-        rc = main(["verify", "--manifest", str(data / "manifest.json"),
-                   "--gates", "64", "--admm-iters", "2", "--seed", "1"])
+        with pytest.warns(UserWarning, match="all zero"):
+            rc = main(["verify", "--manifest", str(data / "manifest.json"),
+                       "--gates", "64", "--admm-iters", "2", "--seed", "1"])
         assert rc == 2
         assert "too large" in capsys.readouterr().err
 

@@ -177,12 +177,21 @@ class TestProjection:
         assert np.linalg.norm(again - out) <= 10 * tol
 
     def test_exact_projection_machine_feasible(self):
-        rng = np.random.default_rng(11)
-        X = rng.standard_normal((10, 3))
-        for p in sample_gates(X, 6, seed=11).patterns:
-            cone = ConeSpec(p, X)
-            out = exact_cone_project(cone, 4.0 * rng.standard_normal(3))
-            assert cone_violation(cone, out) <= 1e-10
+        # (200, 16) is the size of the cones exact mode builds from sampled
+        # gates; there the dual NNLS has 200 columns
+        for n, d, seed in ((10, 3, 11), (200, 16, 12)):
+            rng = np.random.default_rng(seed)
+            X = rng.standard_normal((n, d))
+            for p in sample_gates(X, 6, seed=seed).patterns:
+                cone = ConeSpec(p, X)
+                for x in (4.0 * rng.standard_normal(d),
+                          p.generator + rng.standard_normal(d)):
+                    out = exact_cone_project(cone, x)
+                    assert cone_violation(cone, out) <= 1e-10
+                    np.testing.assert_allclose(exact_cone_project(cone, out), out,
+                                               rtol=0.0, atol=1e-12 * np.linalg.norm(x))
+                    # Moreau: x - out lies in the polar cone, orthogonal to out
+                    assert abs((x - out) @ out) <= 1e-12 * (x @ x)
 
     def test_tol_validation(self):
         cone = ConeSpec(GatePattern(np.array([True]), np.ones(1)), np.eye(1))

@@ -11,6 +11,7 @@ from cld.cvxprog import loss, penalty
 from cld.gates import GatePattern, GateSet
 from cld.head import (
     CertificateMismatchError,
+    ModelFormatError,
     ModelVersionError,
     ReluNetwork,
     TrainedHead,
@@ -255,3 +256,15 @@ class TestModelIO:
         for a, b in zip(head.gates.patterns, back.gates.patterns):
             np.testing.assert_array_equal(a.generator, b.generator)
             np.testing.assert_array_equal(a.active, b.active)
+
+    @pytest.mark.parametrize("bad", ["x", "\u00e9"])
+    def test_tampered_pattern_rejected(self, trained, tmp_path, bad):
+        head, _, _ = trained
+        path = tmp_path / "model.json"
+        save_model(head, path)
+        doc = json.loads(path.read_text())
+        bits = doc["gates"]["patterns"][1]
+        doc["gates"]["patterns"][1] = bits[:2] + bad + bits[3:]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="position 2"):
+            load_model(path)

@@ -102,14 +102,6 @@ class TestGatedOperator:
         np.testing.assert_allclose(free.apply(S), cached.apply(S), atol=1e-12)
         np.testing.assert_allclose(free.adjoint(R), cached.adjoint(R), atol=1e-12)
 
-    def test_gram_diag_exact(self):
-        rng = np.random.default_rng(7)
-        X = rng.standard_normal((9, 3))
-        op = GatedOperator.relaxed(X, sample_gates(X, 4, seed=7), K=2)
-        dense = dense_blocks(op)
-        expected = np.diag(dense.T @ dense).reshape(op.B, op.d)
-        np.testing.assert_allclose(op.gram_diag()[:, :, 0], expected, atol=1e-10)
-
 
 class TestPcg:
     def test_identity_one_iteration(self):
