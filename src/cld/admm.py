@@ -6,8 +6,11 @@ mode) z2 receives the pattern-cone constraints via projection. One iteration
 performs
 
     1. u    <- solve (F^T F + c rho I) u = F^T Y + rho sum_copies (z - lam)
-              by conjugate gradients preconditioned with a Nystrom sketch
-              of F^T F, built once per run (c = number of copies),
+              (c = number of copies) exactly, by two triangular solves with
+              the Cholesky factor that ``linops.gram_solver`` builds once per
+              run; F^T Y is also computed once per run. Only when B*d passes
+              ``linops.FACTOR_LIMIT`` is the solve matrix-free PCG with a
+              Nystrom preconditioner instead,
     2. z1   <- group_prox(u + lam1, beta / rho),
     3. z2   <- project_to_cones(u + lam2) (split mode only): every column is
               projected onto its pattern cone exactly, through the
@@ -42,7 +45,7 @@ from . import head as _head
 from .cvxprog import ConvexProblem, ObjectiveValue, group_prox, objective, project_to_cones
 from .dataio import FeatureMatrix, LabelSet
 from .gates import ConeSpec, enumerate_patterns, sample_gates
-from .linops import GatedOperator, PcgConfig, nystrom_precond, pcg_solve
+from .linops import GatedOperator, PcgConfig, gram_solver
 
 
 @dataclass(frozen=True)
@@ -111,38 +114,31 @@ def init_state(prob: ConvexProblem) -> AdmmState:
     return AdmmState(zeros, zeros.copy(), zeros.copy())
 
 
-def _fit_matvec(prob: ConvexProblem):
-    op = prob.op
-    return lambda S: op.adjoint(op.apply(S))
+def u_update(prob: ConvexProblem, cfg: AdmmConfig):
+    """The u-update of one run: ``solve(consensus, x0) -> (u, inner iterations)``.
 
-
-def build_preconditioner(prob: ConvexProblem, cfg: AdmmConfig):
-    """Rank-``cfg.pcg.rank`` Nystrom preconditioner for F^T F + c rho I."""
+    It solves (F^T F + c rho I) u = F^T Y + consensus, where consensus is
+    rho sum_copies (z - lam). The solver and F^T Y are built here, once.
+    """
     copies = 2 if prob.mode == "exact" else 1
-    dim = int(np.prod(prob.op.block_shape))
-    rank = min(cfg.pcg.rank, dim)
-    return nystrom_precond(_fit_matvec(prob), dim, rank, sigma=copies * cfg.rho,
-                           seed=cfg.seed, shape=prob.op.block_shape)
+    solve = gram_solver(prob.op, copies * cfg.rho, cfg.pcg, seed=cfg.seed)
+    fty = prob.op.adjoint(prob.Y)
+    return lambda consensus, x0: solve(fty + consensus, x0)
 
 
 def admm_step(prob: ConvexProblem, cfg: AdmmConfig, state: AdmmState,
-              precond=None) -> AdmmState:
-    """One consensus iteration; returns the advanced state."""
+              solve=None) -> AdmmState:
+    """One consensus iteration; ``solve`` is the run's ``u_update`` (built here if None)."""
     if prob.mode != cfg.mode:
         raise ValueError(f"problem mode {prob.mode!r} != config mode {cfg.mode!r}")
-    op = prob.op
     copies = 2 if prob.mode == "exact" else 1
     rho = cfg.rho
-    fit_mv = _fit_matvec(prob)
-    matvec = lambda S: fit_mv(S) + copies * rho * S
-
-    rhs = op.adjoint(prob.Y) + rho * (state.z1 - state.lam1)
+    if solve is None:
+        solve = u_update(prob, cfg)
+    consensus = rho * (state.z1 - state.lam1)
     if copies == 2:
-        rhs = rhs + rho * (state.z2 - state.lam2)
-    if precond is None:
-        precond = build_preconditioner(prob, cfg)
-    sol = pcg_solve(matvec, rhs, cfg.pcg, precond=precond, x0=state.u)
-    u = sol.x
+        consensus = consensus + rho * (state.z2 - state.lam2)
+    u, inner_iters = solve(consensus, state.u)
 
     z1 = group_prox(u + state.lam1, cfg.beta / rho, prob.penalty_kind)
     lam1 = state.lam1 + u - z1
@@ -161,7 +157,7 @@ def admm_step(prob: ConvexProblem, cfg: AdmmConfig, state: AdmmState,
         objective=objective(prob, z1),
         primal=float(np.sqrt(primal_sq)),
         dual=rho * float(np.sqrt(dual_sq)),
-        pcg_iters=sol.iters,
+        pcg_iters=inner_iters,
     )
     return AdmmState(u, z1, lam1, z2, lam2, state.history + (record,))
 
@@ -174,10 +170,10 @@ def residuals(state: AdmmState) -> tuple[float, float]:
 def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmState:
     """Run the configured number of iterations (or stop on small residuals)."""
     state = init_state(prob)
-    precond = build_preconditioner(prob, cfg)
+    solve = u_update(prob, cfg)
     for it in range(cfg.admm_iters):
         tick = time.perf_counter()
-        state = admm_step(prob, cfg, state, precond=precond)
+        state = admm_step(prob, cfg, state, solve)
         if log is not None:
             rec = state.history[-1]
             log({

@@ -4,9 +4,10 @@ Exit codes: 0 success, 2 usage or I/O failure, 3 verification failure.
 Config precedence is flags > config file (--config, JSON or TOML) > built-in
 defaults. Every command takes --seed and is fully deterministic for fixed
 seeds and flags; wall-clock measurements go to the log sink (stderr or
---log), never into result files. The CLD_THREADS environment variable caps
-worker parallelism (this implementation executes block loops sequentially in
-a fixed order, so results never depend on it).
+--log), never into result files. The CLD_THREADS environment variable is
+only validated (a value that is not a positive integer exits 2): block loops
+run sequentially in a fixed order, and BLAS threads follow
+OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .dataio import (
 )
 from .gates import enumerate_patterns
 from .head import ModelFormatError, load_model, predict_batch, save_model
-from .linops import GatedOperator, PcgConfig
+from .linops import FACTOR_LIMIT, GatedOperator, PcgConfig
 from .metrics import evaluate
 from .oracle import FistaConfig, dense_solve_smallest, fista_solve, _DENSE_GUARD
 from .synth import SynthSpec, generate, split
@@ -74,6 +75,11 @@ def _log_sink(path):
     return lambda rec: (fh.write(json.dumps(rec, sort_keys=True) + "\n"), fh.flush())[0]
 
 
+# every key a --config file may set, each named as its flag's dest
+_CONFIG_KEYS = frozenset({"seed", "pcg_iters", "pcg_tol", "rank", "stop_tol", "rho", "beta",
+                          "admm_iters", "mode", "penalty", "gates"})
+
+
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
@@ -82,8 +88,15 @@ def _load_config_file(path) -> dict:
     if path.suffix.lower() == ".toml":
         import tomllib
 
-        return tomllib.loads(raw.decode("utf-8"))
-    return json.loads(raw.decode("utf-8"))
+        config = tomllib.loads(raw.decode("utf-8"))
+    else:
+        config = json.loads(raw.decode("utf-8"))
+    if not isinstance(config, dict):
+        raise ValueError(f"config file {path} must hold one object of settings")
+    unknown = sorted(set(config) - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
+    return config
 
 
 def _setting(args, config: dict, name: str, default):
@@ -132,9 +145,12 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, help="group-penalty weight (default 1e-3)")
     p.add_argument("--rho", type=float, help="consensus penalty (default 1e-4)")
     p.add_argument("--admm-iters", dest="admm_iters", type=int, help="outer iterations (default 6)")
-    p.add_argument("--pcg-iters", dest="pcg_iters", type=int, help="inner solver cap (default 32)")
-    p.add_argument("--pcg-tol", dest="pcg_tol", type=float, help="inner relative tolerance (default 1e-8)")
-    p.add_argument("--rank", type=int, help="Nystrom preconditioner sketch rank (default 20)")
+    wide = f"acts only when B*d > {FACTOR_LIMIT}"
+    p.add_argument("--pcg-iters", dest="pcg_iters", type=int,
+                   help=f"u-solve PCG iteration cap (default 32); {wide}")
+    p.add_argument("--pcg-tol", dest="pcg_tol", type=float,
+                   help=f"u-solve PCG relative tolerance (default 1e-8); {wide}")
+    p.add_argument("--rank", type=int, help=f"Nystrom preconditioner sketch rank (default 20); {wide}")
     p.add_argument("--gates", type=int, help="activation patterns to sample (default 10 binary / 32 multiclass)")
     p.add_argument("--enumerate-gates", dest="enumerate_gates", action="store_true",
                    help="enumerate the complete pattern set (tiny instances only)")
@@ -142,7 +158,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--penalty", choices=("l21", "frobenius"), help="penalty kind (default l21)")
     p.add_argument("--stop-tol", dest="stop_tol", type=float,
                    help="stop early once both residuals fall below this")
-    p.add_argument("--seed", type=int, help="seed for gates / Nystrom probes (default 0)")
+    p.add_argument("--seed", type=int,
+                   help=f"seed for gates and Nystrom probes (default 0); the probes {wide}")
 
 
 def _head_objective(head, X, Y):

@@ -6,9 +6,13 @@ ever materialising the n x (B*d) block matrix. The relaxed problem uses B = P
 blocks with positive signs; the split problem uses B = 2P blocks where block
 P + p carries sign -1 (the subtracted copy of pattern p).
 
-Also provided: preconditioned conjugate gradients over block arrays, a
-randomised low-rank (Nystrom) preconditioner, and power iteration for
-largest-eigenvalue estimates.
+The ADMM u-system (F^T F + sigma I) u = rhs has one fixed matrix per run, so
+``gram_solver`` builds the (B*d) x (B*d) Gram F^T F once (it does not depend
+on K), Cholesky-factors it with the shift, and solves every step exactly by
+two triangular solves. Only above FACTOR_LIMIT columns, where the Gram would
+not fit in 128 MiB (e.g. d=768 encoders), does it fall back to matrix-free
+conjugate gradients preconditioned with a randomised low-rank (Nystrom)
+sketch. Also provided: power iteration for largest-eigenvalue estimates.
 """
 
 from __future__ import annotations
@@ -18,6 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gates import GateSet
+
+# Largest B*d whose Gram is factored: 4096^2 float64 entries are 128 MiB.
+# Wider operators take the matrix-free PCG fallback.
+FACTOR_LIMIT = 4096
+_GRAM_CHUNK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -231,6 +240,59 @@ def nystrom_precond(matvec, dim: int, rank: int, sigma: float, seed: int = 0,
     U, svals, _ = np.linalg.svd(B, full_matrices=False)
     lam = np.maximum(svals * svals - nu, 0.0)
     return NystromPreconditioner(U, lam, float(sigma), shape)
+
+
+def fit_gram(op: GatedOperator) -> np.ndarray:
+    """Lower triangle of F^T F as a Fortran-order (B*d) x (B*d) array.
+
+    Column b*d + j of F is sign_b mask_b * X[:, j]. Rows of F are formed
+    ``_GRAM_CHUNK_ROWS`` at a time and added by one symmetric rank-k update
+    (BLAS syrk) into the same array, so neither the n x (B*d) matrix nor a
+    second Gram-sized temporary is ever held. The upper triangle stays zero.
+    """
+    from scipy.linalg.blas import dsyrk
+
+    Bd = op.B * op.d
+    gram = np.zeros((Bd, Bd), order="F")
+    for lo in range(0, op.n, _GRAM_CHUNK_ROWS):
+        hi = lo + _GRAM_CHUNK_ROWS
+        rows = (op._weights[lo:hi, :, None] * op.X[lo:hi, None, :]).reshape(-1, Bd)
+        # syrk on the Fortran-order transpose view: rows^T rows, with no copy
+        gram = dsyrk(1.0, rows.T, beta=1.0, c=gram, trans=0, lower=1, overwrite_c=1)
+    return gram
+
+
+def gram_solver(op: GatedOperator, sigma: float, cfg: PcgConfig, seed: int = 0):
+    """Solver for (F^T F + sigma I) u = rhs on (B, d, K) blocks, built once.
+
+    Returns ``solve(rhs, x0) -> (u, inner iterations)``. Up to FACTOR_LIMIT
+    columns the shifted Gram is Cholesky-factored here and every solve is
+    exact (0 inner iterations; ``cfg``, ``seed`` and ``x0`` are unused).
+    Wider operators run matrix-free PCG warm-started at ``x0`` under ``cfg``,
+    preconditioned by a rank-``cfg.rank`` Nystrom sketch drawn from ``seed``.
+    """
+    B, d, K = op.block_shape
+    if B * d <= FACTOR_LIMIT:
+        from scipy.linalg import cho_factor, cho_solve
+
+        gram = fit_gram(op)
+        gram[np.diag_indices(B * d)] += sigma
+        factor = cho_factor(gram, lower=True, overwrite_a=True)
+        return lambda rhs, x0: (
+            cho_solve(factor, rhs.reshape(B * d, K), check_finite=False).reshape(B, d, K), 0)
+
+    def fit(S):
+        return op.adjoint(op.apply(S))
+
+    dim = B * d * K
+    precond = nystrom_precond(fit, dim, min(cfg.rank, dim), sigma, seed=seed,
+                              shape=op.block_shape)
+
+    def solve(rhs, x0):
+        sol = pcg_solve(lambda S: fit(S) + sigma * S, rhs, cfg, precond=precond, x0=x0)
+        return sol.x, sol.iters
+
+    return solve
 
 
 def power_iteration(matvec, dim: int, iters: int = 100, seed: int = 0, shape=None) -> float:

@@ -9,15 +9,16 @@ from cld.admm import (
     TrainingError,
     admm_solve,
     admm_step,
-    build_preconditioner,
     init_state,
     residuals,
     train,
+    u_update,
 )
 from cld.cvxprog import ConvexProblem, group_prox, max_cone_violation, objective
 from cld.dataio import LabelSet
 from cld.gates import ConeSpec, enumerate_patterns
 from cld.head import predict_batch
+import cld.linops
 from cld.linops import GatedOperator, PcgConfig
 from cld.oracle import FistaConfig, dense_solve_smallest, fista_solve
 
@@ -144,10 +145,10 @@ class TestTrain:
                              cones=tuple(ConeSpec(p, X) for p in gates.patterns))
         cfg = AdmmConfig(rho=0.1, mode="exact",
                          pcg=PcgConfig(rel_tol=1e-9, preconditioner="nystrom", rank=60))
-        precond = build_preconditioner(prob, cfg)
+        solve = u_update(prob, cfg)
         state = init_state(prob)
         for _ in range(20):
-            state = admm_step(prob, cfg, state, precond=precond)
+            state = admm_step(prob, cfg, state, solve)
             assert max_cone_violation(prob, state.z2) <= 1e-10
 
     def test_default_config_warns_on_all_zero_head(self):
@@ -225,6 +226,20 @@ class TestSolverContracts:
             pens.append(head.cert.B_l21)
         for lo, hi in zip(pens[1:], pens[:-1]):
             assert lo <= hi + 1e-8
+
+    def test_pcg_fallback_matches_factored_solve(self, monkeypatch):
+        # operators wider than FACTOR_LIMIT columns take matrix-free PCG;
+        # both u-solves must converge to the same optimum
+        X, labels, _ = cluster_data(n=60, d=6, K=3, seed=21)
+        gate_cfg = GateConfig(count=6, seed=21)
+        factored = train(X, labels, gate_cfg, AdmmConfig(**CONVERGED)).train_meta["history"]
+        monkeypatch.setattr(cld.linops, "FACTOR_LIMIT", 0)
+        fallback = train(X, labels, gate_cfg, AdmmConfig(**CONVERGED)).train_meta["history"]
+        a, b = factored[-1]["objective"], fallback[-1]["objective"]
+        assert abs(a - b) <= 1e-8 * abs(a)
+        assert all(rec["pcg_iters"] == 0 for rec in factored)
+        # a warm start can already meet the tolerance late in the run
+        assert sum(rec["pcg_iters"] for rec in fallback) > 0
 
     def test_early_stop_on_stop_tol(self):
         prob = random_problem(n=20, d=3, K=2, P=3, beta=0.0, seed=18)

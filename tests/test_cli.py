@@ -99,6 +99,18 @@ class TestTrain:
         assert meta["admm"]["admm_iters"] == 25
         assert meta["gates"]["count"] == 4
 
+    @pytest.mark.parametrize("key, value", [("precond", "jacobi"), ("admm_iterz", 500)])
+    def test_unknown_config_key_exits_2(self, dataset, tmp_path, capsys, key, value):
+        # a removed key (precond) or a misspelt one must not be dropped silently
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"rho": 0.1, key: value}))
+        path = tmp_path / "m.json"
+        rc = main(["train", "--manifest", str(dataset / "manifest.json"),
+                   "--out", str(path), "--config", str(cfgfile)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not path.exists()
+
 
 class TestPredict:
     def test_predictions_match_library(self, dataset, model, tmp_path):

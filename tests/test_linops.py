@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from cld.gates import GatePattern, GateSet, sample_gates
+from cld.gates import GatePattern, GateSet, enumerate_patterns, sample_gates
 from cld.linops import (
     GatedOperator,
     PcgConfig,
     PcgNumericError,
+    gram_solver,
     nystrom_precond,
     pcg_solve,
     power_iteration,
@@ -202,6 +203,38 @@ class TestNystrom:
     def test_rank_validation(self):
         with pytest.raises(ValueError, match="rank"):
             nystrom_precond(lambda x: x, 5, rank=6, sigma=1.0)
+
+
+def _matrix_free_relaxed():
+    X = np.random.default_rng(30).standard_normal((2000, 16))
+    return GatedOperator.relaxed(X, sample_gates(X, 40, seed=30), K=3), 1
+
+
+def _dense_cached_relaxed():
+    X = np.random.default_rng(31).standard_normal((200, 16))
+    return GatedOperator.relaxed(X, sample_gates(X, 32, seed=31), K=3), 1
+
+
+def _split_exact():
+    X = np.random.default_rng(32).standard_normal((10, 2))
+    return GatedOperator.split(X, enumerate_patterns(X), K=2), 2
+
+
+class TestGramSolver:
+    @pytest.mark.parametrize("build, dense", [(_matrix_free_relaxed, False),
+                                              (_dense_cached_relaxed, True),
+                                              (_split_exact, True)],
+                             ids=["matrix-free", "dense-cached", "split"])
+    def test_factored_solve_residual(self, build, dense):
+        # the factored u-solve, checked against the operator's own apply/adjoint
+        op, copies = build()
+        assert (op._dense is not None) == dense
+        sigma = copies * 0.1
+        rhs = np.random.default_rng(33).standard_normal(op.block_shape)
+        u, iters = gram_solver(op, sigma, PcgConfig())(rhs, None)
+        assert iters == 0
+        residual = op.adjoint(op.apply(u)) + sigma * u - rhs
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
 
 
 class TestPowerIteration:
