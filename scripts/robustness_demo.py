@@ -16,7 +16,6 @@ from cld.admm import AdmmConfig, GateConfig, train
 from cld.cert import amgm_bound, certify_batch, var_bound_fro, var_bound_l21
 from cld.dataio import LabelSet
 from cld.head import predict_batch, to_relu
-from cld.linops import PcgConfig
 from cld.synth import SynthSpec, generate, split
 
 
@@ -31,9 +30,7 @@ def main():
     tr, te, _ = split(data.labels.class_ids, seed=args.seed)
     X = data.features.values
     labels = LabelSet(data.labels.class_ids[tr], data.labels.label_map)
-    cfg = AdmmConfig(rho=10.0, beta=1e-3, admm_iters=150, stop_tol=1e-8,
-                     pcg=PcgConfig(max_iters=32, rel_tol=1e-9,
-                                   preconditioner="nystrom", rank=500))
+    cfg = AdmmConfig(rho=10.0, beta=1e-3, admm_iters=150, stop_tol=1e-8)
     head = train(X[tr], labels, GateConfig(count=32, seed=args.seed), cfg)
 
     net = to_relu(head)

@@ -22,11 +22,11 @@ def main():
     args = ap.parse_args()
 
     out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # the log below is opened inside it
     rc = cld_main([
         "bench", "--out", str(out), "--sizes", args.sizes,
         "--seed", str(args.seed), "--log", str(out / "bench.log"),
         "--rho", "100", "--admm-iters", "60", "--stop-tol", "1e-7",
-        "--rank", "300", "--pcg-iters", "32", "--pcg-tol", "1e-8",
     ])
     if rc != 0:
         return rc

@@ -8,6 +8,13 @@ weights that realises a fixed pattern D is the polyhedral cone
 problem with ``scipy.optimize.nnls`` (Lawson-Hanson). ``project_cone``
 (Dykstra's cyclic algorithm over the n defining half-spaces) is kept as the
 independent check of it.
+
+``enumerate_patterns`` lists every pattern of small X by walking sign
+prefixes. Each prefix's strict feasibility is decided without an LP by its
+max margin, the distance from the origin to the convex hull of its signed
+rows (one small NNLS, Wolfe's min-norm point); only the rare prefix whose
+margin falls between the two bounds of the box LP runs that LP. Every
+surviving pattern then takes its generator from one max-slack LP.
 """
 
 from __future__ import annotations
@@ -217,14 +224,55 @@ def _max_slack_witness(rows: np.ndarray, signs: np.ndarray):
     return res.x[:d], float(res.x[-1])
 
 
+def _margin_screen(A: np.ndarray, feas_tol: float):
+    """Decide strict feasibility of {a_i . v > 0} without an LP, if possible.
+
+    By Gordan's alternative the system is feasible iff the min-norm point of
+    conv{a_i} is nonzero. With y >= 0 minimising ||A^T y||^2 + (1^T y - 1)^2
+    (one NNLS), p = A^T y and s = 1^T y, that point is p / s and its norm
+    gamma = ||p|| / s is the Euclidean max margin. The box LP of
+    ``_max_slack_witness`` holds the unit ball and lies in the ball of radius
+    sqrt(d), so its optimum obeys min(1, gamma) <= t* <= sqrt(d) gamma.
+
+    Returns (True, p / ||p||_inf) when that witness has slack > ``feas_tol``
+    on every row (it has slack >= gamma), (False, None) when sqrt(d) gamma
+    <= ``feas_tol``, and (None, None) when only the LP can tell. Any y >= 0
+    gives an upper bound on the true margin and the witness is checked
+    directly, so neither verdict rests on the NNLS being solved exactly.
+    """
+    from scipy.optimize import nnls
+
+    m, d = A.shape
+    target = np.zeros(d + 1)
+    target[-1] = 1.0
+    try:
+        y, _ = nnls(np.vstack([A.T, np.ones(m)]), target)
+    except RuntimeError:  # iteration cap: leave it to the LP
+        return None, None
+    s = float(y.sum())
+    if not s > 0.0:
+        return None, None
+    p = A.T @ y
+    if np.sqrt(d) * np.linalg.norm(p) <= feas_tol * s:
+        return False, None
+    witness = p / np.abs(p).max()
+    if (A @ witness).min() > feas_tol:
+        return True, witness
+    return None, None
+
+
 def enumerate_patterns(X: np.ndarray) -> GateSet:
     """Enumerate every activation pattern realised by some direction.
 
     Walks the cells of the hyperplane arrangement {x_i . v = 0} by extending
     sign prefixes one row at a time and pruning prefixes whose strict system
-    is infeasible. Rows equal to zero are always active and excluded from the
-    sign enumeration. Guarded to desk scale (n <= 16, d <= 4); each surviving
-    pattern carries a max-slack witness generator.
+    is infeasible. A prefix whose parent witness already lies strictly on the
+    new row's side is kept as is; any other is decided by ``_margin_screen``,
+    and by the max-slack LP only when the screen cannot tell. Rows equal to
+    zero are always active and excluded from the sign enumeration. Guarded to
+    desk scale (n <= 16, d <= 4); each surviving pattern gets its generator
+    from one max-slack LP over all its rows, so the walk makes one LP per
+    pattern plus one per undecided prefix.
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
@@ -246,8 +294,11 @@ def enumerate_patterns(X: np.ndarray) -> GateSet:
                 if s * (X[row_idx] @ witness) > feas_tol:
                     extended.append((cand, witness))
                     continue
-                w, slack = _max_slack_witness(rows, cand)
-                if slack > feas_tol:
+                feasible, w = _margin_screen(cand[:, None] * rows, feas_tol)
+                if feasible is None:
+                    w, slack = _max_slack_witness(rows, cand)
+                    feasible = slack > feas_tol
+                if feasible:
                     extended.append((cand, w))
         prefixes = extended
     patterns = []

@@ -12,7 +12,7 @@ from cld.cvxprog import (
     objective,
     penalty,
 )
-from cld.gates import sample_gates
+from cld.gates import ConeSpec, cone_violation, sample_gates
 from cld.linops import GatedOperator
 from cld.oracle import dense_solve_smallest
 
@@ -177,8 +177,6 @@ class TestExactModeObjective:
         rng = np.random.default_rng(8)
         X = rng.standard_normal((6, 3))
         gates = sample_gates(X, 2, seed=8)
-        from cld.gates import ConeSpec
-
         op = GatedOperator.split(X, gates, K=2)
         cones = tuple(ConeSpec(p, X) for p in gates.patterns)
         Y = np.eye(2)[rng.integers(0, 2, 6)]
@@ -187,6 +185,22 @@ class TestExactModeObjective:
         val = objective(prob, S)
         assert val.cone_violation == pytest.approx(max_cone_violation(prob, S))
         assert val.cone_violation > 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 4), st.integers(1, 3), st.integers(1, 4),
+           st.integers(0, 2**32 - 1))
+    def test_max_cone_violation_matches_column_loop(self, n, d, K, P, seed):
+        # zero rows of X constrain nothing; zero columns of S lie in every cone
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d)) * (rng.random((n, 1)) < 0.75)
+        gates = sample_gates(X, P, seed=seed, dedup=False)
+        op = GatedOperator.split(X, gates, K)
+        cones = tuple(ConeSpec(p, X) for p in gates.patterns)
+        prob = ConvexProblem(op, np.eye(K)[rng.integers(0, K, n)], 0.1, "l21", "exact", cones)
+        S = rng.standard_normal(op.block_shape) * (rng.random((op.B, 1, K)) < 0.6)
+        expected = max(cone_violation(cones[b % P], S[b, :, k])
+                       for b in range(op.B) for k in range(K))
+        assert abs(max_cone_violation(prob, S) - expected) <= 1e-15
 
     def test_exact_mode_requires_cones(self):
         prob = random_problem(seed=9)

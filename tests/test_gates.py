@@ -1,10 +1,15 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cld import gates
 from cld.gates import (
     ConeSpec,
+    GateSet,
     GatePattern,
     cone_violation,
     enumerate_patterns,
@@ -65,6 +70,66 @@ def sweep_oracle_2d(X, step_deg=None):
         g = np.array([np.cos(theta), np.sin(theta)])
         patterns.add(pattern_of(X, g).tobytes())
     return patterns
+
+
+def reference_enumerate(X):
+    """The LP-only sign-prefix walk, kept as the reference for the screened one.
+
+    Every prefix that its parent's witness does not already decide runs the
+    max-slack LP; the screened walk must keep exactly the same prefixes.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    nonzero = np.flatnonzero(np.linalg.norm(X, axis=1) > 0.0)
+    feas_tol = 1e-9
+    prefixes = [(np.zeros(0), np.zeros(d))]
+    for count, row_idx in enumerate(nonzero, start=1):
+        rows = X[nonzero[:count]]
+        extended = []
+        for signs, witness in prefixes:
+            for s in (1.0, -1.0):
+                cand = np.append(signs, s)
+                if s * (X[row_idx] @ witness) > feas_tol:
+                    extended.append((cand, witness))
+                    continue
+                w, slack = gates._max_slack_witness(rows, cand)
+                if slack > feas_tol:
+                    extended.append((cand, w))
+        prefixes = extended
+    patterns = []
+    for signs, _ in prefixes:
+        w, slack = gates._max_slack_witness(X[nonzero], signs)
+        if not slack > feas_tol:
+            continue
+        active = np.zeros(n, dtype=bool)
+        active[nonzero] = signs > 0
+        active[np.setdiff1d(np.arange(n), nonzero)] = True
+        if not np.array_equal(pattern_of(X, w), active):
+            continue
+        patterns.append(GatePattern(active, w))
+    patterns.sort(key=lambda p: p.bitstring(), reverse=True)
+    return GateSet(tuple(patterns), seed=None, dedup=True)
+
+
+def assert_same_enumeration(X):
+    got, ref = enumerate_patterns(X), reference_enumerate(X)
+    assert [p.bitstring() for p in got.patterns] == [p.bitstring() for p in ref.patterns]
+    for a, b in zip(got.patterns, ref.patterns):
+        assert np.array_equal(a.generator, b.generator)
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Count the max-slack LPs that enumerate_patterns makes."""
+    calls = []
+    lp = gates._max_slack_witness
+
+    def counted(rows, signs):
+        calls.append(rows.shape[0])
+        return lp(rows, signs)
+
+    monkeypatch.setattr(gates, "_max_slack_witness", counted)
+    return calls
 
 
 class TestSampling:
@@ -245,3 +310,58 @@ class TestEnumeration:
         X = np.array([[0.0, 0.0], [1.0, 0.0]])
         got = {p.bitstring() for p in enumerate_patterns(X).patterns}
         assert got == {"11", "10"}
+
+
+def _cells_bound(n, d):
+    return 2 * sum(math.comb(n - 1, k) for k in range(d))
+
+
+# every n in 1..16 and d in 1..4 whose arrangement has at most 128 cells, so
+# the LP-only reference stays at a few hundred LPs per example
+ENUM_SHAPES = [(n, d) for n in range(1, 17) for d in range(1, 5) if _cells_bound(n, d) <= 128]
+
+
+class TestScreenedEnumeration:
+    """The margin screen keeps exactly the prefixes the LP-only walk keeps."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(ENUM_SHAPES), st.booleans(), st.integers(0, 2**32 - 1))
+    @example((16, 2), False, 0)
+    @example((8, 4), True, 1)
+    def test_matches_lp_walk(self, shape, integer, seed):
+        # small integer entries give duplicate, antiparallel, zero and
+        # collinear rows; Gaussian ones give the arrangement in general position
+        rng = np.random.default_rng(seed)
+        X = (rng.integers(-2, 3, shape).astype(float) if integer
+             else rng.standard_normal(shape))
+        assert_same_enumeration(X)
+
+    @pytest.mark.parametrize("X", [
+        [[1.0, 2.0], [1.0, 2.0], [3.0, -1.0]],                      # duplicate rows
+        [[1.0, 2.0], [-1.0, -2.0], [0.5, -1.0]],                    # x and -x
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [-1.0, 1.0, 0.0]],  # zero rows
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [2.0, -1.0, 0.0]],  # coplanar
+        [[1.0, 1.0], [2.0, 2.0], [-3.0, -3.0]],                     # one line
+        [[0.0, 0.0]],                                               # nothing to split
+    ])
+    def test_degenerate_rows(self, X):
+        assert_same_enumeration(np.array(X))
+
+    def test_ambiguous_margin_runs_the_lp(self, lp_calls):
+        # rows (1, 0) and (-1, e) are nearly antiparallel: the prefix (+, +)
+        # has max margin e/2, between feas_tol/sqrt(2) and feas_tol, where
+        # only the LP can decide it
+        X = np.array([[1.0, 0.0], [-1.0, 1.8e-9]])
+        gs = enumerate_patterns(X)
+        assert len(lp_calls) > gs.P
+        assert_same_enumeration(X)
+
+    def test_one_lp_per_pattern_on_criterion_2(self, lp_calls):
+        total = 0
+        for n, d, seed in ((10, 2, 3), (12, 2, 5), (11, 2, 11), (9, 3, 7), (8, 3, 13)):
+            X = np.random.default_rng(seed).standard_normal((n, d))
+            before = len(lp_calls)
+            gs = enumerate_patterns(X)
+            assert len(lp_calls) - before == gs.P
+            total += gs.P
+        assert total == len(lp_calls) == 198
