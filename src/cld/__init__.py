@@ -13,7 +13,7 @@ from .cert import CertificateBundle, ExampleCertificate, certify_example
 from .dataio import FeatureMatrix, LabelSet, SequenceFeature, load_manifest, pool_masked_mean
 from .gates import GateSet, enumerate_patterns, sample_gates
 from .head import ReluNetwork, TrainedHead, load_model, predict, save_model, to_relu
-from .linops import GatedOperator, PcgConfig
+from .linops import GatedOperator
 from .metrics import EvalReport, evaluate
 from .oracle import FistaConfig, dense_solve_smallest, fista_solve
 from .synth import SynthSpec, generate, split
@@ -29,7 +29,6 @@ __all__ = [
     "GateSet",
     "GatedOperator",
     "LabelSet",
-    "PcgConfig",
     "ReluNetwork",
     "SequenceFeature",
     "SynthSpec",

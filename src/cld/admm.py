@@ -6,11 +6,10 @@ mode) z2 receives the pattern-cone constraints via projection. One iteration
 performs
 
     1. u    <- solve (F^T F + c rho I) u = F^T Y + rho sum_copies (z - lam)
-              (c = number of copies) exactly, by two triangular solves with
-              the Cholesky factor that ``linops.gram_solver`` builds once per
-              run; F^T Y is also computed once per run. Only when B*d passes
-              ``linops.FACTOR_LIMIT`` is the solve matrix-free PCG with a
-              Nystrom preconditioner instead,
+              (c = number of copies) exactly, with the Cholesky factor of the
+              smaller Gram (F^T F, or the n x n kernel F F^T when B*d > n)
+              that ``linops.gram_solver`` builds once per run; F^T Y is also
+              computed once per run,
     2. z1   <- group_prox(u + lam1, beta / rho),
     3. z2   <- project_to_cones(u + lam2) (split mode only): every column is
               projected onto its pattern cone exactly, through the
@@ -54,7 +53,6 @@ class GateConfig:
 
     count: int = 32
     seed: int = 0
-    dedup: bool = True
     enumerate_all: bool = False
 
 
@@ -63,7 +61,7 @@ class AdmmConfig:
     rho: float = 1e-4
     beta: float = 1e-3
     admm_iters: int = 6
-    pcg: PcgConfig = field(default_factory=PcgConfig)
+    pcg: PcgConfig = field(default_factory=PcgConfig)   # ignored: the u-solve is exact
     mode: str = "relaxed"
     penalty_kind: str = "l21"
     seed: int = 0
@@ -81,7 +79,6 @@ class IterationRecord:
     objective: ObjectiveValue
     primal: float
     dual: float
-    pcg_iters: int
 
 
 @dataclass(frozen=True)
@@ -115,15 +112,15 @@ def init_state(prob: ConvexProblem) -> AdmmState:
 
 
 def u_update(prob: ConvexProblem, cfg: AdmmConfig):
-    """The u-update of one run: ``solve(consensus, x0) -> (u, inner iterations)``.
+    """The u-update of one run: ``solve(consensus) -> u``.
 
     It solves (F^T F + c rho I) u = F^T Y + consensus, where consensus is
     rho sum_copies (z - lam). The solver and F^T Y are built here, once.
     """
     copies = 2 if prob.mode == "exact" else 1
-    solve = gram_solver(prob.op, copies * cfg.rho, cfg.pcg, seed=cfg.seed)
+    solve = gram_solver(prob.op, copies * cfg.rho)
     fty = prob.op.adjoint(prob.Y)
-    return lambda consensus, x0: solve(fty + consensus, x0)
+    return lambda consensus: solve(fty + consensus)
 
 
 def admm_step(prob: ConvexProblem, cfg: AdmmConfig, state: AdmmState,
@@ -138,7 +135,7 @@ def admm_step(prob: ConvexProblem, cfg: AdmmConfig, state: AdmmState,
     consensus = rho * (state.z1 - state.lam1)
     if copies == 2:
         consensus = consensus + rho * (state.z2 - state.lam2)
-    u, inner_iters = solve(consensus, state.u)
+    u = solve(consensus)
 
     z1 = group_prox(u + state.lam1, cfg.beta / rho, prob.penalty_kind)
     lam1 = state.lam1 + u - z1
@@ -157,7 +154,6 @@ def admm_step(prob: ConvexProblem, cfg: AdmmConfig, state: AdmmState,
         objective=objective(prob, z1),
         primal=float(np.sqrt(primal_sq)),
         dual=rho * float(np.sqrt(dual_sq)),
-        pcg_iters=inner_iters,
     )
     return AdmmState(u, z1, lam1, z2, lam2, state.history + (record,))
 
@@ -184,7 +180,6 @@ def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmState:
                 "cone_violation": rec.objective.cone_violation,
                 "primal_residual": rec.primal,
                 "dual_residual": rec.dual,
-                "pcg_iters": rec.pcg_iters,
                 "seconds": time.perf_counter() - tick,
             })
         if cfg.stop_tol is not None and max(residuals(state)) <= cfg.stop_tol:
@@ -217,7 +212,7 @@ def train(X, labels: LabelSet, gate_cfg: GateConfig, cfg: AdmmConfig,
     if gate_cfg.enumerate_all:
         gates = enumerate_patterns(X)
     else:
-        gates = sample_gates(X, gate_cfg.count, seed=gate_cfg.seed, dedup=gate_cfg.dedup)
+        gates = sample_gates(X, gate_cfg.count, seed=gate_cfg.seed)
 
     Y = labels.one_hot()
     if cfg.mode == "exact":
@@ -252,16 +247,13 @@ def train(X, labels: LabelSet, gate_cfg: GateConfig, cfg: AdmmConfig,
             "rho": cfg.rho, "beta": cfg.beta, "admm_iters": cfg.admm_iters,
             "mode": cfg.mode, "penalty_kind": cfg.penalty_kind, "seed": cfg.seed,
             "stop_tol": cfg.stop_tol,
-            "pcg": {"max_iters": cfg.pcg.max_iters, "rel_tol": cfg.pcg.rel_tol,
-                    "rank": cfg.pcg.rank},
         },
         "gates": {"count": gate_cfg.count, "seed": gate_cfg.seed,
-                  "dedup": gate_cfg.dedup, "enumerate_all": gate_cfg.enumerate_all,
-                  "shortfall": gates.shortfall},
+                  "enumerate_all": gate_cfg.enumerate_all, "shortfall": gates.shortfall},
         "history": [
             {"objective": r.objective.total, "fit": r.objective.fit,
              "penalty": r.objective.penalty, "cone_violation": r.objective.cone_violation,
-             "primal_residual": r.primal, "dual_residual": r.dual, "pcg_iters": r.pcg_iters}
+             "primal_residual": r.primal, "dual_residual": r.dual}
             for r in state.history
         ],
         "n_train": n,

@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 usage or I/O failure, 3 verification failure.
 Config precedence is flags > config file (--config, JSON or TOML) > built-in
 defaults. Every command takes --seed and is fully deterministic for fixed
-seeds and flags; wall-clock measurements go to the log sink (stderr or
+seeds and flags; for training the seed draws the gates and starts the power
+iteration of the FISTA verification oracle (the ADMM u-solve is exact and
+has no settings). Wall-clock measurements go to the log sink (stderr or
 --log), never into result files. The CLD_THREADS environment variable is
 only validated (a value that is not a positive integer exits 2): block loops
 run sequentially in a fixed order, and BLAS threads follow
@@ -39,7 +41,7 @@ from .dataio import (
 )
 from .gates import enumerate_patterns
 from .head import ModelFormatError, load_model, predict_batch, save_model
-from .linops import FACTOR_LIMIT, GatedOperator, PcgConfig
+from .linops import GatedOperator
 from .metrics import evaluate
 from .oracle import FistaConfig, dense_solve_smallest, fista_solve, _DENSE_GUARD
 from .synth import SynthSpec, generate, split
@@ -76,8 +78,8 @@ def _log_sink(path):
 
 
 # every key a --config file may set, each named as its flag's dest
-_CONFIG_KEYS = frozenset({"seed", "pcg_iters", "pcg_tol", "rank", "stop_tol", "rho", "beta",
-                          "admm_iters", "mode", "penalty", "gates"})
+_CONFIG_KEYS = frozenset({"seed", "stop_tol", "rho", "beta", "admm_iters", "mode", "penalty",
+                          "gates"})
 
 
 def _load_config_file(path) -> dict:
@@ -115,17 +117,11 @@ def _default_gate_count(K: int) -> int:
 def _solver_configs(args, K: int) -> tuple[GateConfig, AdmmConfig]:
     config = _load_config_file(getattr(args, "config", None))
     seed = _setting(args, config, "seed", 0)
-    pcg = PcgConfig(
-        max_iters=int(_setting(args, config, "pcg_iters", 32)),
-        rel_tol=float(_setting(args, config, "pcg_tol", 1e-8)),
-        rank=int(_setting(args, config, "rank", 20)),
-    )
     stop_tol = _setting(args, config, "stop_tol", None)
     cfg = AdmmConfig(
         rho=float(_setting(args, config, "rho", 1e-4)),
         beta=float(_setting(args, config, "beta", 1e-3)),
         admm_iters=int(_setting(args, config, "admm_iters", 6)),
-        pcg=pcg,
         mode=str(_setting(args, config, "mode", "relaxed")),
         penalty_kind=str(_setting(args, config, "penalty", "l21")),
         seed=int(seed),
@@ -134,7 +130,6 @@ def _solver_configs(args, K: int) -> tuple[GateConfig, AdmmConfig]:
     gate_cfg = GateConfig(
         count=int(_setting(args, config, "gates", _default_gate_count(K))),
         seed=int(seed),
-        dedup=True,
         enumerate_all=bool(getattr(args, "enumerate_gates", False)),
     )
     return gate_cfg, cfg
@@ -145,12 +140,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, help="group-penalty weight (default 1e-3)")
     p.add_argument("--rho", type=float, help="consensus penalty (default 1e-4)")
     p.add_argument("--admm-iters", dest="admm_iters", type=int, help="outer iterations (default 6)")
-    wide = f"acts only when B*d > {FACTOR_LIMIT}"
-    p.add_argument("--pcg-iters", dest="pcg_iters", type=int,
-                   help=f"u-solve PCG iteration cap (default 32); {wide}")
-    p.add_argument("--pcg-tol", dest="pcg_tol", type=float,
-                   help=f"u-solve PCG relative tolerance (default 1e-8); {wide}")
-    p.add_argument("--rank", type=int, help=f"Nystrom preconditioner sketch rank (default 20); {wide}")
     p.add_argument("--gates", type=int, help="activation patterns to sample (default 10 binary / 32 multiclass)")
     p.add_argument("--enumerate-gates", dest="enumerate_gates", action="store_true",
                    help="enumerate the complete pattern set (tiny instances only)")
@@ -159,7 +148,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stop-tol", dest="stop_tol", type=float,
                    help="stop early once both residuals fall below this")
     p.add_argument("--seed", type=int,
-                   help=f"seed for gates and Nystrom probes (default 0); the probes {wide}")
+                   help="seed for the gates and for the power iteration of the FISTA "
+                        "oracle that verification runs (default 0)")
 
 
 def _head_objective(head, X, Y):
@@ -340,7 +330,13 @@ def cmd_eval(args) -> int:
     accents = None
     if args.accents:
         rows = Path(args.accents).read_text(encoding="utf-8").strip().splitlines()[1:]
-        accents = np.array([int(r.split(",")[1]) for r in rows])
+        accents = []
+        for line, row in enumerate(rows, start=2):
+            fields = row.split(",")
+            if len(fields) < 2:
+                raise DataFormatError(f"{args.accents}: line {line} has no accent_id column")
+            accents.append(int(fields[1]))
+        accents = np.array(accents)
     report = evaluate(logits.argmax(axis=1), labels, accents=accents)
     text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:

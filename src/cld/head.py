@@ -228,7 +228,11 @@ def _decode_pattern(bits: str, path) -> np.ndarray:
 
 
 def load_model(path) -> TrainedHead:
-    """Read a model file, recomputing and checking its certificate bundle."""
+    """Read a model file, recomputing and checking its certificate bundle.
+
+    A document with a missing key, a label map whose values are not exactly
+    0..K-1, or gate patterns of unequal length raises ModelFormatError.
+    """
     from .cert import bundle_from_weights, bundle_to_dict, dict_to_bundle
 
     try:
@@ -238,21 +242,30 @@ def load_model(path) -> TrainedHead:
     version = doc.get("version")
     if version != MODEL_VERSION:
         raise ModelVersionError(f"{path}: unknown model version {version!r}")
-    gates_doc = doc["gates"]
-    patterns = tuple(
-        GatePattern(
-            _decode_pattern(bits, path),
-            np.array([float.fromhex(x) for x in gen], dtype=np.float64),
+    try:
+        gates_doc = doc["gates"]
+        patterns = tuple(
+            GatePattern(
+                _decode_pattern(bits, path),
+                np.array([float.fromhex(x) for x in gen], dtype=np.float64),
+            )
+            for bits, gen in zip(gates_doc["patterns"], gates_doc["generators"])
         )
-        for bits, gen in zip(gates_doc["patterns"], gates_doc["generators"])
-    )
-    gates = GateSet(patterns, seed=gates_doc["seed"], dedup=gates_doc["dedup"])
-    V = _dec_array(doc["V"])
-    W = _dec_array(doc["W"])
-    stored = doc.get("cert")
-    cert = dict_to_bundle(stored) if stored is not None else None
+        gates = GateSet(patterns, seed=gates_doc["seed"], dedup=gates_doc["dedup"])
+        V = _dec_array(doc["V"])
+        W = _dec_array(doc["W"])
+        K, penalty_kind, mode = int(doc["K"]), doc["penalty_kind"], doc["mode"]
+        label_map = {str(k): int(v) for k, v in doc["label_map"].items()}
+        stored = doc.get("cert")
+        cert = dict_to_bundle(stored) if stored is not None else None
+    except KeyError as exc:
+        raise ModelFormatError(f"{path}: missing key {exc}") from exc
+    if len({p.active.size for p in patterns}) > 1:
+        raise ModelFormatError(f"{path}: gate patterns have unequal lengths")
+    if sorted(label_map.values()) != list(range(K)):
+        raise ModelFormatError(f"{path}: label_map values must be 0..{K - 1} exactly once each")
     if cert is not None:
-        recomputed = bundle_from_weights(V, W, int(doc["K"]), doc["penalty_kind"])
+        recomputed = bundle_from_weights(V, W, K, penalty_kind)
         if bundle_to_dict(recomputed) != stored:
             raise CertificateMismatchError(
                 f"{path}: stored certificate bundle does not match the weights"
@@ -261,9 +274,9 @@ def load_model(path) -> TrainedHead:
         gates=gates,
         V=V,
         W=W,
-        penalty_kind=doc["penalty_kind"],
-        mode=doc["mode"],
-        label_map={str(k): int(v) for k, v in doc["label_map"].items()},
+        penalty_kind=penalty_kind,
+        mode=mode,
+        label_map=label_map,
         cert=cert,
         train_meta=doc.get("train_meta", {}),
     )

@@ -36,7 +36,7 @@ from cld.gates import (
     sample_gates,
 )
 from cld.head import predict_batch, to_relu
-from cld.linops import GatedOperator, PcgConfig
+from cld.linops import GatedOperator
 from cld.oracle import FistaConfig, dense_solve_smallest, fista_solve, fit_value_and_grad
 from cld.synth import SynthSpec, generate, split
 
@@ -48,10 +48,7 @@ from test_head import make_head
 def _oracle_instance(seed):
     """One three-solver comparison; module-level so worker pools can run it."""
     prob = random_problem(n=200, d=16, K=3, P=32, beta=1e-3, seed=100 + seed)
-    state = admm_solve(prob, AdmmConfig(
-        rho=0.1, beta=1e-3, admm_iters=250, stop_tol=1e-8,
-        pcg=PcgConfig(max_iters=32, rel_tol=1e-10, preconditioner="nystrom", rank=600),
-    ))
+    state = admm_solve(prob, AdmmConfig(rho=0.1, beta=1e-3, admm_iters=250, stop_tol=1e-8))
     admm_obj = objective(prob, state.z1).total
     fista = fista_solve(prob, FistaConfig(max_iters=10000, rel_obj_tol=1e-12, seed=seed))
     dense = dense_solve_smallest(prob, max_iters=11000)
@@ -90,9 +87,7 @@ def test_criterion_2_exact_representation_equivalence():
         y = rng.integers(0, K, n)
         y[:K] = np.arange(K)
         labels = LabelSet(y, {"a": 0, "b": 1})
-        cfg = AdmmConfig(rho=0.1, admm_iters=60, mode="exact",
-                         pcg=PcgConfig(max_iters=32, rel_tol=1e-9,
-                                       preconditioner="nystrom", rank=60))
+        cfg = AdmmConfig(rho=0.1, admm_iters=60, mode="exact")
         head = train(X, labels, GateConfig(enumerate_all=True), cfg)
         op = GatedOperator.split(X, head.gates, K)
         convex_logits = op.apply(np.concatenate([head.V, head.W], axis=0))
@@ -140,9 +135,7 @@ def _ten_heads():
              (70, 7, 2), (110, 9, 3), (100, 8, 2), (80, 10, 3), (90, 12, 2)]
     for i, (n, d, K) in enumerate(specs):
         X, labels, _ = cluster_data(n=n, d=d, K=K, separation=4.0, seed=50 + i)
-        cfg = AdmmConfig(rho=0.1, beta=1e-3, admm_iters=250, stop_tol=1e-8,
-                         pcg=PcgConfig(max_iters=32, rel_tol=1e-9,
-                                       preconditioner="nystrom", rank=300))
+        cfg = AdmmConfig(rho=0.1, beta=1e-3, admm_iters=250, stop_tol=1e-8)
         heads.append(train(X, labels, GateConfig(count=8, seed=50 + i), cfg))
     return heads
 
@@ -177,9 +170,7 @@ def test_criterion_5_margin_stability_soundness():
     tr, te, _ = split(data.labels.class_ids, seed=2)
     X = data.features.values
     labels = LabelSet(data.labels.class_ids[tr], data.labels.label_map)
-    cfg = AdmmConfig(rho=100.0, beta=1e-3, admm_iters=120, stop_tol=1e-7,
-                     pcg=PcgConfig(max_iters=32, rel_tol=1e-9,
-                                   preconditioner="nystrom", rank=600))
+    cfg = AdmmConfig(rho=100.0, beta=1e-3, admm_iters=120, stop_tol=1e-7)
     head = train(X[tr], labels, GateConfig(count=32, seed=2), cfg)
     test_idx = te[:500]
     assert len(test_idx) == 500
@@ -220,7 +211,6 @@ def test_criterion_6_sample_efficiency(tmp_path):
                "--sizes", "100,500,1000,10000",
                "--log", str(tmp_path / "bench.log"),
                "--rho", "100", "--admm-iters", "60", "--stop-tol", "1e-7",
-               "--rank", "300", "--pcg-iters", "32", "--pcg-tol", "1e-8",
                "--seed", "0"])
     elapsed = time.perf_counter() - start
     assert rc == 0
@@ -241,7 +231,7 @@ def _run_pipeline(root, threads, monkeypatch):
     root.mkdir(parents=True, exist_ok=True)
     data = root / "data"
     fast = ["--rho", "0.1", "--admm-iters", "40", "--stop-tol", "1e-8",
-            "--rank", "150", "--seed", "4"]
+            "--seed", "4"]
     assert main(["synth", "--out", str(data), "--languages", "2", "--accents", "2,2",
                  "--dim", "8", "--samples-per-accent", "25", "--seed", "4"]) == 0
     assert main(["train", "--manifest", str(data / "manifest.json"),

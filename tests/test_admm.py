@@ -18,18 +18,12 @@ from cld.cvxprog import ConvexProblem, group_prox, max_cone_violation, objective
 from cld.dataio import LabelSet
 from cld.gates import ConeSpec, enumerate_patterns
 from cld.head import predict_batch
-import cld.linops
-from cld.linops import GatedOperator, PcgConfig
+from cld.linops import GatedOperator
 from cld.oracle import FistaConfig, dense_solve_smallest, fista_solve
 
 from conftest import cluster_data, random_problem
 
-CONVERGED = dict(
-    rho=0.1,
-    admm_iters=600,
-    stop_tol=1e-9,
-    pcg=PcgConfig(max_iters=32, rel_tol=1e-10, preconditioner="nystrom", rank=400),
-)
+CONVERGED = dict(rho=0.1, admm_iters=600, stop_tol=1e-9)
 
 
 class TestAdmmStep:
@@ -80,8 +74,7 @@ class TestResiduals:
         # a shrinkage threshold large enough to pin z1 at zero keeps the dual
         # residual exactly zero step after step
         prob = random_problem(n=8, d=2, K=2, P=2, beta=1e6, seed=5)
-        cfg = AdmmConfig(rho=1.0, beta=1e6, admm_iters=2,
-                         pcg=PcgConfig(max_iters=64, rel_tol=1e-14))
+        cfg = AdmmConfig(rho=1.0, beta=1e6, admm_iters=2)
         s1 = admm_step(prob, cfg, init_state(prob))
         s2 = admm_step(prob, cfg, s1)
         np.testing.assert_array_equal(s2.z1, s1.z1)
@@ -121,8 +114,7 @@ class TestTrain:
         y = rng.integers(0, K, n)
         y[:K] = np.arange(K)
         labels = LabelSet(y, {"a": 0, "b": 1})
-        cfg = AdmmConfig(rho=0.1, admm_iters=60, mode="exact",
-                         pcg=PcgConfig(preconditioner="nystrom", rank=30))
+        cfg = AdmmConfig(rho=0.1, admm_iters=60, mode="exact")
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)
             head = train(X, labels, GateConfig(enumerate_all=True), cfg)
@@ -143,8 +135,7 @@ class TestTrain:
         prob = ConvexProblem(GatedOperator.split(X, gates, K), np.eye(K)[y], 1e-3,
                              mode="exact",
                              cones=tuple(ConeSpec(p, X) for p in gates.patterns))
-        cfg = AdmmConfig(rho=0.1, mode="exact",
-                         pcg=PcgConfig(rel_tol=1e-9, preconditioner="nystrom", rank=60))
+        cfg = AdmmConfig(rho=0.1, mode="exact")
         solve = u_update(prob, cfg)
         state = init_state(prob)
         for _ in range(20):
@@ -194,8 +185,7 @@ class TestTrain:
         train(X, labels, GateConfig(count=4, seed=14),
               AdmmConfig(rho=0.1, admm_iters=7), log=records.append)
         assert len(records) == 7
-        assert {"iter", "objective", "primal_residual", "dual_residual", "pcg_iters"} \
-            <= set(records[0])
+        assert {"iter", "objective", "primal_residual", "dual_residual"} <= set(records[0])
 
 
 class TestSolverContracts:
@@ -219,32 +209,28 @@ class TestSolverContracts:
         X, labels, _ = cluster_data(n=50, d=5, K=2, seed=17)
         pens = []
         for beta in (1e-4, 1e-3, 1e-2, 1e-1):
-            cfg = AdmmConfig(rho=0.1, beta=beta, admm_iters=400, stop_tol=1e-9,
-                             pcg=PcgConfig(max_iters=32, rel_tol=1e-10,
-                                           preconditioner="nystrom", rank=400))
+            cfg = AdmmConfig(rho=0.1, beta=beta, admm_iters=400, stop_tol=1e-9)
             head = train(X, labels, GateConfig(count=6, seed=17), cfg)
             pens.append(head.cert.B_l21)
         for lo, hi in zip(pens[1:], pens[:-1]):
             assert lo <= hi + 1e-8
 
-    def test_pcg_fallback_matches_factored_solve(self, monkeypatch):
-        # operators wider than FACTOR_LIMIT columns take matrix-free PCG;
-        # both u-solves must converge to the same optimum
-        X, labels, _ = cluster_data(n=60, d=6, K=3, seed=21)
-        gate_cfg = GateConfig(count=6, seed=21)
-        factored = train(X, labels, gate_cfg, AdmmConfig(**CONVERGED)).train_meta["history"]
-        monkeypatch.setattr(cld.linops, "FACTOR_LIMIT", 0)
-        fallback = train(X, labels, gate_cfg, AdmmConfig(**CONVERGED)).train_meta["history"]
-        a, b = factored[-1]["objective"], fallback[-1]["objective"]
-        assert abs(a - b) <= 1e-8 * abs(a)
-        assert all(rec["pcg_iters"] == 0 for rec in factored)
-        # a warm start can already meet the tolerance late in the run
-        assert sum(rec["pcg_iters"] for rec in fallback) > 0
+    def test_wide_u_solve_is_exact(self):
+        # B*d = 5,120 > n = 300, the encoder-width regime: the u-system is
+        # solved through the n x n kernel and must still be exact
+        prob = random_problem(n=300, d=160, K=3, P=32, seed=22)
+        op = prob.op
+        assert op.B * op.d == 5120
+        cfg = AdmmConfig(rho=1.0)
+        consensus = np.random.default_rng(22).standard_normal(op.block_shape)
+        u = u_update(prob, cfg)(consensus)
+        rhs = op.adjoint(prob.Y) + consensus
+        residual = op.adjoint(op.apply(u)) + cfg.rho * u - rhs
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_early_stop_on_stop_tol(self):
         prob = random_problem(n=20, d=3, K=2, P=3, beta=0.0, seed=18)
-        cfg = AdmmConfig(beta=0.0, rho=0.5, admm_iters=500, stop_tol=1e-8,
-                         pcg=PcgConfig(max_iters=64, rel_tol=1e-12))
+        cfg = AdmmConfig(beta=0.0, rho=0.5, admm_iters=500, stop_tol=1e-8)
         state = admm_solve(prob, cfg)
         assert len(state.history) < 500
         assert max(residuals(state)) <= 1e-8

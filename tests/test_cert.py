@@ -16,7 +16,6 @@ from cld.cert import (
     var_bound_l21,
 )
 from cld.head import ReluNetwork, predict_batch, to_relu
-from cld.linops import PcgConfig
 
 from conftest import cluster_data
 from test_head import make_head
@@ -25,9 +24,7 @@ from test_head import make_head
 @pytest.fixture(scope="module")
 def trained():
     X, labels, _ = cluster_data(n=90, d=6, K=3, seed=31)
-    cfg = AdmmConfig(rho=0.1, admm_iters=300, stop_tol=1e-8,
-                     pcg=PcgConfig(max_iters=32, rel_tol=1e-10,
-                                   preconditioner="nystrom", rank=300))
+    cfg = AdmmConfig(rho=0.1, admm_iters=300, stop_tol=1e-8)
     return train(X, labels, GateConfig(count=8, seed=31), cfg), X, labels
 
 

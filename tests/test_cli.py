@@ -5,10 +5,9 @@ import pytest
 
 from cld.cli import main
 from cld.dataio import SequenceFeature, read_features, write_features, write_sequence
-from cld.head import load_model, predict_batch
+from cld.head import ModelFormatError, load_model, predict_batch
 
-FAST_TRAIN = ["--rho", "0.1", "--admm-iters", "60", "--stop-tol", "1e-8",
-              "--rank", "150", "--seed", "0"]
+FAST_TRAIN = ["--rho", "0.1", "--admm-iters", "60", "--stop-tol", "1e-8", "--seed", "0"]
 
 
 @pytest.fixture(scope="module")
@@ -99,9 +98,11 @@ class TestTrain:
         assert meta["admm"]["admm_iters"] == 25
         assert meta["gates"]["count"] == 4
 
-    @pytest.mark.parametrize("key, value", [("precond", "jacobi"), ("admm_iterz", 500)])
+    @pytest.mark.parametrize("key, value", [("precond", "jacobi"), ("rank", 20),
+                                            ("pcg_iters", 32), ("admm_iterz", 500)])
     def test_unknown_config_key_exits_2(self, dataset, tmp_path, capsys, key, value):
-        # a removed key (precond) or a misspelt one must not be dropped silently
+        # a removed key (precond, rank, pcg_iters) or a misspelt one must not be
+        # dropped silently
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"rho": 0.1, key: value}))
         path = tmp_path / "m.json"
@@ -179,6 +180,25 @@ class TestPredict:
         rc = main(["predict", "--model", str(model), "--features", str(feats),
                    "--out", str(tmp_path / "p.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("case", ["missing-key", "label-map-values", "unequal-patterns"])
+    def test_malformed_model_exits_2(self, dataset, model, tmp_path, capsys, case):
+        doc = json.loads(model.read_text())
+        if case == "missing-key":
+            del doc["V"]
+        elif case == "label-map-values":
+            first, second = sorted(doc["label_map"])
+            doc["label_map"] = {first: 0, second: 5}
+        else:
+            doc["gates"]["patterns"][1] = doc["gates"]["patterns"][1][:-1]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError):
+            load_model(bad)
+        rc = main(["predict", "--model", str(bad), "--features", str(dataset / "features.cldf"),
+                   "--out", str(tmp_path / "p.csv")])
+        assert rc == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_model_file_unchanged_by_predict(self, dataset, model, tmp_path):
         before = model.read_bytes()
@@ -264,7 +284,7 @@ class TestCertifySeparated:
         assert main(["train", "--manifest", str(data / "manifest.json"),
                      "--out", str(model), "--mode", "exact", "--gates", "6",
                      "--rho", "0.5", "--admm-iters", "50",
-                     "--stop-tol", "1e-8", "--rank", "100", "--seed", "6"]) == 0
+                     "--stop-tol", "1e-8", "--seed", "6"]) == 0
         summary = tmp_path / "summary.json"
         assert main(["certify", "--model", str(model),
                      "--manifest", str(data / "manifest.json"),
@@ -283,7 +303,7 @@ class TestCertifySeparated:
         model = tmp_path / "model.json"
         main(["train", "--manifest", str(data / "manifest.json"), "--out", str(model),
               "--rho", "0.5", "--admm-iters", "150", "--stop-tol", "1e-8",
-              "--rank", "150", "--seed", "6"])
+              "--seed", "6"])
         summary = tmp_path / "summary.json"
         main(["certify", "--model", str(model), "--manifest", str(data / "manifest.json"),
               "--out", str(tmp_path / "c.csv"), "--summary", str(summary)])
@@ -305,6 +325,17 @@ class TestEvalCommand:
         assert 0.0 <= doc["accuracy"] <= 1.0
         assert doc["per_accent"] is not None
         assert conf.read_text().startswith("true\\pred,")
+
+    def test_accent_row_without_accent_id_exits_2(self, dataset, model, tmp_path, capsys):
+        lines = (dataset / "accents.csv").read_text().splitlines()
+        lines[3] = lines[3].split(",")[0]
+        accents = tmp_path / "accents.csv"
+        accents.write_text("\n".join(lines) + "\n")
+        rc = main(["eval", "--model", str(model), "--manifest", str(dataset / "manifest.json"),
+                   "--accents", str(accents), "--out", str(tmp_path / "report.json")])
+        assert rc == 2
+        assert "line 4" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestBench:
@@ -355,7 +386,7 @@ class TestVerifyCommand:
     def test_agreement_exit_zero(self, dataset):
         rc = main(["verify", "--manifest", str(dataset / "manifest.json"),
                    "--gates", "4", "--rho", "0.1", "--admm-iters", "400",
-                   "--stop-tol", "1e-9", "--rank", "150", "--seed", "0"])
+                   "--stop-tol", "1e-9", "--seed", "0"])
         assert rc == 0
 
     def test_unconverged_run_exits_3(self, dataset, capsys):

@@ -23,7 +23,6 @@ from cld.head import (
     save_model,
     to_relu,
 )
-from cld.linops import PcgConfig
 
 from conftest import cluster_data
 
@@ -43,9 +42,7 @@ def make_head(V, W=None, mode="relaxed", seed=0):
 @pytest.fixture(scope="module")
 def trained():
     X, labels, _ = cluster_data(n=80, d=6, K=3, seed=21)
-    cfg = AdmmConfig(rho=0.1, admm_iters=300, stop_tol=1e-8,
-                     pcg=PcgConfig(max_iters=32, rel_tol=1e-10,
-                                   preconditioner="nystrom", rank=300))
+    cfg = AdmmConfig(rho=0.1, admm_iters=300, stop_tol=1e-8)
     head = train(X, labels, GateConfig(count=8, seed=21), cfg)
     return head, X, labels
 

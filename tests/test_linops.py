@@ -2,15 +2,8 @@ import numpy as np
 import pytest
 
 from cld.gates import GatePattern, GateSet, enumerate_patterns, sample_gates
-from cld.linops import (
-    GatedOperator,
-    PcgConfig,
-    PcgNumericError,
-    gram_solver,
-    nystrom_precond,
-    pcg_solve,
-    power_iteration,
-)
+import cld.linops
+from cld.linops import GatedOperator, gram_solver, power_iteration
 
 
 def all_on_gates(n, d, count=1):
@@ -104,107 +97,6 @@ class TestGatedOperator:
         np.testing.assert_allclose(free.adjoint(R), cached.adjoint(R), atol=1e-12)
 
 
-class TestPcg:
-    def test_identity_one_iteration(self):
-        b = np.array([1.0, -2.0, 3.0])
-        res = pcg_solve(lambda x: x, b, PcgConfig())
-        assert res.iters == 1
-        np.testing.assert_allclose(res.x, b, atol=1e-12)
-
-    def test_diagonal_solve(self):
-        A = np.diag([1.0, 2.0])
-        res = pcg_solve(lambda x: A @ x, np.array([1.0, 2.0]), PcgConfig())
-        np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-10)
-
-    def test_random_spd_matches_direct_solve(self):
-        rng = np.random.default_rng(8)
-        M = rng.standard_normal((30, 30))
-        A = M.T @ M + np.eye(30)
-        b = rng.standard_normal(30)
-        res = pcg_solve(lambda x: A @ x, b, PcgConfig(max_iters=200, rel_tol=1e-12))
-        np.testing.assert_allclose(res.x, np.linalg.solve(A, b), atol=1e-6)
-
-    def test_residual_history_non_increasing(self):
-        rng = np.random.default_rng(9)
-        M = rng.standard_normal((25, 25))
-        A = M.T @ M + np.eye(25)
-        b = rng.standard_normal(25)
-        res = pcg_solve(lambda x: A @ x, b, PcgConfig(max_iters=100, rel_tol=1e-12))
-        hist = np.array(res.residual_history)
-        assert np.all(np.diff(hist) <= 1e-12)
-
-    def test_zero_rhs(self):
-        res = pcg_solve(lambda x: x, np.zeros(4), PcgConfig())
-        assert res.iters == 0
-        np.testing.assert_array_equal(res.x, np.zeros(4))
-
-    def test_preconditioned_agrees_with_plain(self):
-        rng = np.random.default_rng(10)
-        M = rng.standard_normal((20, 20))
-        A = M.T @ M + 5.0 * np.eye(20)
-        b = rng.standard_normal(20)
-        cfg = PcgConfig(max_iters=200, rel_tol=1e-12)
-        plain = pcg_solve(lambda x: A @ x, b, cfg)
-        jacobi = pcg_solve(lambda x: A @ x, b, cfg, precond=lambda r: r / np.diag(A))
-        np.testing.assert_allclose(plain.x, jacobi.x, atol=1e-6)
-
-    def test_numeric_error_raises(self):
-        with pytest.raises(PcgNumericError, match="iteration"):
-            pcg_solve(lambda x: 0.0 * x, np.ones(3), PcgConfig())
-
-    def test_block_shaped_operands(self):
-        rng = np.random.default_rng(11)
-        b = rng.standard_normal((2, 3, 2))
-        res = pcg_solve(lambda x: 2.0 * x, b, PcgConfig())
-        np.testing.assert_allclose(res.x, b / 2.0, atol=1e-10)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PcgConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            PcgConfig(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            PcgConfig(preconditioner="lu")
-
-
-class TestNystrom:
-    def test_identity_spectrum_and_fast_convergence(self):
-        dim, sigma = 12, 0.5
-        pre = nystrom_precond(lambda x: x, dim, rank=12, sigma=sigma, seed=0)
-        r = np.random.default_rng(0).standard_normal(dim)
-        np.testing.assert_allclose(pre(r), r / (1.0 + sigma), atol=1e-6)
-        res = pcg_solve(lambda x: (1.0 + sigma) * x, r,
-                        PcgConfig(max_iters=10, rel_tol=1e-10), precond=pre)
-        assert res.iters <= 2
-
-    def test_full_rank_gives_three_iteration_solve(self):
-        rng = np.random.default_rng(13)
-        M = rng.standard_normal((15, 15))
-        A = M.T @ M
-        sigma = 0.1
-        eig_ref = np.linalg.eigvalsh(A)
-        pre = nystrom_precond(lambda x: A @ x, 15, rank=15, sigma=sigma, seed=1)
-        np.testing.assert_allclose(np.sort(pre.lam), eig_ref, rtol=1e-6, atol=1e-8)
-        b = rng.standard_normal(15)
-        res = pcg_solve(lambda x: A @ x + sigma * x, b,
-                        PcgConfig(max_iters=20, rel_tol=1e-10), precond=pre)
-        assert res.iters <= 3
-        np.testing.assert_allclose(res.x, np.linalg.solve(A + sigma * np.eye(15), b), atol=1e-6)
-
-    def test_deterministic_per_seed(self):
-        rng = np.random.default_rng(14)
-        M = rng.standard_normal((10, 10))
-        A = M.T @ M + np.eye(10)
-        p1 = nystrom_precond(lambda x: A @ x, 10, rank=4, sigma=1.0, seed=7)
-        p2 = nystrom_precond(lambda x: A @ x, 10, rank=4, sigma=1.0, seed=7)
-        np.testing.assert_array_equal(p1.U, p2.U)
-        np.testing.assert_array_equal(p1.lam, p2.lam)
-
-    def test_rank_validation(self):
-        with pytest.raises(ValueError, match="rank"):
-            nystrom_precond(lambda x: x, 5, rank=6, sigma=1.0)
-
-
 def _matrix_free_relaxed():
     X = np.random.default_rng(30).standard_normal((2000, 16))
     return GatedOperator.relaxed(X, sample_gates(X, 40, seed=30), K=3), 1
@@ -221,18 +113,28 @@ def _split_exact():
 
 
 class TestGramSolver:
-    @pytest.mark.parametrize("build, dense", [(_matrix_free_relaxed, False),
-                                              (_dense_cached_relaxed, True),
-                                              (_split_exact, True)],
+    @pytest.mark.parametrize("build, dense, side", [(_matrix_free_relaxed, False, "primal"),
+                                                    (_dense_cached_relaxed, True, "kernel"),
+                                                    (_split_exact, True, "kernel")],
                              ids=["matrix-free", "dense-cached", "split"])
-    def test_factored_solve_residual(self, build, dense):
-        # the factored u-solve, checked against the operator's own apply/adjoint
+    def test_factored_solve_residual(self, build, dense, side, monkeypatch):
+        # the factored u-solve, checked against the operator's own apply/adjoint;
+        # B*d <= n factors the (B*d)^2 primal Gram, B*d > n the n x n kernel
         op, copies = build()
         assert (op._dense is not None) == dense
+        shapes, fit_gram = [], cld.linops.fit_gram
+
+        def recording_fit_gram(op):
+            gram = fit_gram(op)
+            shapes.append(gram.shape)
+            return gram
+
+        monkeypatch.setattr(cld.linops, "fit_gram", recording_fit_gram)
         sigma = copies * 0.1
         rhs = np.random.default_rng(33).standard_normal(op.block_shape)
-        u, iters = gram_solver(op, sigma, PcgConfig())(rhs, None)
-        assert iters == 0
+        u = gram_solver(op, sigma)(rhs)
+        size = op.B * op.d if side == "primal" else op.n
+        assert shapes == [(size, size)]
         residual = op.adjoint(op.apply(u)) + sigma * u - rhs
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
 
