@@ -163,10 +163,13 @@ def certify_batch(head: "_head.TrainedHead", H: np.ndarray, class_ids: np.ndarra
     if L_E is not None and not L_E > 0:
         raise ValueError("L_E must be positive")
     H = np.atleast_2d(np.asarray(H, dtype=np.float64))
+    class_ids = np.asarray(class_ids)
+    if class_ids.size and (class_ids.min() < 0 or class_ids.max() >= head.K):
+        raise ValueError(f"class ids must lie in 0..{head.K - 1}")
     logits = _head.predict_batch(head, H, inference="relu")
     B = head.cert.B_l21 if head.cert is not None else var_bound_l21(head)
     out = []
-    for row, y in zip(logits, np.asarray(class_ids)):
+    for row, y in zip(logits, class_ids, strict=True):
         mar = _head.margin(row, int(y))
         r = _radius(mar, B)
         out.append(ExampleCertificate(

@@ -289,6 +289,7 @@ def _parse_grid(text: str) -> np.ndarray:
 def cmd_certify(args) -> int:
     head = load_model(args.model)
     X, labels = load_manifest(args.manifest)
+    labels = labels.relabel(head.label_map)
     if X.d != head.d:
         raise DataFormatError(f"features have dimension {X.d}, model expects {head.d}")
     certs = certify_batch(head, X.values, labels.class_ids, L_E=args.L_E)
@@ -326,6 +327,7 @@ def cmd_certify(args) -> int:
 def cmd_eval(args) -> int:
     head = load_model(args.model)
     X, labels = load_manifest(args.manifest)
+    labels = labels.relabel(head.label_map)
     logits = predict_batch(head, X.values, args.inference)
     accents = None
     if args.accents:

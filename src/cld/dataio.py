@@ -106,6 +106,14 @@ class LabelSet:
         inv = {v: k for k, v in self.label_map.items()}
         return [inv[k] for k in range(self.K)]
 
+    def relabel(self, label_map: dict[str, int]) -> "LabelSet":
+        """The same labels numbered by ``label_map``, matched by name."""
+        unknown = sorted(set(self.label_map) - set(label_map))
+        if unknown:
+            raise LabelError(f"labels {unknown} are not among the classes {sorted(label_map)}")
+        new_ids = np.array([label_map[name] for name in self.names])
+        return LabelSet(new_ids[self.class_ids], dict(label_map), self.ids)
+
     def one_hot(self) -> np.ndarray:
         Y = np.zeros((self.n, self.K))
         Y[np.arange(self.n), self.class_ids] = 1.0

@@ -11,6 +11,8 @@ The ADMM u-system (F^T F + sigma I) u = rhs has one fixed matrix per run, so
 on K) and Cholesky-factors it with the shift: the (B*d) x (B*d) F^T F when
 B*d <= n, else the n x n kernel F F^T, used through the matrix-inversion
 lemma (e.g. d=768 encoders with few rows). Every step is then solved exactly.
+Because the masks are 0/1, F^T F is summed from the d x d Grams of classes
+of rows that share their bits on a few gates, never from the rows of F.
 The factor takes 8 * min(n, B*d)^2 bytes; an input whose smaller Gram does
 not fit in memory fails with MemoryError. Also provided: power iteration for
 largest-eigenvalue estimates (used by the FISTA oracle).
@@ -119,30 +121,79 @@ def fit_gram(op: GatedOperator) -> np.ndarray:
     """Lower triangle of the smaller Gram of F, as a Fortran-order array.
 
     Column b*d + j of F is sign_b mask_b * X[:, j]. When B*d <= n this is the
-    (B*d) x (B*d) F^T F: rows of F are formed ``_GRAM_CHUNK_ROWS`` at a time
-    and added by one symmetric rank-k update (BLAS syrk) into the same array,
-    so the n x (B*d) matrix is never held. When B*d > n it is the n x n
-    kernel F F^T = (X X^T) o (W W^T) with W = ``op._weights``: one syrk forms
-    X X^T, and each block of its columns is scaled in place by the matching
-    block of W W^T, so no second n x n array is held. Either way no second
-    Gram-sized temporary exists, and the upper triangle stays zero.
+    (B*d) x (B*d) F^T F, built from class sums (``_primal_gram``). When
+    B*d > n it is the n x n kernel F F^T = (X X^T) o (W W^T) with
+    W = ``op._weights``: one syrk forms X X^T, and each block of its columns
+    is scaled in place by the matching block of W W^T, so no second n x n
+    array is held. Only the lower triangle is defined; the Cholesky factor
+    in ``gram_solver`` reads nothing else.
     """
+    n, Bd = op.n, op.B * op.d
+    if Bd <= n:
+        return _primal_gram(op)
     from scipy.linalg.blas import dsyrk
 
-    n, Bd = op.n, op.B * op.d
-    if Bd > n:
-        gram = dsyrk(1.0, op.X.T, trans=1, lower=1)
-        W = op._weights
-        for lo in range(0, n, _GRAM_CHUNK_ROWS):
-            hi = lo + _GRAM_CHUNK_ROWS
-            gram[lo:, lo:hi] *= W[lo:] @ W[lo:hi].T
-        return gram
-    gram = np.zeros((Bd, Bd), order="F")
+    gram = dsyrk(1.0, op.X.T, trans=1, lower=1)
+    W = op._weights
     for lo in range(0, n, _GRAM_CHUNK_ROWS):
         hi = lo + _GRAM_CHUNK_ROWS
-        rows = (op._weights[lo:hi, :, None] * op.X[lo:hi, None, :]).reshape(-1, Bd)
-        # syrk on the Fortran-order transpose view: rows^T rows, with no copy
-        gram = dsyrk(1.0, rows.T, beta=1.0, c=gram, trans=0, lower=1, overwrite_c=1)
+        gram[lo:, lo:hi] *= W[lo:] @ W[lo:hi].T
+    return gram
+
+
+def _group_size(n: int, d: int, B: int) -> int:
+    """Largest g in 1..B with 4^g <= min(n / 32, 512 B / d).
+
+    That leaves about 32 rows per class of a group pair, and keeps the
+    4^g class Grams (4^g d^2 floats) within 512 rows of F (512 B d floats).
+    """
+    g = 1
+    while g < B and 4 ** (g + 1) <= min(n / 32, _GRAM_CHUNK_ROWS * B / d):
+        g += 1
+    return g
+
+
+def _primal_gram(op: GatedOperator) -> np.ndarray:
+    """F^T F summed over classes of rows that share their gate bits.
+
+    Block (b, b') of F^T F is s_b s_b' sum_i m_b(i) m_b'(i) x_i x_i^T. The
+    gates are taken in groups of g (``_group_size``). For each pair of
+    groups, a group paired with itself included, the rows are sorted by
+    their mask bits in the two groups; each nonempty class c gives
+    C_c = X_c^T X_c, and every block of the pair is s_b s_b' times the sum
+    of C_c over the classes where both bits are set: one GEMM of a signed
+    0/1 selection matrix with the stacked C. That is about n d^2 multiply-adds
+    per group pair instead of n (B d)^2 / 2 for a syrk over the rows of F.
+    """
+    X, n, d, B = op.X, op.n, op.d, op.B
+    g = _group_size(n, d, B)
+    starts = range(0, B, g)
+    sig_type = np.min_scalar_type(4 ** g - 1)   # the bits of two groups
+    group_sig = np.zeros((len(starts), n), dtype=sig_type)
+    for b in range(B):
+        group_sig[b // g] |= (op.masks[b] != 0).astype(sig_type) << (b % g)
+    C = np.empty((4 ** g, d, d))
+    gram = np.zeros((B * d, B * d), order="F")
+    for ia, a0 in enumerate(starts):
+        ga = min(g, B - a0)
+        for ib, b0 in enumerate(starts[:ia + 1]):
+            gb = min(g, B - b0)
+            # a group paired with itself repeats its bits: only 2^g classes fill
+            sig = group_sig[ia] | group_sig[ib] << ga
+            bits = (np.arange(1 << (ga + gb))[:, None] >> np.arange(ga + gb)) & 1
+            select = (bits[:, :ga, None] * bits[:, None, ga:]).reshape(-1, ga * gb) \
+                * np.outer(op.signs[a0:a0 + ga], op.signs[b0:b0 + gb]).ravel()
+            counts = np.bincount(sig, minlength=len(bits))
+            used = np.flatnonzero((counts > 0) & select.any(axis=1))
+            order = np.argsort(sig, kind="stable")
+            ends = np.cumsum(counts)
+            for j, c in enumerate(used):
+                rows = X[order[ends[c] - counts[c]:ends[c]]]
+                np.matmul(rows.T, rows, out=C[j])
+            blocks = select[used].T @ C[:len(used)].reshape(len(used), d * d)
+            # splitting both axes of the block view never copies, so this writes into gram
+            gram[a0 * d:(a0 + ga) * d, b0 * d:(b0 + gb) * d].reshape(ga, d, gb, d)[...] = \
+                blocks.reshape(ga, gb, d, d).transpose(0, 2, 1, 3)
     return gram
 
 

@@ -123,6 +123,22 @@ class TestCertifyExample:
             certify_example(head, X[0], 0, L_E=0.0)
 
 
+class TestCertifyBatch:
+    def test_row_label_count_mismatch_rejected(self, trained):
+        head, X, labels = trained
+        with pytest.raises(ValueError):
+            certify_batch(head, X[:5], labels.class_ids[:3])
+
+    @pytest.mark.parametrize("bad", [-1, 3], ids=["negative", "K"])
+    def test_class_id_outside_range_rejected(self, trained, bad):
+        head, X, labels = trained
+        assert head.K == 3
+        class_ids = np.array(labels.class_ids[:4])
+        class_ids[2] = bad
+        with pytest.raises(ValueError, match="0..2"):
+            certify_batch(head, X[:4], class_ids)
+
+
 class TestMarginGap:
     def test_zero_delta_equality(self, trained):
         head, X, labels = trained

@@ -29,6 +29,37 @@ def model(dataset, tmp_path_factory):
     return path
 
 
+def _manifest_copy(dataset, tmp_path, label_map, rename=None):
+    """A manifest over the dataset's features whose labels file and map may differ."""
+    rename = rename or {}
+    labels = tmp_path / "labels.csv"
+    labels.write_text("".join(
+        f"{ex_id},{rename.get(name, name)}\n"
+        for ex_id, name in (line.split(",") for line in
+                            (dataset / "labels.csv").read_text().strip().splitlines())
+    ))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"features": str(dataset / "features.cldf"),
+                                    "labels": str(labels), "label_map": label_map}))
+    return manifest
+
+
+def _unknown_label_manifest(dataset, tmp_path):
+    """The dataset with one class renamed to 'xx', a label the model does not know."""
+    label_map = json.loads((dataset / "manifest.json").read_text())["label_map"]
+    name = min(label_map)
+    renamed = {("xx" if k == name else k): v for k, v in label_map.items()}
+    return _manifest_copy(dataset, tmp_path, renamed, rename={name: "xx"})
+
+
+def _reordered_label_map(dataset):
+    label_map = json.loads((dataset / "manifest.json").read_text())["label_map"]
+    names = sorted(label_map, key=label_map.get)
+    reordered = {name: k for k, name in enumerate(reversed(names))}
+    assert reordered != label_map
+    return reordered
+
+
 class TestSynth:
     def test_outputs_exist(self, dataset):
         for name in ("features.cldf", "labels.csv", "manifest.json", "accents.csv"):
@@ -245,6 +276,25 @@ class TestCertify:
         assert "L_E must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_reordered_label_map_gives_same_certificates(self, dataset, model, tmp_path):
+        manifest = _manifest_copy(dataset, tmp_path, _reordered_label_map(dataset))
+        outputs = []
+        for m, tag in ((dataset / "manifest.json", "train"), (manifest, "reordered")):
+            out, summary = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
+            assert main(["certify", "--model", str(model), "--manifest", str(m),
+                         "--out", str(out), "--summary", str(summary)]) == 0
+            outputs.append((out.read_bytes(), summary.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_label_unknown_to_model_exits_2(self, dataset, model, tmp_path, capsys):
+        manifest = _unknown_label_manifest(dataset, tmp_path)
+        out = tmp_path / "c.csv"
+        rc = main(["certify", "--model", str(model), "--manifest", str(manifest),
+                   "--out", str(out), "--summary", str(tmp_path / "s.json")])
+        assert rc == 2
+        assert "'xx'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_misclassified_rows_have_zero_radius(self, dataset, model, tmp_path):
         # flip every label; margins go negative and radii clamp to zero
         manifest = json.loads((dataset / "manifest.json").read_text())
@@ -325,6 +375,25 @@ class TestEvalCommand:
         assert 0.0 <= doc["accuracy"] <= 1.0
         assert doc["per_accent"] is not None
         assert conf.read_text().startswith("true\\pred,")
+
+    def test_reordered_label_map_gives_same_report(self, dataset, model, tmp_path):
+        manifest = _manifest_copy(dataset, tmp_path, _reordered_label_map(dataset))
+        reports = []
+        for m, tag in ((dataset / "manifest.json", "train"), (manifest, "reordered")):
+            out, conf = tmp_path / f"{tag}.json", tmp_path / f"{tag}.csv"
+            assert main(["eval", "--model", str(model), "--manifest", str(m),
+                         "--out", str(out), "--confusion-csv", str(conf)]) == 0
+            reports.append((out.read_bytes(), conf.read_bytes()))
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0][0])["accuracy"] > 0.9
+
+    def test_label_unknown_to_model_exits_2(self, dataset, model, tmp_path, capsys):
+        manifest = _unknown_label_manifest(dataset, tmp_path)
+        rc = main(["eval", "--model", str(model), "--manifest", str(manifest),
+                   "--out", str(tmp_path / "report.json")])
+        assert rc == 2
+        assert "'xx'" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_accent_row_without_accent_id_exits_2(self, dataset, model, tmp_path, capsys):
         lines = (dataset / "accents.csv").read_text().splitlines()

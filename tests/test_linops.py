@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cld.gates import GatePattern, GateSet, enumerate_patterns, sample_gates
 import cld.linops
@@ -137,6 +139,65 @@ class TestGramSolver:
         assert shapes == [(size, size)]
         residual = op.adjoint(op.apply(u)) + sigma * u - rhs
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def masked_operator(n, d, P, split, kind, seed):
+    """Random 0/1 masks (``kind``: random, all_on, all_off, or mixed) on X with zero rows."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    X[rng.random(n) < 0.2] = 0.0
+    active = rng.random((P, n)) < rng.uniform(0.1, 0.9)
+    if kind == "all_on":
+        active[:] = True
+    elif kind == "all_off":
+        active[:] = False
+    elif kind == "mixed":
+        active[0], active[-1] = True, False
+    gates = GateSet(tuple(GatePattern(a, np.ones(d)) for a in active))
+    return (GatedOperator.split if split else GatedOperator.relaxed)(X, gates, K=2)
+
+
+def assert_primal_gram_exact(op):
+    assert op.B * op.d <= op.n
+    gram = cld.linops.fit_gram(op)
+    dense = dense_blocks(op)
+    expected = dense.T @ dense
+    lower = np.tril_indices(op.B * op.d)
+    error = np.abs(gram[lower] - expected[lower]).max()
+    assert error <= 1e-13 * np.abs(expected).max()
+
+
+@st.composite
+def primal_cases(draw):
+    split = draw(st.booleans())
+    d = draw(st.integers(1, 4))
+    copies = 2 if split else 1
+    # below 32 rows one gate per group; from 512 rows two, from 2,048 rows three
+    n = draw(st.one_of(st.integers(copies * d, 31), st.integers(32, 700),
+                       st.integers(2048, 2200)))
+    P = draw(st.integers(1, min(12, n // (copies * d))))
+    kind = draw(st.sampled_from(["random", "all_on", "all_off", "mixed"]))
+    return n, d, P, split, kind, draw(st.integers(0, 2**32 - 1))
+
+
+class TestPrimalGram:
+    @settings(max_examples=60, deadline=None)
+    @given(primal_cases())
+    def test_lower_triangle_matches_dense(self, case):
+        assert_primal_gram_exact(masked_operator(*case))
+
+    @pytest.mark.parametrize("case", [(20, 2, 4, False, "random"), (50, 1, 1, False, "random"),
+                                      (300, 3, 10, True, "mixed"), (640, 4, 16, False, "all_on"),
+                                      (640, 4, 16, True, "all_off")],
+                             ids=["n<32", "B=1,d=1", "split", "all-on", "all-off"])
+    def test_named_shapes(self, case):
+        assert_primal_gram_exact(masked_operator(*case, seed=34))
+
+    @pytest.mark.parametrize("n, d, P, split, g", [(600, 2, 5, False, 2), (2100, 3, 7, True, 3)])
+    def test_last_gate_group_smaller_than_g(self, n, d, P, split, g):
+        op = masked_operator(n, d, P, split, "mixed", seed=35)
+        assert cld.linops._group_size(op.n, op.d, op.B) == g and op.B % g
+        assert_primal_gram_exact(op)
 
 
 class TestPowerIteration:
