@@ -42,9 +42,8 @@ def main():
     gated_acc = np.mean(predict_batch(head, X[te], "gated").argmax(axis=1) == true)
     relu_acc = np.mean(predict_batch(head, X[te], "relu").argmax(axis=1) == true)
     certs = certify_batch(head, X[te], true)
-    radii = np.array([c.radius_feature for c in certs])
-    certified = np.array([c.certified for c in certs])
-    print(f"\nheld-out set: {len(certs)} points")
+    radii, certified = certs.radius_feature, certs.certified
+    print(f"\nheld-out set: {true.size} points")
     print(f"gated accuracy {gated_acc:.3f} | relu accuracy {relu_acc:.3f} "
           f"(certificates describe relu-mode inference only)")
     print(f"certified: {certified.mean():.1%}, median radius {np.median(radii):.4f}, "
@@ -53,12 +52,11 @@ def main():
     rng = np.random.default_rng(args.seed)
     attacked = flips = 0
     for idx in np.flatnonzero(certified)[:20]:
-        c = certs[idx]
         deltas = rng.standard_normal((args.trials, head.d))
-        deltas *= (0.99 * c.radius_feature) / np.linalg.norm(deltas, axis=1, keepdims=True)
+        deltas *= (0.99 * radii[idx]) / np.linalg.norm(deltas, axis=1, keepdims=True)
         preds = predict_batch(head, X[te[idx]] + deltas, "relu").argmax(axis=1)
         attacked += 1
-        flips += int(np.sum(preds != c.pred))
+        flips += int(np.sum(preds != certs.pred[idx]))
     print(f"random attack at 0.99x certified radius: {attacked} points x "
           f"{args.trials} trials -> {flips} flips")
     return 0 if flips == 0 else 1

@@ -9,7 +9,7 @@ certified margin-stability radii for every prediction.
 __version__ = "0.1.0"
 
 from .admm import AdmmConfig, GateConfig, train
-from .cert import CertificateBundle, ExampleCertificate, certify_example
+from .cert import CertificateBundle, Certificates, certify_batch
 from .dataio import FeatureMatrix, LabelSet, SequenceFeature, load_manifest, pool_masked_mean
 from .gates import GateSet, enumerate_patterns, sample_gates
 from .head import ReluNetwork, TrainedHead, load_model, predict, save_model, to_relu
@@ -21,8 +21,8 @@ from .synth import SynthSpec, generate, split
 __all__ = [
     "AdmmConfig",
     "CertificateBundle",
+    "Certificates",
     "EvalReport",
-    "ExampleCertificate",
     "FeatureMatrix",
     "FistaConfig",
     "GateConfig",
@@ -33,7 +33,7 @@ __all__ = [
     "SequenceFeature",
     "SynthSpec",
     "TrainedHead",
-    "certify_example",
+    "certify_batch",
     "dense_solve_smallest",
     "enumerate_patterns",
     "evaluate",

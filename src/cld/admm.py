@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cert as _cert
 from . import head as _head
 from .cvxprog import ConvexProblem, ObjectiveValue, group_prox, objective, project_to_cones
 from .dataio import FeatureMatrix, LabelSet
@@ -234,14 +233,6 @@ def train(X, labels: LabelSet, gate_cfg: GateConfig, cfg: AdmmConfig,
         V = state.z1.copy()
         W = np.zeros_like(V)
 
-    bundle = _cert.bundle_from_weights(V, W, K, cfg.penalty_kind)
-    if bundle.B_l21 == 0.0:
-        warnings.warn(
-            "trained head is all zero (B_l21 = 0), so every prediction is a tie; "
-            f"the prox threshold beta/rho = {cfg.beta / cfg.rho:g} may be too large "
-            f"for {len(state.history)} ADMM iterations",
-            stacklevel=2,
-        )
     meta = {
         "admm": {
             "rho": cfg.rho, "beta": cfg.beta, "admm_iters": cfg.admm_iters,
@@ -258,7 +249,15 @@ def train(X, labels: LabelSet, gate_cfg: GateConfig, cfg: AdmmConfig,
         ],
         "n_train": n,
     }
-    return _head.TrainedHead(
+    head = _head.TrainedHead(
         gates=gates, V=V, W=W, penalty_kind=cfg.penalty_kind, mode=cfg.mode,
-        label_map=dict(labels.label_map), cert=bundle, train_meta=meta,
+        label_map=dict(labels.label_map), train_meta=meta,
     )
+    if head.cert.B_l21 == 0.0:
+        warnings.warn(
+            "trained head is all zero (B_l21 = 0), so every prediction is a tie; "
+            f"the prox threshold beta/rho = {cfg.beta / cfg.rho:g} may be too large "
+            f"for {len(state.history)} ADMM iterations",
+            stacklevel=2,
+        )
+    return head

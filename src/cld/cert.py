@@ -16,6 +16,12 @@ feature-space ball of radius m / (2B). Three bounds are computed:
 Certificates are only claimed for relu-mode inference; gated inference is
 discontinuous across gate boundaries, so certification forces relu mode
 regardless of the head's default.
+
+``certify_batch`` returns one ``Certificates`` record whose fields are
+columns (prediction, margin, radii, certified flag) with one entry per row,
+all computed with array operations from a single forward pass. Every head
+carries its bundle: ``TrainedHead`` computes it from the weights when it is
+built, so a model file stored with ``"cert": null`` loads with one too.
 """
 
 from __future__ import annotations
@@ -41,23 +47,19 @@ class CertificateBundle:
 
 
 @dataclass(frozen=True)
-class ExampleCertificate:
-    """Per-example stability record (relu-mode semantics)."""
+class Certificates:
+    """Stability records of a batch as columns, one entry per row (relu-mode semantics)."""
 
-    pred: int
-    margin: float
-    radius_feature: float
-    radius_audio: float | None
-    certified: bool
-
-
-def column_norm_bound(V: np.ndarray, W: np.ndarray) -> float:
-    """Sum of per-class column norms over both weight stacks."""
-    return float(np.linalg.norm(V, axis=1).sum() + np.linalg.norm(W, axis=1).sum())
+    pred: np.ndarray                  # (m,) relu-mode argmax
+    margin: np.ndarray                # (m,) one-vs-rest margin of the given class
+    radius_feature: np.ndarray        # (m,) certified feature-space radius
+    radius_audio: np.ndarray | None   # (m,) radius_feature / L_E; None without L_E
+    certified: np.ndarray             # (m,) margin > 0
 
 
 def var_bound_l21(head: "_head.TrainedHead") -> float:
-    return column_norm_bound(head.V, head.W)
+    """Sum of per-class column norms over both weight stacks."""
+    return float(np.linalg.norm(head.V, axis=1).sum() + np.linalg.norm(head.W, axis=1).sum())
 
 
 def var_bound_fro(head: "_head.TrainedHead") -> float:
@@ -90,7 +92,7 @@ def bundle_from_weights(V: np.ndarray, W: np.ndarray, K: int, penalty_kind: str)
     amgm = 0.5 * float(np.sum(col_v[col_v > 0] ** 2) + np.count_nonzero(col_v)
                        + np.sum(col_w[col_w > 0] ** 2) + np.count_nonzero(col_w))
     return CertificateBundle(
-        B_l21=column_norm_bound(V, W),
+        B_l21=float(col_v.sum() + col_w.sum()),
         B_fro_scaled=float(np.sqrt(K) * fro),
         B_amgm=amgm,
         K=K,
@@ -108,40 +110,6 @@ def bundle_to_dict(bundle: CertificateBundle) -> dict:
     }
 
 
-def dict_to_bundle(doc: dict) -> CertificateBundle:
-    return CertificateBundle(
-        B_l21=float.fromhex(doc["B_l21"]),
-        B_fro_scaled=float.fromhex(doc["B_fro_scaled"]),
-        B_amgm=float.fromhex(doc["B_amgm"]),
-        K=int(doc["K"]),
-        penalty_kind_used=str(doc["penalty_kind_used"]),
-    )
-
-
-def _radius(margin: float, bound: float) -> float:
-    if margin <= 0.0:
-        return 0.0
-    if bound == 0.0:
-        return float("inf")
-    return margin / (2.0 * bound)
-
-
-def certify_example(head: "_head.TrainedHead", h: np.ndarray, y: int,
-                    L_E: float | None = None) -> ExampleCertificate:
-    """Margin, certified feature-space radius, and optional audio radius.
-
-    The radius max(0, margin) / (2 B_l21) guarantees the relu-mode argmax
-    cannot change under any feature perturbation of smaller Euclidean norm.
-    When the encoder Lipschitz constant ``L_E`` is supplied, the conservative
-    audio-space radius radius / L_E is reported as well; it is never
-    estimated here.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 1:
-        raise ValueError("certify_example expects a single vector; use certify_batch for matrices")
-    return certify_batch(head, h[None, :], [y], L_E=L_E)[0]
-
-
 def margin_gap_check(head: "_head.TrainedHead", h: np.ndarray, y: int,
                      delta: np.ndarray) -> tuple[float, float, bool]:
     """Check mar(h + delta) >= mar(h) - 2 B ||delta|| on relu-mode logits.
@@ -150,39 +118,41 @@ def margin_gap_check(head: "_head.TrainedHead", h: np.ndarray, y: int,
     """
     h = np.asarray(h, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
-    B = head.cert.B_l21 if head.cert is not None else var_bound_l21(head)
-    lhs = _head.margin(_head.predict(head, h + delta, inference="relu"), y)
-    rhs = _head.margin(_head.predict(head, h, inference="relu"), y) \
-        - 2.0 * B * float(np.linalg.norm(delta))
-    return lhs, rhs, bool(lhs >= rhs - 1e-9)
+    logits = _head.predict_batch(head, np.stack([h + delta, h]), inference="relu")
+    lhs, mar = _head.margin(logits, [y, y])
+    rhs = mar - 2.0 * head.cert.B_l21 * float(np.linalg.norm(delta))
+    return float(lhs), float(rhs), bool(lhs >= rhs - 1e-9)
 
 
 def certify_batch(head: "_head.TrainedHead", H: np.ndarray, class_ids: np.ndarray,
-                  L_E: float | None = None) -> list[ExampleCertificate]:
-    """``certify_example`` for every row of H, from one relu-mode forward pass."""
+                  L_E: float | None = None) -> Certificates:
+    """Margin, certified feature-space radius and optional audio radius of every row of H.
+
+    One relu-mode forward pass. The radius max(0, margin) / (2 B_l21)
+    guarantees the relu-mode argmax cannot change under any feature
+    perturbation of smaller Euclidean norm; a zero bound with a positive
+    margin certifies every radius. When the encoder Lipschitz constant
+    ``L_E`` is supplied, the conservative audio-space radius radius / L_E is
+    reported as well; it is never estimated here.
+    """
     if L_E is not None and not L_E > 0:
         raise ValueError("L_E must be positive")
-    H = np.atleast_2d(np.asarray(H, dtype=np.float64))
-    class_ids = np.asarray(class_ids)
-    if class_ids.size and (class_ids.min() < 0 or class_ids.max() >= head.K):
-        raise ValueError(f"class ids must lie in 0..{head.K - 1}")
     logits = _head.predict_batch(head, H, inference="relu")
-    B = head.cert.B_l21 if head.cert is not None else var_bound_l21(head)
-    out = []
-    for row, y in zip(logits, class_ids, strict=True):
-        mar = _head.margin(row, int(y))
-        r = _radius(mar, B)
-        out.append(ExampleCertificate(
-            pred=int(np.argmax(row)),
-            margin=mar,
-            radius_feature=r,
-            radius_audio=None if L_E is None else r / L_E,
-            certified=mar > 0.0,
-        ))
-    return out
+    mar = _head.margin(logits, class_ids)
+    certified = mar > 0.0
+    B = head.cert.B_l21
+    radius = np.zeros_like(mar)
+    radius[certified] = np.inf if B == 0.0 else mar[certified] / (2.0 * B)
+    return Certificates(
+        pred=logits.argmax(axis=1),
+        margin=mar,
+        radius_feature=radius,
+        radius_audio=None if L_E is None else radius / L_E,
+        certified=certified,
+    )
 
 
-def certified_accuracy(certs: list[ExampleCertificate], class_ids: np.ndarray,
+def certified_accuracy(certs: Certificates, class_ids: np.ndarray,
                        eps_grid: np.ndarray) -> np.ndarray:
     """Fraction of examples correctly predicted with radius >= eps, per eps.
 
@@ -192,6 +162,8 @@ def certified_accuracy(certs: list[ExampleCertificate], class_ids: np.ndarray,
     class_ids = np.asarray(class_ids)
     if class_ids.size == 0:
         raise ValueError("certified_accuracy needs a nonempty evaluation set")
-    correct = np.array([c.pred == y for c, y in zip(certs, class_ids, strict=True)])
-    radii = np.array([c.radius_feature for c in certs])
-    return np.array([float(np.mean(correct & (radii >= eps))) for eps in np.asarray(eps_grid)])
+    if certs.pred.shape != class_ids.shape:
+        raise ValueError(f"{certs.pred.size} certificates for {class_ids.size} class ids")
+    correct = certs.pred == class_ids
+    eps = np.asarray(eps_grid, dtype=np.float64)
+    return np.mean(correct & (certs.radius_feature >= eps[:, None]), axis=1)

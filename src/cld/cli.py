@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .admm import AdmmConfig, GateConfig, TrainingError, train
-from .cert import bundle_from_weights, certify_batch, certified_accuracy
+from .cert import certify_batch, certified_accuracy
 from .cvxprog import ConvexProblem, objective
 from .dataio import (
     AlignmentError,
@@ -293,25 +293,26 @@ def cmd_certify(args) -> int:
     if X.d != head.d:
         raise DataFormatError(f"features have dimension {X.d}, model expects {head.d}")
     certs = certify_batch(head, X.values, labels.class_ids, L_E=args.L_E)
+    audio = certs.radius_audio if certs.radius_audio is not None else [None] * labels.n
     lines = ["id,pred,true,margin,radius_feature,radius_audio,certified"]
-    for ex_id, y, c in zip(labels.ids, labels.class_ids, certs):
+    columns = (labels.ids, certs.pred, labels.class_ids, certs.margin, certs.radius_feature,
+               audio, certs.certified)
+    for ex_id, pred, y, mar, radius, radius_audio, certified in zip(*columns, strict=True):
         lines.append(
-            f"{ex_id},{c.pred},{y},{_fmt(c.margin)},{_fmt(c.radius_feature)},"
-            f"{_fmt(c.radius_audio)},{str(c.certified).lower()}"
+            f"{ex_id},{pred},{y},{_fmt(mar)},{_fmt(radius)},"
+            f"{_fmt(radius_audio)},{str(certified).lower()}"
         )
     _atomic_write(args.out, "\n".join(lines) + "\n")
     eps = _parse_grid(args.eps_grid)
     curve = certified_accuracy(certs, labels.class_ids, eps)
-    radii = np.array([c.radius_feature for c in certs])
-    bundle = head.cert or bundle_from_weights(head.V, head.W, head.K, head.penalty_kind)
     summary = {
         "n": labels.n,
-        "bounds": {"B_l21": bundle.B_l21, "B_fro_scaled": bundle.B_fro_scaled,
-                   "B_amgm": bundle.B_amgm},
-        "relu_accuracy": float(np.mean([c.pred == y for c, y in zip(certs, labels.class_ids)])),
-        "certified_fraction": float(np.mean([c.certified for c in certs])),
-        "mean_radius": float(radii.mean()),
-        "median_radius": float(np.median(radii)),
+        "bounds": {"B_l21": head.cert.B_l21, "B_fro_scaled": head.cert.B_fro_scaled,
+                   "B_amgm": head.cert.B_amgm},
+        "relu_accuracy": float(np.mean(certs.pred == labels.class_ids)),
+        "certified_fraction": float(np.mean(certs.certified)),
+        "mean_radius": float(certs.radius_feature.mean()),
+        "median_radius": float(np.median(certs.radius_feature)),
         "L_E": args.L_E,
         "certified_accuracy": {"eps": eps.tolist(), "accuracy": curve.tolist()},
         "inference_mode": "relu",
@@ -412,8 +413,8 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter()
         certs = certify_batch(head, X[test_idx], data.labels.class_ids[test_idx])
         log({"size": size, "phase": "certify", "seconds": time.perf_counter() - t0})
-        radii = np.array([c.radius_feature for c in certs])
-        certified = float(np.mean([c.certified for c in certs]))
+        radii = certs.radius_feature
+        certified = float(np.mean(certs.certified))
         _atomic_write(out / f"metrics_{size}.json",
                       json.dumps({**report.to_json_dict(),
                                   "certified_fraction": certified,

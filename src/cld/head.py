@@ -14,7 +14,8 @@ For heads trained in split (cone-constrained) mode the two coincide on the
 training set; for relaxed heads they may differ away from it. Relaxed heads
 default to gated inference, split-mode heads to relu.
 Both forms are built once, when the head is constructed, so every prediction
-and certificate is one batched forward pass.
+and certificate is one batched forward pass. The certificate bundle is
+computed from the weights at the same time.
 """
 
 from __future__ import annotations
@@ -72,10 +73,12 @@ class TrainedHead:
     penalty_kind: str
     mode: str
     label_map: dict[str, int]
-    cert: "CertificateBundle | None" = None
+    cert: "CertificateBundle" = field(init=False)   # computed from the weights
     train_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        from .cert import bundle_from_weights
+
         V = np.array(self.V, dtype=np.float64)
         W = np.array(self.W, dtype=np.float64)
         if V.shape != W.shape or V.ndim != 3:
@@ -96,6 +99,7 @@ class TrainedHead:
         object.__setattr__(self, "_diff", (V - W).transpose(1, 0, 2).reshape(d, P * K))
         for a in (V, W, net.hidden, net.output):  # both forms are built from these once
             a.setflags(write=False)
+        object.__setattr__(self, "cert", bundle_from_weights(V, W, K, self.penalty_kind))
 
     @property
     def P(self) -> int:
@@ -151,13 +155,21 @@ def predict(head: TrainedHead, h: np.ndarray, inference: str | None = None) -> n
     return predict_batch(head, h[None, :], inference)[0]
 
 
-def margin(logits: np.ndarray, y: int) -> float:
-    """One-vs-rest margin f_y - max_{k != y} f_k; positive iff y is the unique argmax."""
+def margin(logits: np.ndarray, class_ids) -> np.ndarray:
+    """Per-row one-vs-rest margin f_y - max_{k != y} f_k; positive iff y is the unique argmax."""
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.size < 2:
-        raise ValueError("margin needs at least two classes")
-    rivals = np.delete(logits, y)
-    return float(logits[y] - rivals.max())
+    class_ids = np.asarray(class_ids)
+    if logits.ndim != 2 or logits.shape[1] < 2:
+        raise ValueError(f"margin needs (m, K) logits with K >= 2, got shape {logits.shape}")
+    m, K = logits.shape
+    if class_ids.shape != (m,):
+        raise ValueError(f"{class_ids.size} class ids for {m} rows")
+    if m and (class_ids.min() < 0 or class_ids.max() >= K):
+        raise ValueError(f"class ids must lie in 0..{K - 1}")
+    rows = np.arange(m)
+    rivals = logits.copy()
+    rivals[rows, class_ids] = -np.inf
+    return logits[rows, class_ids] - rivals.max(axis=1)
 
 
 def nonconvex_objective(net: ReluNetwork, X: np.ndarray, Y: np.ndarray, beta: float) -> float:
@@ -175,8 +187,10 @@ def _enc_array(a: np.ndarray) -> dict:
     return {"shape": list(a.shape), "data": [float(x).hex() for x in a.ravel()]}
 
 
-def _dec_array(doc: dict) -> np.ndarray:
+def _dec_array(doc: dict, name: str, path) -> np.ndarray:
     flat = np.array([float.fromhex(x) for x in doc["data"]], dtype=np.float64)
+    if flat.size != np.prod(doc["shape"]):
+        raise ModelFormatError(f"{path}: {name} holds {flat.size} values for shape {doc['shape']}")
     return flat.reshape(doc["shape"])
 
 
@@ -199,7 +213,7 @@ def head_to_dict(head: TrainedHead) -> dict:
         },
         "V": _enc_array(head.V),
         "W": _enc_array(head.W),
-        "cert": bundle_to_dict(head.cert) if head.cert is not None else None,
+        "cert": bundle_to_dict(head.cert),
         "train_meta": head.train_meta,
     }
 
@@ -231,9 +245,11 @@ def load_model(path) -> TrainedHead:
     """Read a model file, recomputing and checking its certificate bundle.
 
     A document with a missing key, a label map whose values are not exactly
-    0..K-1, or gate patterns of unequal length raises ModelFormatError.
+    0..K-1, gate patterns of unequal length, pattern or generator counts
+    other than P, generators not of length d, or arrays that disagree with
+    their stated shapes raises ModelFormatError; ``"cert": null`` skips the check.
     """
-    from .cert import bundle_from_weights, bundle_to_dict, dict_to_bundle
+    from .cert import bundle_to_dict
 
     try:
         doc = json.loads(open(path, "r", encoding="utf-8").read())
@@ -243,40 +259,48 @@ def load_model(path) -> TrainedHead:
     if version != MODEL_VERSION:
         raise ModelVersionError(f"{path}: unknown model version {version!r}")
     try:
+        P, d, K = int(doc["P"]), int(doc["d"]), int(doc["K"])
         gates_doc = doc["gates"]
+        bits, gens = gates_doc["patterns"], gates_doc["generators"]
+        if not len(bits) == len(gens) == P or any(len(gen) != d for gen in gens):
+            raise ModelFormatError(
+                f"{path}: need P = {P} gate patterns, each with a generator of length d = {d}"
+            )
         patterns = tuple(
             GatePattern(
-                _decode_pattern(bits, path),
+                _decode_pattern(b, path),
                 np.array([float.fromhex(x) for x in gen], dtype=np.float64),
             )
-            for bits, gen in zip(gates_doc["patterns"], gates_doc["generators"])
+            for b, gen in zip(bits, gens)
         )
         gates = GateSet(patterns, seed=gates_doc["seed"], dedup=gates_doc["dedup"])
-        V = _dec_array(doc["V"])
-        W = _dec_array(doc["W"])
-        K, penalty_kind, mode = int(doc["K"]), doc["penalty_kind"], doc["mode"]
+        V = _dec_array(doc["V"], "V", path)
+        W = _dec_array(doc["W"], "W", path)
+        penalty_kind, mode = doc["penalty_kind"], doc["mode"]
         label_map = {str(k): int(v) for k, v in doc["label_map"].items()}
         stored = doc.get("cert")
-        cert = dict_to_bundle(stored) if stored is not None else None
     except KeyError as exc:
         raise ModelFormatError(f"{path}: missing key {exc}") from exc
+    if V.shape != (P, d, K) or W.shape != (P, d, K):
+        raise ModelFormatError(
+            f"{path}: V and W have shapes {V.shape} and {W.shape}, "
+            f"the document states (P, d, K) = {(P, d, K)}"
+        )
     if len({p.active.size for p in patterns}) > 1:
         raise ModelFormatError(f"{path}: gate patterns have unequal lengths")
     if sorted(label_map.values()) != list(range(K)):
         raise ModelFormatError(f"{path}: label_map values must be 0..{K - 1} exactly once each")
-    if cert is not None:
-        recomputed = bundle_from_weights(V, W, K, penalty_kind)
-        if bundle_to_dict(recomputed) != stored:
-            raise CertificateMismatchError(
-                f"{path}: stored certificate bundle does not match the weights"
-            )
-    return TrainedHead(
+    head = TrainedHead(
         gates=gates,
         V=V,
         W=W,
         penalty_kind=penalty_kind,
         mode=mode,
         label_map=label_map,
-        cert=cert,
         train_meta=doc.get("train_meta", {}),
     )
+    if stored is not None and bundle_to_dict(head.cert) != stored:
+        raise CertificateMismatchError(
+            f"{path}: stored certificate bundle does not match the weights"
+        )
+    return head

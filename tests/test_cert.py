@@ -10,7 +10,6 @@ from cld.cert import (
     bundle_from_weights,
     certified_accuracy,
     certify_batch,
-    certify_example,
     margin_gap_check,
     var_bound_fro,
     var_bound_l21,
@@ -86,41 +85,41 @@ class TestCertifyExample:
         V = np.zeros((1, 1, 2))
         V[0, 0, 0] = 3.0   # B_l21 = 3, f(h) = (3h, 0) for h >= 0
         head = make_head(V)
-        cert = certify_example(head, np.array([1.0]), 0)
-        assert cert.margin == pytest.approx(3.0)
-        assert cert.radius_feature == pytest.approx(0.5)
-        assert cert.certified
+        cert = certify_batch(head, np.array([[1.0]]), [0])
+        assert cert.margin[0] == pytest.approx(3.0)
+        assert cert.radius_feature[0] == pytest.approx(0.5)
+        assert cert.certified[0]
 
     def test_misclassified_has_zero_radius(self, trained):
         head, X, labels = trained
         logits = predict_batch(head, X, "relu")
         wrong = (np.asarray(labels.class_ids) + 1) % head.K
-        cert = certify_example(head, X[0], int(wrong[0]))
-        assert cert.margin < 0
-        assert cert.radius_feature == 0.0
-        assert not cert.certified
+        cert = certify_batch(head, X[:1], wrong[:1])
+        assert cert.margin[0] < 0
+        assert cert.radius_feature[0] == 0.0
+        assert not cert.certified[0]
 
     def test_monte_carlo_soundness(self, trained):
         head, X, labels = trained
-        cert = certify_example(head, X[0], int(labels.class_ids[0]))
-        assert cert.certified
+        cert = certify_batch(head, X[:1], labels.class_ids[:1])
+        assert cert.certified[0]
         rng = np.random.default_rng(7)
         deltas = rng.standard_normal((10000, head.d))
-        deltas *= (0.99 * cert.radius_feature) / np.linalg.norm(deltas, axis=1, keepdims=True)
+        deltas *= (0.99 * cert.radius_feature[0]) / np.linalg.norm(deltas, axis=1, keepdims=True)
         logits = predict_batch(head, X[0] + deltas, "relu")
-        assert np.all(logits.argmax(axis=1) == cert.pred)
+        assert np.all(logits.argmax(axis=1) == cert.pred[0])
 
     def test_audio_radius_scaling(self, trained):
         head, X, labels = trained
-        with_le = certify_example(head, X[1], int(labels.class_ids[1]), L_E=2.0)
-        without = certify_example(head, X[1], int(labels.class_ids[1]))
+        with_le = certify_batch(head, X[1:2], labels.class_ids[1:2], L_E=2.0)
+        without = certify_batch(head, X[1:2], labels.class_ids[1:2])
         assert without.radius_audio is None
-        assert with_le.radius_audio == pytest.approx(without.radius_feature / 2.0)
+        assert with_le.radius_audio[0] == pytest.approx(without.radius_feature[0] / 2.0)
 
     def test_invalid_le(self, trained):
         head, X, labels = trained
         with pytest.raises(ValueError):
-            certify_example(head, X[0], 0, L_E=0.0)
+            certify_batch(head, X[:1], [0], L_E=0.0)
 
 
 class TestCertifyBatch:
@@ -208,9 +207,8 @@ class TestSoundnessAdversarial:
         randoms /= np.linalg.norm(randoms, axis=1, keepdims=True)
         directions = np.vstack([steep, randoms])
         for i in range(0, X.shape[0], 9):
-            c = certs[i]
-            if not c.certified or c.radius_feature == np.inf:
+            if not certs.certified[i] or certs.radius_feature[i] == np.inf:
                 continue
-            pts = X[i] + 0.99 * c.radius_feature * directions
+            pts = X[i] + 0.99 * certs.radius_feature[i] * directions
             preds = predict_batch(head, pts, "relu").argmax(axis=1)
-            assert np.all(preds == c.pred)
+            assert np.all(preds == certs.pred[i])

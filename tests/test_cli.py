@@ -212,7 +212,8 @@ class TestPredict:
                    "--out", str(tmp_path / "p.csv")])
         assert rc == 2
 
-    @pytest.mark.parametrize("case", ["missing-key", "label-map-values", "unequal-patterns"])
+    @pytest.mark.parametrize("case", ["missing-key", "label-map-values", "unequal-patterns",
+                                      "stated-K"])
     def test_malformed_model_exits_2(self, dataset, model, tmp_path, capsys, case):
         doc = json.loads(model.read_text())
         if case == "missing-key":
@@ -220,6 +221,10 @@ class TestPredict:
         elif case == "label-map-values":
             first, second = sorted(doc["label_map"])
             doc["label_map"] = {first: 0, second: 5}
+        elif case == "stated-K":
+            # one class fewer than V holds, and no bundle to catch it
+            doc["K"], doc["cert"] = 1, None
+            doc["label_map"] = {k: v for k, v in doc["label_map"].items() if v == 0}
         else:
             doc["gates"]["patterns"][1] = doc["gates"]["patterns"][1][:-1]
         bad = tmp_path / "bad.json"
@@ -283,6 +288,19 @@ class TestCertify:
             out, summary = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
             assert main(["certify", "--model", str(model), "--manifest", str(m),
                          "--out", str(out), "--summary", str(summary)]) == 0
+            outputs.append((out.read_bytes(), summary.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_null_cert_model_gives_same_certificates(self, dataset, model, tmp_path):
+        doc = json.loads(model.read_text())
+        doc["cert"] = None
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(doc))
+        outputs = []
+        for m, tag in ((model, "stored"), (bare, "null")):
+            out, summary = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
+            assert main(["certify", "--model", str(m), "--manifest", str(dataset / "manifest.json"),
+                         "--out", str(out), "--summary", str(summary), "--L-E", "2.5"]) == 0
             outputs.append((out.read_bytes(), summary.read_bytes()))
         assert outputs[0] == outputs[1]
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cld.cvxprog import (
@@ -189,6 +189,8 @@ class TestExactModeObjective:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 4), st.integers(1, 3), st.integers(1, 4),
            st.integers(0, 2**32 - 1))
+    @example(11, 3, 2, 3, 1559)
+    @example(4, 4, 3, 3, 15018)
     def test_max_cone_violation_matches_column_loop(self, n, d, K, P, seed):
         # zero rows of X constrain nothing; zero columns of S lie in every cone
         rng = np.random.default_rng(seed)
@@ -200,7 +202,10 @@ class TestExactModeObjective:
         S = rng.standard_normal(op.block_shape) * (rng.random((op.B, 1, K)) < 0.6)
         expected = max(cone_violation(cones[b % P], S[b, :, k])
                        for b in range(op.B) for k in range(K))
-        assert abs(max_cone_violation(prob, S) - expected) <= 1e-15
+        # the two sum the d-term products X @ s in different orders; bound the
+        # difference by the forward error of a d-term dot product
+        tol = 2 * d * np.finfo(float).eps * (np.abs(X) @ np.abs(S)).max(initial=0.0)
+        assert abs(max_cone_violation(prob, S) - expected) <= tol
 
     def test_exact_mode_requires_cones(self):
         prob = random_problem(seed=9)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cld.admm import AdmmConfig, GateConfig, train
-from cld.cert import bundle_from_weights, var_bound_l21
+from cld.cert import var_bound_l21
 from cld.cvxprog import loss, penalty
 from cld.gates import GatePattern, GateSet
 from cld.head import (
@@ -35,8 +35,7 @@ def make_head(V, W=None, mode="relaxed", seed=0):
     gates = GateSet(pats, seed=seed)
     W = np.zeros_like(V) if W is None else W
     label_map = {f"l{k}": k for k in range(K)}
-    return TrainedHead(gates, V, W, "l21", mode, label_map,
-                       cert=bundle_from_weights(V, W, K, "l21"))
+    return TrainedHead(gates, V, W, "l21", mode, label_map)
 
 
 @pytest.fixture(scope="module")
@@ -165,19 +164,47 @@ class TestPredict:
         assert np.all(lhs <= rhs + 1e-12)
 
 
+def reference_margin(row, y):
+    """The per-row margin definition the batched one must match bit for bit."""
+    return row[y] - np.delete(row, y).max()
+
+
+@st.composite
+def logits_and_class_ids(draw):
+    K = draw(st.integers(2, 6))
+    m = draw(st.integers(0, 20))
+    # integer-valued logits, so ties between classes occur
+    values = draw(st.lists(st.integers(-3, 3), min_size=m * K, max_size=m * K))
+    ids = draw(st.lists(st.integers(0, K - 1), min_size=m, max_size=m))
+    return np.array(values, dtype=np.float64).reshape(m, K), np.array(ids, dtype=np.intp)
+
+
 class TestMargin:
     def test_clear_winner(self):
-        assert margin(np.array([2.0, 0.5, -1.0]), 0) == pytest.approx(1.5)
+        assert margin(np.array([[2.0, 0.5, -1.0]]), [0])[0] == pytest.approx(1.5)
 
     def test_tie_is_zero(self):
-        assert margin(np.array([1.0, 1.0]), 0) == 0.0
+        assert margin(np.array([[1.0, 1.0]]), [0])[0] == 0.0
 
     def test_misclassified_is_negative(self):
-        assert margin(np.array([0.5, 2.0]), 0) == pytest.approx(-1.5)
+        assert margin(np.array([[0.5, 2.0]]), [0])[0] == pytest.approx(-1.5)
 
     def test_needs_two_classes(self):
         with pytest.raises(ValueError):
-            margin(np.array([1.0]), 0)
+            margin(np.array([[1.0]]), [0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(logits_and_class_ids())
+    @example((np.array([[2.0, 0.5, -1.0]]), np.array([0])))
+    @example((np.array([[1.0, 1.0]]), np.array([0])))
+    @example((np.array([[0.5, 2.0]]), np.array([0])))
+    def test_matches_per_row_definition(self, case):
+        logits, class_ids = case
+        got = margin(logits, class_ids)
+        expected = np.array([reference_margin(row, y) for row, y in zip(logits, class_ids)],
+                            dtype=np.float64)
+        assert got.dtype == np.float64 and got.shape == class_ids.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestNonconvexObjective:
@@ -265,3 +292,43 @@ class TestModelIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match="position 2"):
             load_model(path)
+
+    @pytest.mark.parametrize("case", ["stated-K", "generator-count", "pattern-count",
+                                      "generator-length", "data-length"])
+    def test_document_disagreeing_with_its_arrays_rejected(self, trained, tmp_path, case):
+        head, _, _ = trained
+        path = tmp_path / "model.json"
+        save_model(head, path)
+        doc = json.loads(path.read_text())
+        doc["cert"] = None
+        if case == "stated-K":
+            # V still has three classes
+            doc["K"] = 2
+            doc["label_map"] = {k: v for k, v in doc["label_map"].items() if v < 2}
+        elif case == "generator-count":
+            doc["gates"]["generators"].pop()
+        elif case == "pattern-count":
+            # V still has one weight block per original gate
+            doc["gates"]["patterns"].pop()
+            doc["gates"]["generators"].pop()
+        elif case == "generator-length":
+            doc["gates"]["generators"][0].pop()
+        else:
+            doc["V"]["data"].pop()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="model.json"):
+            load_model(path)
+
+    def test_null_cert_gets_its_bundle(self, trained, tmp_path):
+        head, _, _ = trained
+        path = tmp_path / "model.json"
+        save_model(head, path)
+        doc = json.loads(path.read_text())
+        stored = doc["cert"]
+        doc["cert"] = None
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(doc))
+        back = load_model(bare)
+        assert back.cert == head.cert
+        save_model(back, bare)
+        assert json.loads(bare.read_text())["cert"] == stored

@@ -17,3 +17,8 @@ def test_package_and_cli_import_without_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
     assert out == []
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in cld.__all__ if not hasattr(cld, name)]
+    assert missing == []
