@@ -12,8 +12,10 @@ performs
               computed once per run,
     2. z1   <- group_prox(u + lam1, beta / rho),
     3. z2   <- project_to_cones(u + lam2) (split mode only): every column is
-              projected onto its pattern cone exactly, through the
-              Lawson-Hanson dual of ``gates.exact_cone_project``,
+              projected onto its pattern cone exactly, by one batched solve
+              on the active face it had at the previous step; only columns
+              that fail the KKT check take the Lawson-Hanson NNLS of
+              ``gates.exact_cone_project``, which returns the new face,
     4. lam  <- lam + (u - z),
 
 with primal residual ||u - z||_F and dual residual rho ||z - z_prev||_F.
@@ -21,7 +23,8 @@ Fixed points are exactly the minimisers of the convex objective.
 
 Final weights are read from z1, whose prox step produces exact group
 sparsity; in split mode the kept columns get the same exact cone projection,
-so the stored weights are feasible to linear-algebra roundoff.
+seeded with the last step's faces, so the stored weights are feasible to
+linear-algebra roundoff.
 
 Note on defaults: rho = 1e-4 and beta = 1e-3 give a prox threshold beta/rho
 of 10, far above the weight scale of unit-scale embedding problems, so short
@@ -88,6 +91,8 @@ class AdmmState:
     z2: np.ndarray | None = None
     lam2: np.ndarray | None = None
     history: tuple[IterationRecord, ...] = ()
+    faces: np.ndarray | None = None    # (B, K, n) active rows of each z2 column
+    cone_fallbacks: int = 0            # columns of the last z2 that took the NNLS
 
     @property
     def primal_res(self) -> float:
@@ -106,7 +111,9 @@ def init_state(prob: ConvexProblem) -> AdmmState:
     shape = prob.op.block_shape
     zeros = np.zeros(shape)
     if prob.mode == "exact":
-        return AdmmState(zeros, zeros.copy(), zeros.copy(), zeros.copy(), zeros.copy())
+        faces = np.zeros((prob.op.B, prob.op.K, prob.op.n), dtype=bool)
+        return AdmmState(zeros, zeros.copy(), zeros.copy(), zeros.copy(), zeros.copy(),
+                         faces=faces)
     return AdmmState(zeros, zeros.copy(), zeros.copy())
 
 
@@ -139,9 +146,10 @@ def admm_step(prob: ConvexProblem, cfg: AdmmConfig, state: AdmmState,
     z1 = group_prox(u + state.lam1, cfg.beta / rho, prob.penalty_kind)
     lam1 = state.lam1 + u - z1
 
-    z2 = lam2 = None
+    z2 = lam2 = faces = None
+    fallbacks = 0
     if copies == 2:
-        z2 = project_to_cones(prob, u + state.lam2)
+        z2, faces, fallbacks = project_to_cones(prob, u + state.lam2, state.faces)
         lam2 = state.lam2 + u - z2
 
     primal_sq = float(np.vdot(u - z1, u - z1))
@@ -154,7 +162,7 @@ def admm_step(prob: ConvexProblem, cfg: AdmmConfig, state: AdmmState,
         primal=float(np.sqrt(primal_sq)),
         dual=rho * float(np.sqrt(dual_sq)),
     )
-    return AdmmState(u, z1, lam1, z2, lam2, state.history + (record,))
+    return AdmmState(u, z1, lam1, z2, lam2, state.history + (record,), faces, fallbacks)
 
 
 def residuals(state: AdmmState) -> tuple[float, float]:
@@ -180,6 +188,7 @@ def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmState:
                 "primal_residual": rec.primal,
                 "dual_residual": rec.dual,
                 "seconds": time.perf_counter() - tick,
+                **({"cone_fallbacks": state.cone_fallbacks} if prob.mode == "exact" else {}),
             })
         if cfg.stop_tol is not None and max(residuals(state)) <= cfg.stop_tol:
             break
@@ -227,7 +236,7 @@ def train(X, labels: LabelSet, gate_cfg: GateConfig, cfg: AdmmConfig,
     P = gates.P
     if cfg.mode == "exact":
         # z1 carries the prox sparsity; projecting it keeps that sparsity
-        projected = project_to_cones(prob, state.z1)
+        projected, _, _ = project_to_cones(prob, state.z1, state.faces)
         V, W = projected[:P].copy(), projected[P:].copy()
     else:
         V = state.z1.copy()

@@ -6,11 +6,14 @@ over all blocks) or the blockwise Frobenius norm (``frobenius``). Both admit
 closed-form proximal maps (group soft-thresholding), which is what both
 solvers lean on. In split mode the weight stack carries two signed copies per
 pattern and each column is additionally constrained to its pattern cone.
+``project_to_cones`` solves each column on the active face it had last time
+(a warm-started Lawson-Hanson active set), KKT-checked, and sends only the
+misses to the exact NNLS kernel ``gates.exact_cone_project``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,10 +32,6 @@ def loss(pred: np.ndarray, Y: np.ndarray) -> float:
         raise ValueError(f"prediction shape {pred.shape} != target shape {Y.shape}")
     diff = pred - Y
     return 0.5 * float(np.vdot(diff, diff))
-
-
-def loss_grad(pred: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return np.asarray(pred, dtype=np.float64) - np.asarray(Y, dtype=np.float64)
 
 
 def _group_norms(S: np.ndarray, kind: str) -> np.ndarray:
@@ -76,6 +75,7 @@ class ConvexProblem:
     penalty_kind: str = "l21"
     mode: str = "relaxed"
     cones: tuple[ConeSpec, ...] = ()
+    signs: np.ndarray = field(init=False, repr=False, compare=False)  # (P, n) rows 2D - 1
 
     def __post_init__(self):
         if self.beta < 0:
@@ -92,6 +92,8 @@ class ConvexProblem:
             if len(self.cones) * 2 != self.op.B:
                 raise ValueError("exact mode needs one cone per pattern (operator has 2P blocks)")
         object.__setattr__(self, "cones", tuple(self.cones))
+        signs = [np.where(c.pattern.active, 1.0, -1.0) for c in self.cones]
+        object.__setattr__(self, "signs", np.array(signs).reshape(len(signs), self.op.n))
 
     @property
     def P(self) -> int:
@@ -114,23 +116,51 @@ def max_cone_violation(prob: ConvexProblem, S: np.ndarray) -> float:
     Zero rows of X give zero slack, as they constrain nothing.
     """
     P = len(prob.cones)
-    signs = np.stack([np.where(c.pattern.active, 1.0, -1.0) for c in prob.cones])
-    slack = signs[np.arange(S.shape[0]) % P][:, :, None] * (prob.op.X @ S)
+    slack = prob.signs[np.arange(S.shape[0]) % P][:, :, None] * (prob.op.X @ S)
     return float(max(0.0, -slack.min(initial=0.0)))
 
 
-def project_to_cones(prob: ConvexProblem, S: np.ndarray) -> np.ndarray:
+def project_to_cones(prob: ConvexProblem, S: np.ndarray, faces: np.ndarray):
     """Exact projection of every column of a (B, d, K) stack onto its cone.
 
-    Zero columns are cone fixed points and are skipped, so group sparsity of
-    S survives; the other columns become feasible to linear-algebra roundoff.
-    Block b uses cone b mod P.
+    Block b uses cone b mod P; zero columns are fixed points and are skipped,
+    so group sparsity survives. ``faces`` (B, K, n) guesses each column's
+    active rows J (all False: none). One stacked solve per face size m <= d gives
+    z = x + A_J^T mu with (A_J A_J^T) mu = -A_J x; z is kept if mu >= 0, the
+    slack on J is zero and on every other row nonnegative, each to
+    1e-13 |x_i| |x|. The rest go to ``exact_cone_project``, whose NNLS
+    support is their new face. Returns (projection, faces, fallbacks).
     """
+    X = prob.op.X
     out = np.array(S, dtype=np.float64)
-    P = len(prob.cones)
-    for b, k in zip(*np.nonzero(np.any(out != 0.0, axis=1))):
-        out[b, :, k] = exact_cone_project(prob.cones[b % P], out[b, :, k])
-    return out
+    P, d = len(prob.cones), out.shape[1]
+    row_norms = np.linalg.norm(X, axis=1)
+    faces = faces & (row_norms > 0.0)       # a zero row is never active
+    b, k = np.nonzero(np.any(out != 0.0, axis=1))
+    x, face, sign = out[b, :, k], faces[b, k], prob.signs[b % P]
+    z = x.copy()
+    size = face.sum(axis=1)
+    ok = size <= d                          # independent rows number at most d
+    for m in np.unique(size[ok & (size > 0)]):
+        sel = np.flatnonzero(size == m)
+        rows = np.nonzero(face[sel])[1].reshape(sel.size, m)
+        A = np.take_along_axis(sign[sel], rows, axis=1)[:, :, None] * X[rows]
+        try:
+            mu = np.linalg.solve(A @ A.transpose(0, 2, 1), -(A @ x[sel, :, None]))[:, :, 0]
+        except np.linalg.LinAlgError:
+            ok[sel] = False
+            continue
+        z[sel] += np.einsum("smd,sm->sd", A, mu)
+        ok[sel] &= mu.min(axis=1) >= 0.0
+    slack = sign * (z @ X.T)
+    tol = 1e-13 * np.linalg.norm(x, axis=1)[:, None] * row_norms   # ~450 eps
+    ok &= np.all(np.where(face, np.abs(slack) <= tol, slack >= -tol), axis=1)
+    misses = np.flatnonzero(~ok)
+    for c in misses:
+        z[c], face[c] = exact_cone_project(prob.cones[b[c] % P], x[c])
+    out[b, :, k] = z
+    faces[b, k] = face
+    return out, faces, misses.size
 
 
 def objective(prob: ConvexProblem, S: np.ndarray) -> ObjectiveValue:

@@ -3,11 +3,11 @@
 A gate is a direction g in feature space; its pattern over a training matrix
 X is the boolean vector 1(Xg >= 0) (ties at zero count as active). The set of
 weights that realises a fixed pattern D is the polyhedral cone
-{v : (2D - I) X v >= 0}. The program projects onto that cone exactly with
-``exact_cone_project``, which solves the cone's dual nonnegative least-squares
-problem with ``scipy.optimize.nnls`` (Lawson-Hanson). ``project_cone``
-(Dykstra's cyclic algorithm over the n defining half-spaces) is kept as the
-independent check of it.
+{v : (2D - I) X v >= 0}. ``exact_cone_project`` is the one exact projector
+onto it: it solves the cone's dual nonnegative least-squares problem with
+``scipy.optimize.nnls`` (Lawson-Hanson) and returns the NNLS support, the
+face of active rows, with the projection. ``cvxprog.project_to_cones`` reuses
+that face across ADMM steps and calls this kernel only where it fails.
 
 ``enumerate_patterns`` lists every pattern of small X by walking sign
 prefixes. Each prefix's strict feasibility is decided without an LP by its
@@ -78,9 +78,12 @@ class ConeSpec:
     def __post_init__(self):
         signs = np.where(self.pattern.active, 1.0, -1.0)
         rows = signs[:, None] * np.asarray(self.X, dtype=np.float64)
-        rows = rows[np.einsum("ij,ij->i", rows, rows) > 0.0]  # zero rows constrain nothing
+        # zero rows constrain nothing; _index maps the rest back to rows of X
+        index = np.flatnonzero(np.einsum("ij,ij->i", rows, rows) > 0.0)
+        rows = rows[index]
         rows.setflags(write=False)
         object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_index", index)
 
     def signed_rows(self) -> np.ndarray:
         """Nonzero rows a_i of the cone {v : a_i . v >= 0}; built once, read-only."""
@@ -133,50 +136,7 @@ def sample_gates(X: np.ndarray, count: int, seed: int = 0, dedup: bool = True) -
     return GateSet(tuple(patterns), seed=seed, dedup=dedup, shortfall=shortfall)
 
 
-def gate_identity_check(cone: ConeSpec, v: np.ndarray, tol: float = 1e-12) -> bool:
-    """True iff [Xv]_+ equals D X v entrywise within ``tol``."""
-    Xv = np.asarray(cone.X, dtype=np.float64) @ np.asarray(v, dtype=np.float64)
-    gated = np.where(cone.pattern.active, Xv, 0.0)
-    return bool(np.max(np.abs(np.maximum(Xv, 0.0) - gated)) <= tol)
-
-
-def cone_violation(cone: ConeSpec, v: np.ndarray) -> float:
-    """Worst half-space violation of v; zero iff v lies in the cone."""
-    slack = cone.signed_rows() @ np.asarray(v, dtype=np.float64)
-    return float(max(0.0, -slack.min(initial=0.0)))
-
-
-def project_cone(
-    cone: ConeSpec, v: np.ndarray, tol: float = 1e-8, max_iters: int = 10000
-) -> tuple[np.ndarray, bool]:
-    """Euclidean projection of v onto the pattern cone.
-
-    Dykstra's algorithm cycles over the n half-spaces {a_i . v >= 0}, each with
-    its own correction term; for an intersection of convex sets this converges
-    to the exact projection. Stops once a full cycle moves the iterate less
-    than ``tol``; returns (projection, converged).
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    A = cone.signed_rows()
-    norms2 = np.einsum("ij,ij->i", A, A)
-    x = np.asarray(v, dtype=np.float64).copy()
-    if A.shape[0] == 0:
-        return x, True
-    corrections = np.zeros_like(A)
-    for _ in range(max_iters):
-        start = x.copy()
-        for i in range(A.shape[0]):
-            y = x + corrections[i]
-            step = min(0.0, A[i] @ y) / norms2[i]
-            x = y - step * A[i]
-            corrections[i] = y - x
-        if np.linalg.norm(x - start) < tol:
-            return x, True
-    return x, False
-
-
-def exact_cone_project(cone: ConeSpec, v: np.ndarray) -> np.ndarray:
+def exact_cone_project(cone: ConeSpec, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact Euclidean projection onto the pattern cone via its dual program.
 
     The projection of x onto {v : a_i . v >= 0} is x + A^T mu* where mu*
@@ -184,17 +144,21 @@ def exact_cone_project(cone: ConeSpec, v: np.ndarray) -> np.ndarray:
     polar cone). The dual is a small nonnegative least-squares problem solved
     by ``scipy.optimize.nnls`` (Lawson-Hanson active set), so the result is
     exact up to linear-algebra roundoff rather than iteration tolerance.
-    Raises ``RuntimeError`` if the active-set method hits scipy's iteration
-    cap rather than return a point that may not be the projection.
+    Returns (projection, face), where the boolean face over the rows of X is
+    the support of mu*. Raises ``RuntimeError`` if the active-set method hits
+    scipy's iteration cap rather than return a point that may not be the
+    projection.
     """
     from scipy.optimize import nnls
 
     A = cone.signed_rows()
     x = np.asarray(v, dtype=np.float64)
+    face = np.zeros(cone.pattern.active.size, dtype=bool)
     if A.shape[0] == 0:
-        return x.copy()
+        return x.copy(), face
     mu, _ = nnls(A.T, -x)
-    return x + A.T @ mu
+    face[cone._index[mu > 0.0]] = True
+    return x + A.T @ mu, face
 
 
 _ENUM_MAX_N = 16

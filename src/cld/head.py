@@ -172,23 +172,22 @@ def margin(logits: np.ndarray, class_ids) -> np.ndarray:
     return logits[rows, class_ids] - rivals.max(axis=1)
 
 
-def nonconvex_objective(net: ReluNetwork, X: np.ndarray, Y: np.ndarray, beta: float) -> float:
-    """Squared loss of the ReLU network plus the ridge penalty on its atoms."""
-    from .cvxprog import loss
-
-    fit = loss(net.apply(X), np.asarray(Y, dtype=np.float64))
-    reg = float(np.sum(net.hidden * net.hidden) + np.sum(net.output * net.output))
-    return fit + 0.5 * beta * reg
-
-
 # --- model file I/O -------------------------------------------------------
 
 def _enc_array(a: np.ndarray) -> dict:
     return {"shape": list(a.shape), "data": [float(x).hex() for x in a.ravel()]}
 
 
+def _dec_floats(values, name: str, path) -> np.ndarray:
+    try:
+        return np.array([float.fromhex(x) for x in values], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(
+            f"{path}: {name} holds a value that is not a hex float: {exc}") from exc
+
+
 def _dec_array(doc: dict, name: str, path) -> np.ndarray:
-    flat = np.array([float.fromhex(x) for x in doc["data"]], dtype=np.float64)
+    flat = _dec_floats(doc["data"], name, path)
     if flat.size != np.prod(doc["shape"]):
         raise ModelFormatError(f"{path}: {name} holds {flat.size} values for shape {doc['shape']}")
     return flat.reshape(doc["shape"])
@@ -246,8 +245,9 @@ def load_model(path) -> TrainedHead:
 
     A document with a missing key, a label map whose values are not exactly
     0..K-1, gate patterns of unequal length, pattern or generator counts
-    other than P, generators not of length d, or arrays that disagree with
-    their stated shapes raises ModelFormatError; ``"cert": null`` skips the check.
+    other than P, generators not of length d, floats not stored as hex strings,
+    or arrays that disagree with their stated shapes raises ModelFormatError
+    naming the file; ``"cert": null`` skips the check.
     """
     from .cert import bundle_to_dict
 
@@ -267,11 +267,8 @@ def load_model(path) -> TrainedHead:
                 f"{path}: need P = {P} gate patterns, each with a generator of length d = {d}"
             )
         patterns = tuple(
-            GatePattern(
-                _decode_pattern(b, path),
-                np.array([float.fromhex(x) for x in gen], dtype=np.float64),
-            )
-            for b, gen in zip(bits, gens)
+            GatePattern(_decode_pattern(b, path), _dec_floats(gen, f"generator {i}", path))
+            for i, (b, gen) in enumerate(zip(bits, gens))
         )
         gates = GateSet(patterns, seed=gates_doc["seed"], dedup=gates_doc["dedup"])
         V = _dec_array(doc["V"], "V", path)

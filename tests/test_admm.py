@@ -142,6 +142,52 @@ class TestTrain:
             state = admm_step(prob, cfg, state, solve)
             assert max_cone_violation(prob, state.z2) <= 1e-10
 
+    def test_exact_mode_fallback_budget(self, monkeypatch):
+        # a column's active face seldom changes from one step to the next, so
+        # most projections are accepted on it and skip the NNLS kernel
+        import cld.admm
+        import cld.cvxprog
+
+        counts = {"columns": 0, "nnls": 0}
+        project, kernel = cld.cvxprog.project_to_cones, cld.cvxprog.exact_cone_project
+
+        def counting_project(prob, S, faces):
+            counts["columns"] += int(np.any(S != 0.0, axis=1).sum())
+            return project(prob, S, faces)
+
+        def counting_kernel(cone, v):
+            counts["nnls"] += 1
+            return kernel(cone, v)
+
+        monkeypatch.setattr(cld.admm, "project_to_cones", counting_project)
+        monkeypatch.setattr(cld.cvxprog, "exact_cone_project", counting_kernel)
+        rng = np.random.default_rng(7)   # criterion-2 instance (9, 3, 7)
+        X = rng.standard_normal((9, 3))
+        y = rng.integers(0, 2, 9)
+        y[:2] = np.arange(2)
+        train(X, LabelSet(y, {"a": 0, "b": 1}), GateConfig(enumerate_all=True),
+              AdmmConfig(rho=0.1, admm_iters=60, mode="exact"))
+        assert counts["columns"] > 0
+        assert counts["nnls"] <= 0.15 * counts["columns"]
+
+    def test_exact_log_counts_cone_fallbacks(self):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((10, 2))
+        y = rng.integers(0, 2, 10)
+        y[:2] = np.arange(2)
+        labels = LabelSet(y, {"a": 0, "b": 1})
+        exact, relaxed = [], []
+        head = train(X, labels, GateConfig(enumerate_all=True),
+                     AdmmConfig(rho=0.1, admm_iters=10, mode="exact"), log=exact.append)
+        train(X, labels, GateConfig(count=4, seed=3), AdmmConfig(rho=0.1, admm_iters=10),
+              log=relaxed.append)
+        fallbacks = [r["cone_fallbacks"] for r in exact]
+        assert all(isinstance(f, int) and f >= 0 for f in fallbacks)
+        # nothing is known of the faces at the first step
+        assert fallbacks[0] > 0
+        assert "cone_fallbacks" not in head.train_meta["history"][0]
+        assert all("cone_fallbacks" not in r for r in relaxed)
+
     def test_default_config_warns_on_all_zero_head(self):
         X, labels, _ = cluster_data(n=60, d=6, K=2, seed=19)
         with pytest.warns(UserWarning, match="all zero"):

@@ -213,7 +213,7 @@ class TestPredict:
         assert rc == 2
 
     @pytest.mark.parametrize("case", ["missing-key", "label-map-values", "unequal-patterns",
-                                      "stated-K"])
+                                      "stated-K", "non-hex-weight"])
     def test_malformed_model_exits_2(self, dataset, model, tmp_path, capsys, case):
         doc = json.loads(model.read_text())
         if case == "missing-key":
@@ -225,6 +225,8 @@ class TestPredict:
             # one class fewer than V holds, and no bundle to catch it
             doc["K"], doc["cert"] = 1, None
             doc["label_map"] = {k: v for k, v in doc["label_map"].items() if v == 0}
+        elif case == "non-hex-weight":
+            doc["V"]["data"][0] = "zz"
         else:
             doc["gates"]["patterns"][1] = doc["gates"]["patterns"][1][:-1]
         bad = tmp_path / "bad.json"

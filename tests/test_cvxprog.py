@@ -7,16 +7,17 @@ from cld.cvxprog import (
     ConvexProblem,
     group_prox,
     loss,
-    loss_grad,
     max_cone_violation,
     objective,
     penalty,
+    project_to_cones,
 )
-from cld.gates import ConeSpec, cone_violation, sample_gates
+from cld.gates import ConeSpec, exact_cone_project, sample_gates
 from cld.linops import GatedOperator
 from cld.oracle import dense_solve_smallest
 
 from conftest import random_problem
+from reference import cone_violation, loss_grad
 
 
 class TestLoss:
@@ -211,3 +212,105 @@ class TestExactModeObjective:
         prob = random_problem(seed=9)
         with pytest.raises(ValueError, match="cone"):
             ConvexProblem(prob.op, prob.Y, 0.1, "l21", "exact", ())
+
+
+def exact_problem(n, d, K, P, seed, zero_rows=0.25, duplicate=False):
+    """Split-mode problem on random X, some rows zero and maybe two rows equal."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d)) * (rng.random((n, 1)) >= zero_rows)
+    if duplicate and n >= 2:
+        X[1] = X[0]
+    gates = sample_gates(X, P, seed=seed, dedup=False)
+    cones = tuple(ConeSpec(p, X) for p in gates.patterns)
+    op = GatedOperator.split(X, gates, K)
+    return ConvexProblem(op, np.eye(K)[rng.integers(0, K, n)], 0.1, "l21", "exact", cones)
+
+
+def face_hint(kind, shape, d, rng):
+    """(B, K, n) face guesses: none, every row, random rows, or d + 1 rows."""
+    if kind == "empty":
+        return np.zeros(shape, dtype=bool)
+    if kind == "all":
+        return np.ones(shape, dtype=bool)
+    if kind == "random":
+        return rng.random(shape) < 0.4
+    hint = np.zeros(shape, dtype=bool)
+    hint[..., : d + 1] = True
+    return hint
+
+
+class TestProjectToCones:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 4), st.integers(1, 3), st.integers(1, 4),
+           st.sampled_from(["empty", "all", "random", "many"]), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_matches_per_column_kernel_for_any_hint(self, n, d, K, P, kind, duplicate, seed):
+        prob = exact_problem(n, d, K, P, seed, duplicate=duplicate)
+        rng = np.random.default_rng(seed + 1)
+        B = prob.op.B
+        S = 3.0 * rng.standard_normal((B, d, K)) * (rng.random((B, 1, K)) < 0.7)
+        out, faces, fallbacks = project_to_cones(prob, S, face_hint(kind, (B, K, n), d, rng))
+        assert faces.shape == (B, K, n) and faces.dtype == bool
+        assert 0 <= fallbacks <= B * K
+        for b in range(B):
+            for k in range(K):
+                x = S[b, :, k]
+                if not np.any(x):
+                    assert not np.any(out[b, :, k])
+                    continue
+                ref, _ = exact_cone_project(prob.cones[b % P], x)
+                assert np.linalg.norm(out[b, :, k] - ref) <= 1e-12 * np.linalg.norm(x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 4), st.integers(1, 3), st.integers(1, 4),
+           st.integers(0, 2**32 - 1))
+    def test_returned_faces_need_no_fallback(self, n, d, K, P, seed):
+        prob = exact_problem(n, d, K, P, seed)
+        rng = np.random.default_rng(seed + 1)
+        S = 3.0 * rng.standard_normal(prob.op.block_shape)
+        first, faces, _ = project_to_cones(prob, S, np.zeros((prob.op.B, K, n), dtype=bool))
+        again, same, fallbacks = project_to_cones(prob, S, faces)
+        assert fallbacks == 0
+        np.testing.assert_array_equal(same, faces)
+        np.testing.assert_allclose(again, first, rtol=0.0,
+                                   atol=1e-12 * np.abs(S).max())
+
+    def test_inexact_face_solve_is_rejected(self, monkeypatch):
+        # a solve 1e-6 off leaves the face's slack nonzero; the check must
+        # send those columns to the kernel rather than keep them
+        prob = exact_problem(10, 3, 2, 4, seed=5, zero_rows=0.0)
+        S = 3.0 * np.random.default_rng(5).standard_normal(prob.op.block_shape)
+        _, faces, _ = project_to_cones(prob, S, np.zeros((prob.op.B, 2, 10), dtype=bool))
+        assert np.any(faces)
+        real_solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda G, r: real_solve(G, r) * (1.0 + 1e-6))
+        out, _, fallbacks = project_to_cones(prob, S, faces)
+        assert fallbacks == int(np.any(faces, axis=2).sum())
+        for b in range(prob.op.B):
+            for k in range(2):
+                ref, _ = exact_cone_project(prob.cones[b % 4], S[b, :, k])
+                assert np.linalg.norm(out[b, :, k] - ref) <= 1e-12 * np.linalg.norm(S[b, :, k])
+
+    def test_singular_face_falls_back(self, monkeypatch):
+        # two equal rows in one face make A_J A_J^T exactly singular
+        prob = exact_problem(6, 3, 2, 3, seed=4, zero_rows=0.0, duplicate=True)
+        S = np.random.default_rng(4).standard_normal(prob.op.block_shape)
+        hint = np.zeros((prob.op.B, 2, 6), dtype=bool)
+        hint[..., :2] = True
+        raised, real_solve = [], np.linalg.solve
+
+        def solve(*args):
+            try:
+                return real_solve(*args)
+            except np.linalg.LinAlgError:
+                raised.append(args)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        out, _, fallbacks = project_to_cones(prob, S, hint)
+        assert len(raised) == 1 and fallbacks == prob.op.B * 2
+        for b in range(prob.op.B):
+            for k in range(2):
+                ref, _ = exact_cone_project(prob.cones[b % 3], S[b, :, k])
+                assert np.linalg.norm(out[b, :, k] - ref) <= 1e-12 * np.linalg.norm(S[b, :, k])
+

@@ -17,7 +17,6 @@ from cld.head import (
     TrainedHead,
     load_model,
     margin,
-    nonconvex_objective,
     predict,
     predict_batch,
     save_model,
@@ -25,6 +24,7 @@ from cld.head import (
 )
 
 from conftest import cluster_data
+from reference import nonconvex_objective
 
 
 def make_head(V, W=None, mode="relaxed", seed=0):
@@ -317,6 +317,21 @@ class TestModelIO:
             doc["V"]["data"].pop()
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match="model.json"):
+            load_model(path)
+
+    @pytest.mark.parametrize("where", ["V", "W", "generator 1"])
+    @pytest.mark.parametrize("bad", ["zz", 1.5])
+    def test_non_hex_float_rejected(self, trained, tmp_path, where, bad):
+        head, _, _ = trained
+        path = tmp_path / "model.json"
+        save_model(head, path)
+        doc = json.loads(path.read_text())
+        if where == "generator 1":
+            doc["gates"]["generators"][1][0] = bad
+        else:
+            doc[where]["data"][0] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=rf"model\.json: {where} holds"):
             load_model(path)
 
     def test_null_cert_gets_its_bundle(self, trained, tmp_path):
