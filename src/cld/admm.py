@@ -165,11 +165,6 @@ def admm_step(prob: ConvexProblem, cfg: AdmmConfig, state: AdmmState,
     return AdmmState(u, z1, lam1, z2, lam2, state.history + (record,), faces, fallbacks)
 
 
-def residuals(state: AdmmState) -> tuple[float, float]:
-    """Latest (primal, dual) residual pair."""
-    return state.primal_res, state.dual_res
-
-
 def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmState:
     """Run the configured number of iterations (or stop on small residuals)."""
     state = init_state(prob)
@@ -190,7 +185,7 @@ def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmState:
                 "seconds": time.perf_counter() - tick,
                 **({"cone_fallbacks": state.cone_fallbacks} if prob.mode == "exact" else {}),
             })
-        if cfg.stop_tol is not None and max(residuals(state)) <= cfg.stop_tol:
+        if cfg.stop_tol is not None and max(state.primal_res, state.dual_res) <= cfg.stop_tol:
             break
     return state
 

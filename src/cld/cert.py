@@ -110,20 +110,6 @@ def bundle_to_dict(bundle: CertificateBundle) -> dict:
     }
 
 
-def margin_gap_check(head: "_head.TrainedHead", h: np.ndarray, y: int,
-                     delta: np.ndarray) -> tuple[float, float, bool]:
-    """Check mar(h + delta) >= mar(h) - 2 B ||delta|| on relu-mode logits.
-
-    Returns (lhs, rhs, holds) with a 1e-9 slack for floating-point noise.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.float64)
-    logits = _head.predict_batch(head, np.stack([h + delta, h]), inference="relu")
-    lhs, mar = _head.margin(logits, [y, y])
-    rhs = mar - 2.0 * head.cert.B_l21 * float(np.linalg.norm(delta))
-    return float(lhs), float(rhs), bool(lhs >= rhs - 1e-9)
-
-
 def certify_batch(head: "_head.TrainedHead", H: np.ndarray, class_ids: np.ndarray,
                   L_E: float | None = None) -> Certificates:
     """Margin, certified feature-space radius and optional audio radius of every row of H.

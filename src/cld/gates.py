@@ -10,11 +10,12 @@ face of active rows, with the projection. ``cvxprog.project_to_cones`` reuses
 that face across ADMM steps and calls this kernel only where it fails.
 
 ``enumerate_patterns`` lists every pattern of small X by walking sign
-prefixes. Each prefix's strict feasibility is decided without an LP by its
-max margin, the distance from the origin to the convex hull of its signed
-rows (one small NNLS, Wolfe's min-norm point); only the rare prefix whose
-margin falls between the two bounds of the box LP runs that LP. Every
-surviving pattern then takes its generator from one max-slack LP.
+prefixes, with no LP. A prefix is kept when a witness direction with slack
+> 1e-9 on each of its signed rows is found: its parent's, or the max-margin
+direction toward the min-norm point of the convex hull of its signed rows
+(one small NNLS, Wolfe's min-norm point). That witness is the pattern's
+generator. A cell whose margin lies within a factor sqrt(d) of 1e-9 is the
+only place where this rule can differ from a max-slack LP over the unit box.
 """
 
 from __future__ import annotations
@@ -165,78 +166,46 @@ _ENUM_MAX_N = 16
 _ENUM_MAX_D = 4
 
 
-def _max_slack_witness(rows: np.ndarray, signs: np.ndarray):
-    """Maximise the minimum slack of {s_i x_i . v >= t} over the unit box.
-
-    Small LP in (v, t); the sign prefix is strictly feasible iff the optimum
-    t* is positive, and the optimiser doubles as a witness direction.
-    """
-    from scipy.optimize import linprog
-
-    d = rows.shape[1]
-    if rows.shape[0] == 0:
-        return np.zeros(d), 1.0
-    # variables (v_1..v_d, t), maximise t
-    c = np.zeros(d + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([-signs[:, None] * rows, np.ones((rows.shape[0], 1))])
-    b_ub = np.zeros(rows.shape[0])
-    bounds = [(-1.0, 1.0)] * d + [(None, 1.0)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        return None, -np.inf
-    return res.x[:d], float(res.x[-1])
-
-
-def _margin_screen(A: np.ndarray, feas_tol: float):
-    """Decide strict feasibility of {a_i . v > 0} without an LP, if possible.
+def _margin_screen(A: np.ndarray, feas_tol: float) -> np.ndarray | None:
+    """A verified witness of the strict system {a_i . v > 0}, or None.
 
     By Gordan's alternative the system is feasible iff the min-norm point of
     conv{a_i} is nonzero. With y >= 0 minimising ||A^T y||^2 + (1^T y - 1)^2
-    (one NNLS), p = A^T y and s = 1^T y, that point is p / s and its norm
-    gamma = ||p|| / s is the Euclidean max margin. The box LP of
-    ``_max_slack_witness`` holds the unit ball and lies in the ball of radius
-    sqrt(d), so its optimum obeys min(1, gamma) <= t* <= sqrt(d) gamma.
-
-    Returns (True, p / ||p||_inf) when that witness has slack > ``feas_tol``
-    on every row (it has slack >= gamma), (False, None) when sqrt(d) gamma
-    <= ``feas_tol``, and (None, None) when only the LP can tell. Any y >= 0
-    gives an upper bound on the true margin and the witness is checked
-    directly, so neither verdict rests on the NNLS being solved exactly.
+    (one NNLS) and p = A^T y, that point is p / 1^T y, and p / ||p||_inf
+    lies in the unit box with slack at least the Euclidean max margin on
+    every row. Returns that witness when its slack exceeds ``feas_tol`` on
+    every row and None otherwise, so a kept witness is checked directly and
+    does not rest on the NNLS being solved exactly. Raises ``RuntimeError``
+    if the NNLS hits scipy's iteration cap, as ``exact_cone_project`` does.
     """
     from scipy.optimize import nnls
 
     m, d = A.shape
     target = np.zeros(d + 1)
     target[-1] = 1.0
-    try:
-        y, _ = nnls(np.vstack([A.T, np.ones(m)]), target)
-    except RuntimeError:  # iteration cap: leave it to the LP
-        return None, None
-    s = float(y.sum())
-    if not s > 0.0:
-        return None, None
+    y, _ = nnls(np.vstack([A.T, np.ones(m)]), target)
     p = A.T @ y
-    if np.sqrt(d) * np.linalg.norm(p) <= feas_tol * s:
-        return False, None
-    witness = p / np.abs(p).max()
-    if (A @ witness).min() > feas_tol:
-        return True, witness
-    return None, None
+    scale = np.abs(p).max()
+    if not scale > 0.0:
+        return None
+    witness = p / scale
+    return witness if (A @ witness).min() > feas_tol else None
 
 
 def enumerate_patterns(X: np.ndarray) -> GateSet:
     """Enumerate every activation pattern realised by some direction.
 
     Walks the cells of the hyperplane arrangement {x_i . v = 0} by extending
-    sign prefixes one row at a time and pruning prefixes whose strict system
-    is infeasible. A prefix whose parent witness already lies strictly on the
-    new row's side is kept as is; any other is decided by ``_margin_screen``,
-    and by the max-slack LP only when the screen cannot tell. Rows equal to
-    zero are always active and excluded from the sign enumeration. Guarded to
-    desk scale (n <= 16, d <= 4); each surviving pattern gets its generator
-    from one max-slack LP over all its rows, so the walk makes one LP per
-    pattern plus one per undecided prefix.
+    sign prefixes one row at a time. A prefix survives when its parent's
+    witness already lies strictly on the new row's side, or when
+    ``_margin_screen`` returns a witness for it; the surviving witness has
+    slack > 1e-9 on every row so far and becomes the pattern's generator.
+    So a cell is kept exactly when the walk finds a verified witness with
+    slack > 1e-9 inside the unit box. (A max-slack LP over the box would
+    keep it when its optimum exceeds 1e-9; the two rules can disagree only
+    on cells whose margin lies within a factor sqrt(d) of 1e-9.) Rows equal
+    to zero are always active and excluded from the sign enumeration.
+    Guarded to desk scale (n <= 16, d <= 4).
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
@@ -258,24 +227,16 @@ def enumerate_patterns(X: np.ndarray) -> GateSet:
                 if s * (X[row_idx] @ witness) > feas_tol:
                     extended.append((cand, witness))
                     continue
-                feasible, w = _margin_screen(cand[:, None] * rows, feas_tol)
-                if feasible is None:
-                    w, slack = _max_slack_witness(rows, cand)
-                    feasible = slack > feas_tol
-                if feasible:
+                w = _margin_screen(cand[:, None] * rows, feas_tol)
+                if w is not None:
                     extended.append((cand, w))
         prefixes = extended
     patterns = []
-    for signs, _ in prefixes:
-        w, slack = _max_slack_witness(X[nonzero], signs)
-        if not slack > feas_tol:  # pragma: no cover - pruned earlier
-            continue
-        active = np.zeros(n, dtype=bool)
+    for signs, w in prefixes:
+        active = np.ones(n, dtype=bool)
         active[nonzero] = signs > 0
-        active[np.setdiff1d(np.arange(n), nonzero)] = True
-        got = pattern_of(X, w)
-        if not np.array_equal(got, active):  # pragma: no cover - defensive
-            continue
+        if not np.array_equal(pattern_of(X, w), active):
+            raise RuntimeError(f"witness {w} does not reproduce its pattern")
         patterns.append(GatePattern(active, w))
     patterns.sort(key=lambda p: p.bitstring(), reverse=True)
     return GateSet(tuple(patterns), seed=None, dedup=True)

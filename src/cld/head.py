@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .cvxprog import MODES, PENALTY_KINDS
 from .gates import GatePattern, GateSet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -79,6 +80,11 @@ class TrainedHead:
     def __post_init__(self):
         from .cert import bundle_from_weights
 
+        if self.mode not in MODES:
+            raise ModelFormatError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.penalty_kind not in PENALTY_KINDS:
+            raise ModelFormatError(
+                f"penalty_kind must be one of {PENALTY_KINDS}, got {self.penalty_kind!r}")
         V = np.array(self.V, dtype=np.float64)
         W = np.array(self.W, dtype=np.float64)
         if V.shape != W.shape or V.ndim != 3:
@@ -186,11 +192,26 @@ def _dec_floats(values, name: str, path) -> np.ndarray:
             f"{path}: {name} holds a value that is not a hex float: {exc}") from exc
 
 
+def _field(doc: dict, key: str, kinds: tuple, path, where: str = ""):
+    """doc[key] if it is one of ``kinds``; a missing key or another type raises ModelFormatError."""
+    if key not in doc:
+        raise ModelFormatError(f"{path}: missing key {where}{key!r}")
+    value = doc[key]
+    if not isinstance(value, kinds) or (bool not in kinds and isinstance(value, bool)):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ModelFormatError(
+            f"{path}: {where}{key} must be of type {names}, not {type(value).__name__}")
+    return value
+
+
 def _dec_array(doc: dict, name: str, path) -> np.ndarray:
-    flat = _dec_floats(doc["data"], name, path)
-    if flat.size != np.prod(doc["shape"]):
-        raise ModelFormatError(f"{path}: {name} holds {flat.size} values for shape {doc['shape']}")
-    return flat.reshape(doc["shape"])
+    shape = _field(doc, "shape", (list,), path, f"{name}.")
+    if not all(isinstance(s, int) and s >= 0 for s in shape):
+        raise ModelFormatError(f"{path}: {name}.shape must hold nonnegative integers, got {shape}")
+    flat = _dec_floats(_field(doc, "data", (list,), path, f"{name}."), name, path)
+    if flat.size != np.prod(shape):
+        raise ModelFormatError(f"{path}: {name} holds {flat.size} values for shape {shape}")
+    return flat.reshape(shape)
 
 
 def head_to_dict(head: TrainedHead) -> dict:
@@ -243,11 +264,13 @@ def _decode_pattern(bits: str, path) -> np.ndarray:
 def load_model(path) -> TrainedHead:
     """Read a model file, recomputing and checking its certificate bundle.
 
-    A document with a missing key, a label map whose values are not exactly
-    0..K-1, gate patterns of unequal length, pattern or generator counts
-    other than P, generators not of length d, floats not stored as hex strings,
-    or arrays that disagree with their stated shapes raises ModelFormatError
-    naming the file; ``"cert": null`` skips the check.
+    A document that is not a JSON object, a missing key, a field of the wrong
+    JSON type, a mode or penalty kind the trainer does not know, a label map
+    whose values are not exactly 0..K-1, gate patterns that are not equal-length
+    strings of 0 and 1, pattern or generator counts other than P, generators
+    not of length d, floats not stored as hex strings, or arrays that disagree
+    with their stated shapes raises ModelFormatError naming the file;
+    ``"cert": null`` skips the check.
     """
     from .cert import bundle_to_dict
 
@@ -255,29 +278,35 @@ def load_model(path) -> TrainedHead:
         doc = json.loads(open(path, "r", encoding="utf-8").read())
     except (OSError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"cannot read model {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"{path}: a model is a JSON object, not {type(doc).__name__}")
     version = doc.get("version")
     if version != MODEL_VERSION:
         raise ModelVersionError(f"{path}: unknown model version {version!r}")
-    try:
-        P, d, K = int(doc["P"]), int(doc["d"]), int(doc["K"])
-        gates_doc = doc["gates"]
-        bits, gens = gates_doc["patterns"], gates_doc["generators"]
-        if not len(bits) == len(gens) == P or any(len(gen) != d for gen in gens):
-            raise ModelFormatError(
-                f"{path}: need P = {P} gate patterns, each with a generator of length d = {d}"
-            )
-        patterns = tuple(
-            GatePattern(_decode_pattern(b, path), _dec_floats(gen, f"generator {i}", path))
-            for i, (b, gen) in enumerate(zip(bits, gens))
+    P, d, K = (_field(doc, key, (int,), path) for key in ("P", "d", "K"))
+    gates_doc = _field(doc, "gates", (dict,), path)
+    bits = _field(gates_doc, "patterns", (list,), path, "gates.")
+    gens = _field(gates_doc, "generators", (list,), path, "gates.")
+    if not all(isinstance(b, str) for b in bits) or not all(isinstance(g, list) for g in gens):
+        raise ModelFormatError(
+            f"{path}: gate patterns must be strings and generators lists of hex floats")
+    if not len(bits) == len(gens) == P or any(len(gen) != d for gen in gens):
+        raise ModelFormatError(
+            f"{path}: need P = {P} gate patterns, each with a generator of length d = {d}"
         )
-        gates = GateSet(patterns, seed=gates_doc["seed"], dedup=gates_doc["dedup"])
-        V = _dec_array(doc["V"], "V", path)
-        W = _dec_array(doc["W"], "W", path)
-        penalty_kind, mode = doc["penalty_kind"], doc["mode"]
-        label_map = {str(k): int(v) for k, v in doc["label_map"].items()}
-        stored = doc.get("cert")
-    except KeyError as exc:
-        raise ModelFormatError(f"{path}: missing key {exc}") from exc
+    patterns = tuple(
+        GatePattern(_decode_pattern(b, path), _dec_floats(gen, f"generator {i}", path))
+        for i, (b, gen) in enumerate(zip(bits, gens))
+    )
+    gates = GateSet(patterns, seed=_field(gates_doc, "seed", (int, type(None)), path, "gates."),
+                    dedup=_field(gates_doc, "dedup", (bool,), path, "gates."))
+    V = _dec_array(_field(doc, "V", (dict,), path), "V", path)
+    W = _dec_array(_field(doc, "W", (dict,), path), "W", path)
+    penalty_kind = _field(doc, "penalty_kind", (str,), path)
+    mode = _field(doc, "mode", (str,), path)
+    label_map = _field(doc, "label_map", (dict,), path)
+    train_meta = _field({"train_meta": {}, **doc}, "train_meta", (dict,), path)  # optional
+    stored = doc.get("cert")
     if V.shape != (P, d, K) or W.shape != (P, d, K):
         raise ModelFormatError(
             f"{path}: V and W have shapes {V.shape} and {W.shape}, "
@@ -285,17 +314,21 @@ def load_model(path) -> TrainedHead:
         )
     if len({p.active.size for p in patterns}) > 1:
         raise ModelFormatError(f"{path}: gate patterns have unequal lengths")
-    if sorted(label_map.values()) != list(range(K)):
+    if (not all(isinstance(v, int) for v in label_map.values())
+            or sorted(label_map.values()) != list(range(K))):
         raise ModelFormatError(f"{path}: label_map values must be 0..{K - 1} exactly once each")
-    head = TrainedHead(
-        gates=gates,
-        V=V,
-        W=W,
-        penalty_kind=penalty_kind,
-        mode=mode,
-        label_map=label_map,
-        train_meta=doc.get("train_meta", {}),
-    )
+    try:
+        head = TrainedHead(
+            gates=gates,
+            V=V,
+            W=W,
+            penalty_kind=penalty_kind,
+            mode=mode,
+            label_map=label_map,
+            train_meta=train_meta,
+        )
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc
     if stored is not None and bundle_to_dict(head.cert) != stored:
         raise CertificateMismatchError(
             f"{path}: stored certificate bundle does not match the weights"

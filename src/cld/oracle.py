@@ -111,44 +111,6 @@ def fista_solve(prob: ConvexProblem, cfg: FistaConfig = FistaConfig()) -> FistaR
     return FistaResult(best_S, history, converged)
 
 
-def fd_gradcheck(fun, grad_fun, point: np.ndarray, step: float = 1e-5,
-                 num_coords: int = 20, seed: int = 0) -> float:
-    """Max relative error between central differences and the analytic gradient.
-
-    Probes ``num_coords`` random coordinates of ``point``; intended for the
-    smooth fit term only.
-    """
-    point = np.asarray(point, dtype=np.float64)
-    analytic = np.asarray(grad_fun(point), dtype=np.float64).ravel()
-    flat = point.ravel()
-    rng = np.random.default_rng(seed)
-    coords = rng.choice(flat.size, size=min(num_coords, flat.size), replace=False)
-    worst = 0.0
-    for idx in coords:
-        bumped = flat.copy()
-        bumped[idx] += step
-        hi = fun(bumped.reshape(point.shape))
-        bumped[idx] -= 2.0 * step
-        lo = fun(bumped.reshape(point.shape))
-        fd = (hi - lo) / (2.0 * step)
-        rel = abs(fd - analytic[idx]) / max(abs(analytic[idx]), 1e-12)
-        worst = max(worst, rel)
-    return worst
-
-
-def fit_value_and_grad(prob: ConvexProblem):
-    """(value, gradient) callables of the smooth fit term."""
-    op = prob.op
-
-    def value(S):
-        return loss(op.apply(S), prob.Y)
-
-    def grad(S):
-        return op.adjoint(op.apply(S) - prob.Y)
-
-    return value, grad
-
-
 _DENSE_GUARD = 200_000
 
 

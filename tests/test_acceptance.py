@@ -17,7 +17,6 @@ import pytest
 from cld.admm import AdmmConfig, GateConfig, admm_solve, train
 from cld.cert import (
     certify_batch,
-    margin_gap_check,
     var_bound_fro,
     var_bound_l21,
     amgm_bound,
@@ -34,11 +33,18 @@ from cld.gates import (
 )
 from cld.head import predict_batch, to_relu
 from cld.linops import GatedOperator
-from cld.oracle import FistaConfig, dense_solve_smallest, fista_solve, fit_value_and_grad
+from cld.oracle import FistaConfig, dense_solve_smallest, fista_solve
 from cld.synth import SynthSpec, generate, split
 
 from conftest import cluster_data, random_problem
-from reference import cone_violation, gate_identity_check, project_cone
+from reference import (
+    cone_violation,
+    fd_gradcheck,
+    fit_value_and_grad,
+    gate_identity_check,
+    margin_gap_check,
+    project_cone,
+)
 from test_gates import sweep_oracle_2d
 from test_head import make_head
 
@@ -277,8 +283,6 @@ def test_criterion_8_gradient_correctness():
                               K=int(rng.integers(2, 4)), P=int(rng.integers(2, 6)),
                               seed=700 + seed)
         fun, grad = fit_value_and_grad(prob)
-        from cld.oracle import fd_gradcheck
-
         point = rng.standard_normal(prob.op.block_shape)
         err = fd_gradcheck(fun, grad, point, seed=seed)
         worst = max(worst, err)

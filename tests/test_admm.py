@@ -10,7 +10,6 @@ from cld.admm import (
     admm_solve,
     admm_step,
     init_state,
-    residuals,
     train,
     u_update,
 )
@@ -67,7 +66,7 @@ class TestResiduals:
         prob = random_problem(n=10, d=3, K=2, P=2, beta=0.0, seed=4)
         cfg = AdmmConfig(beta=0.0, **CONVERGED)
         state = admm_solve(prob, cfg)
-        primal, dual = residuals(state)
+        primal, dual = state.primal_res, state.dual_res
         assert primal <= 1e-9 and dual <= 1e-9
 
     def test_dual_zero_when_z_frozen(self):
@@ -82,7 +81,8 @@ class TestResiduals:
 
     def test_residuals_before_first_step_are_infinite(self):
         prob = random_problem(seed=6)
-        primal, dual = residuals(init_state(prob))
+        state = init_state(prob)
+        primal, dual = state.primal_res, state.dual_res
         assert primal == np.inf and dual == np.inf
 
 
@@ -279,4 +279,4 @@ class TestSolverContracts:
         cfg = AdmmConfig(beta=0.0, rho=0.5, admm_iters=500, stop_tol=1e-8)
         state = admm_solve(prob, cfg)
         assert len(state.history) < 500
-        assert max(residuals(state)) <= 1e-8
+        assert max(state.primal_res, state.dual_res) <= 1e-8

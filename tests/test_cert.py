@@ -10,13 +10,13 @@ from cld.cert import (
     bundle_from_weights,
     certified_accuracy,
     certify_batch,
-    margin_gap_check,
     var_bound_fro,
     var_bound_l21,
 )
 from cld.head import ReluNetwork, predict_batch, to_relu
 
 from conftest import cluster_data
+from reference import margin_gap_check
 from test_head import make_head
 
 

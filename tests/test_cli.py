@@ -7,6 +7,8 @@ from cld.cli import main
 from cld.dataio import SequenceFeature, read_features, write_features, write_sequence
 from cld.head import ModelFormatError, load_model, predict_batch
 
+from test_head import MALFORMED_DOCS
+
 FAST_TRAIN = ["--rho", "0.1", "--admm-iters", "60", "--stop-tol", "1e-8", "--seed", "0"]
 
 
@@ -213,7 +215,7 @@ class TestPredict:
         assert rc == 2
 
     @pytest.mark.parametrize("case", ["missing-key", "label-map-values", "unequal-patterns",
-                                      "stated-K", "non-hex-weight"])
+                                      "stated-K", "non-hex-weight", *sorted(MALFORMED_DOCS)])
     def test_malformed_model_exits_2(self, dataset, model, tmp_path, capsys, case):
         doc = json.loads(model.read_text())
         if case == "missing-key":
@@ -227,6 +229,8 @@ class TestPredict:
             doc["label_map"] = {k: v for k, v in doc["label_map"].items() if v == 0}
         elif case == "non-hex-weight":
             doc["V"]["data"][0] = "zz"
+        elif case in MALFORMED_DOCS:
+            doc = MALFORMED_DOCS[case](doc)
         else:
             doc["gates"]["patterns"][1] = doc["gates"]["patterns"][1][:-1]
         bad = tmp_path / "bad.json"
@@ -508,6 +512,18 @@ class TestGatesEnum:
         doc = json.loads(out.read_text())
         assert doc["count"] == 4
         assert set(doc["patterns"]) == {"11", "10", "01", "00"}
+
+    def test_witnesses_reproduce_patterns(self, tmp_path):
+        X = np.random.default_rng(29).standard_normal((7, 3))
+        feats = tmp_path / "x.cldf"
+        write_features(feats, X)
+        out = tmp_path / "enum.json"
+        assert main(["gates-enum", "--features", str(feats), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["count"] == len(doc["patterns"]) == len(doc["witnesses"]) > 0
+        for bits, w in zip(doc["patterns"], doc["witnesses"]):
+            got = "".join("1" if a else "0" for a in X @ np.array(w) >= 0.0)
+            assert got == bits
 
     def test_guard_exits_2(self, tmp_path, capsys):
         feats = tmp_path / "big.cldf"

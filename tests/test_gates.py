@@ -3,20 +3,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cld import gates
 from cld.gates import (
     ConeSpec,
-    GateSet,
     GatePattern,
     enumerate_patterns,
     exact_cone_project,
     pattern_of,
     sample_gates,
 )
-from reference import cone_violation, gate_identity_check, project_cone
+from reference import cone_violation, gate_identity_check, project_cone, reference_enumerate
 
 
 def qp_projection_oracle(A, x):
@@ -70,64 +69,21 @@ def sweep_oracle_2d(X, step_deg=None):
     return patterns
 
 
-def reference_enumerate(X):
-    """The LP-only sign-prefix walk, kept as the reference for the screened one.
-
-    Every prefix that its parent's witness does not already decide runs the
-    max-slack LP; the screened walk must keep exactly the same prefixes.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    n, d = X.shape
-    nonzero = np.flatnonzero(np.linalg.norm(X, axis=1) > 0.0)
-    feas_tol = 1e-9
-    prefixes = [(np.zeros(0), np.zeros(d))]
-    for count, row_idx in enumerate(nonzero, start=1):
-        rows = X[nonzero[:count]]
-        extended = []
-        for signs, witness in prefixes:
-            for s in (1.0, -1.0):
-                cand = np.append(signs, s)
-                if s * (X[row_idx] @ witness) > feas_tol:
-                    extended.append((cand, witness))
-                    continue
-                w, slack = gates._max_slack_witness(rows, cand)
-                if slack > feas_tol:
-                    extended.append((cand, w))
-        prefixes = extended
-    patterns = []
-    for signs, _ in prefixes:
-        w, slack = gates._max_slack_witness(X[nonzero], signs)
-        if not slack > feas_tol:
-            continue
-        active = np.zeros(n, dtype=bool)
-        active[nonzero] = signs > 0
-        active[np.setdiff1d(np.arange(n), nonzero)] = True
-        if not np.array_equal(pattern_of(X, w), active):
-            continue
-        patterns.append(GatePattern(active, w))
-    patterns.sort(key=lambda p: p.bitstring(), reverse=True)
-    return GateSet(tuple(patterns), seed=None, dedup=True)
-
-
 def assert_same_enumeration(X):
+    """Bitstrings equal the LP-only walk's; every generator is a verified witness."""
     got, ref = enumerate_patterns(X), reference_enumerate(X)
     assert [p.bitstring() for p in got.patterns] == [p.bitstring() for p in ref.patterns]
-    for a, b in zip(got.patterns, ref.patterns):
-        assert np.array_equal(a.generator, b.generator)
+    assert_generators_verified(X, got)
 
 
-@pytest.fixture
-def lp_calls(monkeypatch):
-    """Count the max-slack LPs that enumerate_patterns makes."""
-    calls = []
-    lp = gates._max_slack_witness
-
-    def counted(rows, signs):
-        calls.append(rows.shape[0])
-        return lp(rows, signs)
-
-    monkeypatch.setattr(gates, "_max_slack_witness", counted)
-    return calls
+def assert_generators_verified(X, gs):
+    """Every generator has slack > 1e-9 on every nonzero row and reproduces its pattern."""
+    X = np.asarray(X, dtype=np.float64)
+    nonzero = np.linalg.norm(X, axis=1) > 0.0
+    for p in gs.patterns:
+        slack = np.where(p.active, 1.0, -1.0) * (X @ p.generator)
+        assert slack[nonzero].min(initial=np.inf) > 1e-9
+        np.testing.assert_array_equal(pattern_of(X, p.generator), p.active)
 
 
 class TestSampling:
@@ -320,7 +276,7 @@ ENUM_SHAPES = [(n, d) for n in range(1, 17) for d in range(1, 5) if _cells_bound
 
 
 class TestScreenedEnumeration:
-    """The margin screen keeps exactly the prefixes the LP-only walk keeps."""
+    """The LP-free walk keeps exactly the cells the LP-only reference keeps."""
 
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from(ENUM_SHAPES), st.booleans(), st.integers(0, 2**32 - 1))
@@ -345,21 +301,24 @@ class TestScreenedEnumeration:
     def test_degenerate_rows(self, X):
         assert_same_enumeration(np.array(X))
 
-    def test_ambiguous_margin_runs_the_lp(self, lp_calls):
+    def test_band_margin_matches_reference(self):
         # rows (1, 0) and (-1, e) are nearly antiparallel: the prefix (+, +)
-        # has max margin e/2, between feas_tol/sqrt(2) and feas_tol, where
-        # only the LP can decide it
-        X = np.array([[1.0, 0.0], [-1.0, 1.8e-9]])
-        gs = enumerate_patterns(X)
-        assert len(lp_calls) > gs.P
-        assert_same_enumeration(X)
+        # has max margin e/2, between feas_tol/sqrt(2) and feas_tol
+        assert_same_enumeration(np.array([[1.0, 0.0], [-1.0, 1.8e-9]]))
 
-    def test_one_lp_per_pattern_on_criterion_2(self, lp_calls):
+    def test_no_lp_on_criterion_2(self, monkeypatch):
+        Xs = [np.random.default_rng(seed).standard_normal((n, d))
+              for n, d, seed in ((10, 2, 3), (12, 2, 5), (11, 2, 11), (9, 3, 7), (8, 3, 13))]
+        refs = [[p.bitstring() for p in reference_enumerate(X).patterns] for X in Xs]
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("enumerate_patterns ran an LP")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
         total = 0
-        for n, d, seed in ((10, 2, 3), (12, 2, 5), (11, 2, 11), (9, 3, 7), (8, 3, 13)):
-            X = np.random.default_rng(seed).standard_normal((n, d))
-            before = len(lp_calls)
+        for X, ref in zip(Xs, refs):
             gs = enumerate_patterns(X)
-            assert len(lp_calls) - before == gs.P
+            assert [p.bitstring() for p in gs.patterns] == ref
+            assert_generators_verified(X, gs)
             total += gs.P
-        assert total == len(lp_calls) == 198
+        assert total == 198

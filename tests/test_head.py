@@ -27,6 +27,23 @@ from conftest import cluster_data
 from reference import nonconvex_objective
 
 
+# documents that load_model must reject with a ModelFormatError naming the file
+MALFORMED_DOCS = {
+    "bogus-mode": lambda doc: {**doc, "mode": "bogus"},
+    "bogus-penalty": lambda doc: {**doc, "penalty_kind": "bogus", "cert": None},
+    "list-document": lambda doc: [doc],
+    "V-not-object": lambda doc: {**doc, "V": doc["V"]["data"]},
+    "gates-not-object": lambda doc: {**doc, "gates": "gates"},
+    "list-label-map": lambda doc: {**doc, "label_map": sorted(doc["label_map"])},
+    "non-string-pattern": lambda doc: {
+        **doc, "gates": {**doc["gates"], "patterns": [7] + doc["gates"]["patterns"][1:]}},
+    "string-P": lambda doc: {**doc, "P": "x"},
+    "string-dedup": lambda doc: {**doc, "gates": {**doc["gates"], "dedup": "yes"}},
+    "list-seed": lambda doc: {**doc, "gates": {**doc["gates"], "seed": [1, 2]}},
+    "list-train-meta": lambda doc: {**doc, "train_meta": [3]},
+}
+
+
 def make_head(V, W=None, mode="relaxed", seed=0):
     P, d, K = V.shape
     rng = np.random.default_rng(seed)
@@ -333,6 +350,23 @@ class TestModelIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match=rf"model\.json: {where} holds"):
             load_model(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DOCS))
+    def test_malformed_document_rejected(self, trained, tmp_path, case):
+        head, _, _ = trained
+        path = tmp_path / "model.json"
+        save_model(head, path)
+        path.write_text(json.dumps(MALFORMED_DOCS[case](json.loads(path.read_text()))))
+        with pytest.raises(ModelFormatError, match="model.json"):
+            load_model(path)
+
+    def test_head_rejects_unknown_mode_and_penalty(self):
+        V = np.ones((2, 3, 2))
+        with pytest.raises(ModelFormatError, match="mode"):
+            make_head(V, mode="split")
+        head = make_head(V)
+        with pytest.raises(ModelFormatError, match="penalty_kind"):
+            TrainedHead(head.gates, V, np.zeros_like(V), "l1", "relaxed", head.label_map)
 
     def test_null_cert_gets_its_bundle(self, trained, tmp_path):
         head, _, _ = trained

@@ -6,12 +6,11 @@ from cld.oracle import (
     FistaConfig,
     dense_matrix,
     dense_solve_smallest,
-    fd_gradcheck,
     fista_solve,
-    fit_value_and_grad,
 )
 
 from conftest import random_problem
+from reference import fd_gradcheck, fit_value_and_grad
 
 
 class TestFista:
