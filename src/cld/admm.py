@@ -1,34 +1,38 @@
 """Consensus ADMM trainer for the convex detection-head program.
 
-The smooth fit variable u is coupled to consensus copies through scaled
-duals: z1 receives the group-norm penalty via its proximal map, and (in split
-mode) z2 receives the pattern-cone constraints via projection. One iteration
-performs
+The smooth fit variable u is coupled to one consensus copy z through a
+scaled dual lam: two-block ADMM with penalty r. The copy carries the
+group-norm penalty and, in split mode, the pattern-cone constraints. Every
+penalty group (a column for l21, a block for frobenius) lies in one cone,
+which nonnegative scaling preserves, so the proximal map of "group norm +
+cone indicator" is the group shrinkage of the cone projection. One
+iteration performs
 
-    1. u    <- solve (F^T F + c rho I) u = F^T Y + rho sum_copies (z - lam)
-              (c = number of copies) exactly, with the Cholesky factor of the
-              smaller Gram (F^T F, or the n x n kernel F F^T when B*d > n)
-              that ``linops.gram_solver`` builds once per run; F^T Y is also
-              computed once per run,
-    2. z1   <- group_prox(u + lam1, beta / rho),
-    3. z2   <- project_to_cones(u + lam2) (split mode only): every column is
-              projected onto its pattern cone exactly, by one batched solve
-              on the active face it had at the previous step; only columns
-              that fail the KKT check take the Lawson-Hanson NNLS of
+    1. u    <- solve (F^T F + r I) u = F^T Y + r (z - lam) exactly, with the
+              Cholesky factor of the smaller Gram (F^T F, or the n x n kernel
+              F F^T when B*d > n) that ``linops.gram_solver`` builds once per
+              run; F^T Y is also computed once per run,
+    2. z    <- group_prox(project_to_cones(u + lam), beta / r), with no
+              projection in relaxed mode: every column is projected onto its
+              pattern cone exactly, by one batched solve on the active face
+              it had at the previous step; only columns that fail the KKT
+              check take the Lawson-Hanson NNLS of
               ``gates.exact_cone_project``, which returns the new face,
-    4. lam  <- lam + (u - z),
+    3. lam  <- lam + (u - z),
 
-with primal residual ||u - z||_F and dual residual rho ||z - z_prev||_F.
+with primal residual ||u - z||_F and dual residual r ||z - z_prev||_F.
 Fixed points are exactly the minimisers of the convex objective.
 
-Final weights are read from z1, whose prox step produces exact group
-sparsity; in split mode the kept columns get the same exact cone projection,
-seeded with the last step's faces, so the stored weights are feasible to
-linear-algebra roundoff.
+The penalty is r = rho in relaxed mode and r = 2 rho in split mode, where
+the copy carries two constraints, the penalty and the cones, each weighted
+rho, so the u-system is F^T F + 2 rho I (r = rho converges more slowly at
+the benchmark's budget). Final weights are read from z, whose prox step
+gives exact group sparsity; a shrunk projection stays in its cone, so
+split-mode weights are feasible to roundoff.
 
 Note on defaults: rho = 1e-4 and beta = 1e-3 give a prox threshold beta/rho
 of 10, far above the weight scale of unit-scale embedding problems, so short
-default runs leave z1 at zero, and ``train`` warns when its head comes out
+default runs leave z at zero, and ``train`` warns when its head comes out
 all zero. Runs that must reach the optimum (oracle comparisons, benchmarks)
 should pass a larger rho and iteration budget, e.g. rho ~ 0.1 with a few
 hundred iterations and ``stop_tol`` set.
@@ -86,13 +90,11 @@ class IterationRecord:
 @dataclass(frozen=True)
 class AdmmState:
     u: np.ndarray
-    z1: np.ndarray
-    lam1: np.ndarray
-    z2: np.ndarray | None = None
-    lam2: np.ndarray | None = None
+    z1: np.ndarray                     # the consensus copy z
+    lam1: np.ndarray                   # its scaled dual
     history: tuple[IterationRecord, ...] = ()
-    faces: np.ndarray | None = None    # (B, K, n) active rows of each z2 column
-    cone_fallbacks: int = 0            # columns of the last z2 that took the NNLS
+    faces: np.ndarray | None = None    # (B, K, n) active rows of each projected column
+    cone_fallbacks: int = 0            # columns of the last projection that took the NNLS
 
     @property
     def primal_res(self) -> float:
@@ -108,23 +110,24 @@ class TrainingError(ValueError):
 
 
 def init_state(prob: ConvexProblem) -> AdmmState:
-    shape = prob.op.block_shape
-    zeros = np.zeros(shape)
-    if prob.mode == "exact":
-        faces = np.zeros((prob.op.B, prob.op.K, prob.op.n), dtype=bool)
-        return AdmmState(zeros, zeros.copy(), zeros.copy(), zeros.copy(), zeros.copy(),
-                         faces=faces)
-    return AdmmState(zeros, zeros.copy(), zeros.copy())
+    op = prob.op
+    zeros = np.zeros(op.block_shape)
+    faces = np.zeros((op.B, op.K, op.n), dtype=bool) if prob.mode == "exact" else None
+    return AdmmState(zeros, zeros.copy(), zeros.copy(), faces=faces)
+
+
+def _penalty(prob: ConvexProblem, cfg: AdmmConfig) -> float:
+    """The ADMM penalty r: rho, or 2 rho in split mode (see the module docstring)."""
+    return 2.0 * cfg.rho if prob.mode == "exact" else cfg.rho
 
 
 def u_update(prob: ConvexProblem, cfg: AdmmConfig):
     """The u-update of one run: ``solve(consensus) -> u``.
 
-    It solves (F^T F + c rho I) u = F^T Y + consensus, where consensus is
-    rho sum_copies (z - lam). The solver and F^T Y are built here, once.
+    It solves (F^T F + r I) u = F^T Y + consensus, where consensus is
+    r (z - lam). The solver and F^T Y are built here, once.
     """
-    copies = 2 if prob.mode == "exact" else 1
-    solve = gram_solver(prob.op, copies * cfg.rho)
+    solve = gram_solver(prob.op, _penalty(prob, cfg))
     fty = prob.op.adjoint(prob.Y)
     return lambda consensus: solve(fty + consensus)
 
@@ -134,35 +137,21 @@ def admm_step(prob: ConvexProblem, cfg: AdmmConfig, state: AdmmState,
     """One consensus iteration; ``solve`` is the run's ``u_update`` (built here if None)."""
     if prob.mode != cfg.mode:
         raise ValueError(f"problem mode {prob.mode!r} != config mode {cfg.mode!r}")
-    copies = 2 if prob.mode == "exact" else 1
-    rho = cfg.rho
+    r = _penalty(prob, cfg)
     if solve is None:
         solve = u_update(prob, cfg)
-    consensus = rho * (state.z1 - state.lam1)
-    if copies == 2:
-        consensus = consensus + rho * (state.z2 - state.lam2)
-    u = solve(consensus)
-
-    z1 = group_prox(u + state.lam1, cfg.beta / rho, prob.penalty_kind)
-    lam1 = state.lam1 + u - z1
-
-    z2 = lam2 = faces = None
-    fallbacks = 0
-    if copies == 2:
-        z2, faces, fallbacks = project_to_cones(prob, u + state.lam2, state.faces)
-        lam2 = state.lam2 + u - z2
-
-    primal_sq = float(np.vdot(u - z1, u - z1))
-    dual_sq = float(np.vdot(z1 - state.z1, z1 - state.z1))
-    if copies == 2:
-        primal_sq += float(np.vdot(u - z2, u - z2))
-        dual_sq += float(np.vdot(z2 - state.z2, z2 - state.z2))
+    u = solve(r * (state.z1 - state.lam1))
+    v, faces, fallbacks = u + state.lam1, None, 0
+    if prob.mode == "exact":
+        v, faces, fallbacks = project_to_cones(prob, v, state.faces)
+    z = group_prox(v, cfg.beta / r, prob.penalty_kind)
+    lam = state.lam1 + u - z
     record = IterationRecord(
-        objective=objective(prob, z1),
-        primal=float(np.sqrt(primal_sq)),
-        dual=rho * float(np.sqrt(dual_sq)),
+        objective=objective(prob, z),
+        primal=float(np.sqrt(np.vdot(u - z, u - z))),
+        dual=r * float(np.sqrt(np.vdot(z - state.z1, z - state.z1))),
     )
-    return AdmmState(u, z1, lam1, z2, lam2, state.history + (record,), faces, fallbacks)
+    return AdmmState(u, z, lam, state.history + (record,), faces, fallbacks)
 
 
 def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmState:
@@ -228,14 +217,8 @@ def train(X, labels: LabelSet, gate_cfg: GateConfig, cfg: AdmmConfig,
 
     state = admm_solve(prob, cfg, log=log)
 
-    P = gates.P
-    if cfg.mode == "exact":
-        # z1 carries the prox sparsity; projecting it keeps that sparsity
-        projected, _, _ = project_to_cones(prob, state.z1, state.faces)
-        V, W = projected[:P].copy(), projected[P:].copy()
-    else:
-        V = state.z1.copy()
-        W = np.zeros_like(V)
+    V = state.z1[:gates.P].copy()
+    W = state.z1[gates.P:].copy() if cfg.mode == "exact" else np.zeros_like(V)
 
     meta = {
         "admm": {
@@ -260,7 +243,7 @@ def train(X, labels: LabelSet, gate_cfg: GateConfig, cfg: AdmmConfig,
     if head.cert.B_l21 == 0.0:
         warnings.warn(
             "trained head is all zero (B_l21 = 0), so every prediction is a tie; "
-            f"the prox threshold beta/rho = {cfg.beta / cfg.rho:g} may be too large "
+            f"the prox threshold {cfg.beta / _penalty(prob, cfg):g} may be too large "
             f"for {len(state.history)} ADMM iterations",
             stacklevel=2,
         )

@@ -15,6 +15,8 @@ OPENBLAS_NUM_THREADS.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import sys
@@ -69,12 +71,21 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+@contextlib.contextmanager
 def _log_sink(path):
-    if path is None:
-        fh = sys.stderr
-        return lambda rec: print(json.dumps(rec, sort_keys=True), file=fh)
-    fh = open(path, "a", encoding="utf-8")
-    return lambda rec: (fh.write(json.dumps(rec, sort_keys=True) + "\n"), fh.flush())[0]
+    """A JSON-lines record writer: to stderr, or appending to ``path`` until exit."""
+    with contextlib.nullcontext(sys.stderr) if path is None else open(
+            path, "a", encoding="utf-8") as fh:
+        yield lambda rec: print(json.dumps(rec, sort_keys=True), file=fh, flush=True)
+
+
+def _logging(cmd):
+    """Run ``cmd(args, log)`` with the --log sink open, and close it afterwards."""
+    @functools.wraps(cmd)
+    def run(args) -> int:
+        with _log_sink(args.log) as log:
+            return cmd(args, log)
+    return run
 
 
 # every key a --config file may set, each named as its flag's dest
@@ -201,8 +212,9 @@ def _cross_check(head, X, labels, tol: float, log) -> dict:
 
 # --- subcommands -----------------------------------------------------------
 
-def cmd_synth(args) -> int:
-    spec = SynthSpec(
+def _synth_spec(args, seed: int) -> SynthSpec:
+    """The dataset that the synth flags of ``synth`` and ``bench`` describe."""
+    return SynthSpec(
         languages=args.languages,
         accents_per_language=tuple(int(x) for x in args.accents.split(",")),
         dim=args.dim,
@@ -210,9 +222,12 @@ def cmd_synth(args) -> int:
         accent_spread=args.spread,
         noise_sigma=args.sigma,
         samples_per_accent=args.samples_per_accent,
-        seed=args.seed if args.seed is not None else 0,
+        seed=seed,
     )
-    data = generate(spec)
+
+
+def cmd_synth(args) -> int:
+    data = generate(_synth_spec(args, args.seed))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_features(out / "features.cldf", data.features)
@@ -228,8 +243,8 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    log = _log_sink(args.log)
+@_logging
+def cmd_train(args, log) -> int:
     X, labels = load_manifest(args.manifest)
     gate_cfg, cfg = _solver_configs(args, labels.K)
     t0 = time.perf_counter()
@@ -255,8 +270,8 @@ def _pooled_inputs(path):
     return ids, np.vstack(rows)
 
 
-def cmd_predict(args) -> int:
-    log = _log_sink(args.log)
+@_logging
+def cmd_predict(args, log) -> int:
     head = load_model(args.model)
     if args.pool:
         ids, H = _pooled_inputs(args.features)
@@ -335,10 +350,11 @@ def cmd_eval(args) -> int:
         rows = Path(args.accents).read_text(encoding="utf-8").strip().splitlines()[1:]
         accents = []
         for line, row in enumerate(rows, start=2):
-            fields = row.split(",")
-            if len(fields) < 2:
-                raise DataFormatError(f"{args.accents}: line {line} has no accent_id column")
-            accents.append(int(fields[1]))
+            try:
+                accents.append(int(row.split(",")[1]))
+            except (IndexError, ValueError):
+                raise DataFormatError(
+                    f"{args.accents}: line {line} has no integer accent_id: {row!r}") from None
         accents = np.array(accents)
     report = evaluate(logits.argmax(axis=1), labels, accents=accents)
     text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
@@ -370,20 +386,10 @@ def _stratified_order(group_ids: np.ndarray, pool: np.ndarray) -> np.ndarray:
     return np.array(order)
 
 
-def cmd_bench(args) -> int:
-    log = _log_sink(args.log)
+@_logging
+def cmd_bench(args, log) -> int:
     seed = args.seed if args.seed is not None else 0
-    spec = SynthSpec(
-        languages=args.languages,
-        accents_per_language=tuple(int(x) for x in args.accents.split(",")),
-        dim=args.dim,
-        language_separation=args.separation,
-        accent_spread=args.spread,
-        noise_sigma=args.sigma,
-        samples_per_accent=args.samples_per_accent,
-        seed=seed,
-    )
-    data = generate(spec)
+    data = generate(_synth_spec(args, seed))
     train_idx, test_idx, _val_idx = split(data.labels.class_ids, seed=seed)
     gate_cfg, cfg = _solver_configs(args, data.labels.K)
     out = Path(args.out)
@@ -435,8 +441,8 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    log = _log_sink(args.log)
+@_logging
+def cmd_verify(args, log) -> int:
     X, labels = load_manifest(args.manifest)
     gate_cfg, cfg = _solver_configs(args, labels.K)
     head = train(X, labels, gate_cfg, cfg)

@@ -299,14 +299,22 @@ def load_manifest(path) -> tuple[FeatureMatrix, LabelSet]:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:     # ValueError: bad JSON or bad UTF-8
         raise DataFormatError(f"cannot read manifest {path}: {exc}") from exc
-    for key in ("features", "labels", "label_map"):
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path}: a manifest is a JSON object, not {type(doc).__name__}")
+    for key, kind in (("features", str), ("labels", str), ("label_map", dict)):
         if key not in doc:
             raise DataFormatError(f"{path}: manifest missing {key!r}")
+        if not isinstance(doc[key], kind):
+            raise DataFormatError(f"{path}: manifest field {key!r} must be a JSON "
+                                  f"{'string' if kind is str else 'object'}, not {doc[key]!r}")
     base = path.parent
     features = read_features(base / doc["features"])
-    label_map = {str(k): int(v) for k, v in doc["label_map"].items()}
+    try:
+        label_map = {str(k): int(v) for k, v in doc["label_map"].items()}
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: label_map values must be class indices: {exc}") from None
     if len(label_map) < 2:
         raise LabelError(f"{path}: label_map needs at least 2 classes")
     labels = read_labels(base / doc["labels"], label_map)

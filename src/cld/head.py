@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -91,9 +92,12 @@ class TrainedHead:
             raise ModelFormatError(f"V/W must be matching 3-D stacks, got {V.shape} and {W.shape}")
         if V.shape[0] != self.gates.P:
             raise ModelFormatError(f"{V.shape[0]} weight blocks for {self.gates.P} gates")
+        P, d, K = V.shape
+        values = list(self.label_map.values())
+        if not all(isinstance(v, int) for v in values) or sorted(values) != list(range(K)):
+            raise ModelFormatError(f"label_map values must be 0..{K - 1} exactly once each")
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "W", W)
-        P, d, K = V.shape
         # relu form: one unit per nonzero column, in (p, k) order, V's before W's
         cols = np.stack([V, W], axis=3).transpose(0, 2, 3, 1).reshape(-1, d)
         outs = np.tile(np.kron(np.eye(K), [[1.0], [-1.0]]), (P, 1))    # +e_k, -e_k
@@ -275,7 +279,7 @@ def load_model(path) -> TrainedHead:
     from .cert import bundle_to_dict
 
     try:
-        doc = json.loads(open(path, "r", encoding="utf-8").read())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"cannot read model {path}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -314,9 +318,6 @@ def load_model(path) -> TrainedHead:
         )
     if len({p.active.size for p in patterns}) > 1:
         raise ModelFormatError(f"{path}: gate patterns have unequal lengths")
-    if (not all(isinstance(v, int) for v in label_map.values())
-            or sorted(label_map.values()) != list(range(K))):
-        raise ModelFormatError(f"{path}: label_map values must be 0..{K - 1} exactly once each")
     try:
         head = TrainedHead(
             gates=gates,

@@ -1,12 +1,14 @@
 """Reference implementations that only the tests use.
 
 Each one is an independent, deliberately simple check of library code: the
-cyclic Dykstra projector against ``gates.exact_cone_project``, the per-cone
-violation against ``cvxprog.max_cone_violation``, the LP-only sign-prefix
-walk against ``gates.enumerate_patterns``, the gate identity behind the
-exact-mode ReLU mapping, the fit gradient and a finite-difference check of
-it, the margin-stability inequality behind every certificate, and the
-nonconvex ReLU objective the convex program stands in for.
+cyclic Dykstra projector against ``gates.exact_cone_project``, the proximal
+Dykstra map of "group norm + cone" against the shrunk cone projection of the
+ADMM step, the per-cone violation against ``cvxprog.max_cone_violation``,
+the LP-only sign-prefix walk against ``gates.enumerate_patterns``, the gate
+identity behind the exact-mode ReLU mapping, the fit gradient and a
+finite-difference check of it, the margin-stability inequality behind every
+certificate, and the nonconvex ReLU objective the convex program stands in
+for.
 """
 
 import numpy as np
@@ -57,6 +59,34 @@ def project_cone(
         if np.linalg.norm(x - start) < tol:
             return x, True
     return x, False
+
+
+def prox_dykstra(
+    cone: ConeSpec, x: np.ndarray, threshold: float, tol: float = 1e-12, max_iters: int = 5000
+) -> tuple[np.ndarray, bool]:
+    """Proximal map of ``threshold * ||.||_F`` plus the cone constraint at a d x K group.
+
+    Every column of the group must lie in the cone. The Dykstra-like proximal
+    algorithm (Bauschke and Combettes, 2008) alternates the group shrink with
+    the cyclic Dykstra projection ``project_cone`` of each column, each step
+    with its own correction term, and converges to the proximal map of the
+    sum without ever composing the two maps directly. Stops once a round moves
+    the iterate less than ``tol``; returns (prox, converged).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y, p, q = x.copy(), np.zeros_like(x), np.zeros_like(x)
+    for _ in range(max_iters):
+        w = y + p
+        norm = np.linalg.norm(w)
+        z = (1.0 - threshold / norm) * w if norm > threshold else np.zeros_like(w)
+        p = w - z
+        v = z + q
+        prev = y
+        y = np.column_stack([project_cone(cone, col, tol=tol)[0] for col in v.T])
+        q = v - y
+        if np.linalg.norm(y - prev) < tol:
+            return y, True
+    return y, False
 
 
 def loss_grad(pred: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -124,7 +124,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("n, d, seed", [(10, 2, 3), (9, 3, 7)])
     def test_exact_mode_cone_copy_stays_feasible(self, n, d, seed):
-        # the z2 copy is an exact projection, so every iterate lies in its
+        # the copy is a shrunk exact projection, so every iterate lies in its
         # pattern cones to roundoff, not just to an iteration tolerance
         rng = np.random.default_rng(seed)
         K = 2
@@ -140,7 +140,7 @@ class TestTrain:
         state = init_state(prob)
         for _ in range(20):
             state = admm_step(prob, cfg, state, solve)
-            assert max_cone_violation(prob, state.z2) <= 1e-10
+            assert max_cone_violation(prob, state.z1) <= 1e-10
 
     def test_exact_mode_fallback_budget(self, monkeypatch):
         # a column's active face seldom changes from one step to the next, so

@@ -7,6 +7,7 @@ from cld.cli import main
 from cld.dataio import SequenceFeature, read_features, write_features, write_sequence
 from cld.head import ModelFormatError, load_model, predict_batch
 
+from test_dataio import MALFORMED_MANIFESTS
 from test_head import MALFORMED_DOCS
 
 FAST_TRAIN = ["--rho", "0.1", "--admm-iters", "60", "--stop-tol", "1e-8", "--seed", "0"]
@@ -95,6 +96,18 @@ class TestTrain:
         rc = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "m.json")])
         assert rc == 2
         assert "missing.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+    def test_malformed_manifest_exits_2(self, dataset, tmp_path, capsys, case):
+        doc = json.loads((dataset / "manifest.json").read_text())
+        doc["features"] = str(dataset / doc["features"])
+        doc["labels"] = str(dataset / doc["labels"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(MALFORMED_MANIFESTS[case][0](doc)))
+        rc = main(["train", "--manifest", str(bad), "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bad.json" in err and "Traceback" not in err
 
     def test_deterministic_across_thread_env(self, dataset, tmp_path, monkeypatch):
         outs = []
@@ -428,6 +441,19 @@ class TestEvalCommand:
                    "--accents", str(accents), "--out", str(tmp_path / "report.json")])
         assert rc == 2
         assert "line 4" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_non_integer_accent_id_exits_2(self, dataset, model, tmp_path, capsys):
+        lines = (dataset / "accents.csv").read_text().splitlines()
+        ex_id, _, label = lines[3].split(",")
+        lines[3] = f"{ex_id},north,{label}"
+        accents = tmp_path / "accents.csv"
+        accents.write_text("\n".join(lines) + "\n")
+        rc = main(["eval", "--model", str(model), "--manifest", str(dataset / "manifest.json"),
+                   "--accents", str(accents), "--out", str(tmp_path / "report.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "accents.csv: line 4" in err and "north" in err and "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
 
 

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cld.cvxprog import (
+    PENALTY_KINDS,
     ConvexProblem,
     group_prox,
     loss,
@@ -12,12 +13,12 @@ from cld.cvxprog import (
     penalty,
     project_to_cones,
 )
-from cld.gates import ConeSpec, exact_cone_project, sample_gates
+from cld.gates import ConeSpec, enumerate_patterns, exact_cone_project, sample_gates
 from cld.linops import GatedOperator
 from cld.oracle import dense_solve_smallest
 
 from conftest import random_problem
-from reference import cone_violation, loss_grad
+from reference import cone_violation, loss_grad, prox_dykstra
 
 
 class TestLoss:
@@ -314,3 +315,57 @@ class TestProjectToCones:
                 ref, _ = exact_cone_project(prob.cones[b % 3], S[b, :, k])
                 assert np.linalg.norm(out[b, :, k] - ref) <= 1e-12 * np.linalg.norm(S[b, :, k])
 
+
+
+class TestConeProx:
+    """The exact-mode ADMM step's z-update against the proximal Dykstra map."""
+
+    # rows from {-1, 0, 1}^d keep every enumerated cone at least ~35 degrees
+    # wide, where the cyclic Dykstra reference converges in a few hundred cycles
+    ROWS = st.lists(st.lists(st.integers(-1, 1), min_size=3, max_size=3).filter(any),
+                    min_size=1, max_size=6)
+
+    @pytest.mark.parametrize("kind", PENALTY_KINDS)
+    @pytest.mark.parametrize("case", ["outside", "inside", "vanishing"])
+    @settings(max_examples=10, deadline=None)
+    @given(ROWS, st.integers(1, 3), st.integers(1, 2), st.floats(0.0, 0.95),
+           st.integers(0, 2**32 - 1))
+    def test_shrunk_projection_is_the_prox(self, kind, case, rows, d, K, frac, seed):
+        # group_prox(project_to_cones(x), t) is the prox of t * penalty plus the
+        # cone indicator; "inside" starts in the cones, "vanishing" has every
+        # ||proj x|| < t
+        X = np.array(rows, dtype=float)[:, :d]
+        X = X[np.any(X != 0.0, axis=1)]
+        if X.shape[0] == 0:
+            X = np.ones((1, d))
+        n = X.shape[0]
+        gates = enumerate_patterns(X)
+        cones = tuple(ConeSpec(p, X) for p in gates.patterns)
+        prob = ConvexProblem(GatedOperator.split(X, gates, K), np.zeros((n, K)), 0.1, kind,
+                             "exact", cones)
+        B, P = prob.op.B, gates.P
+        rng = np.random.default_rng(seed)
+        S = 3.0 * rng.standard_normal(prob.op.block_shape)
+        faces = np.zeros((B, K, n), dtype=bool)
+        proj = project_to_cones(prob, S, faces)[0]
+        if case == "inside":
+            S = proj
+        top = np.linalg.norm(proj.reshape(B, -1), axis=1).max()
+        t = (1.05 + frac if case == "vanishing" else frac) * top
+        got = group_prox(project_to_cones(prob, S, faces)[0], t, kind)
+        if case == "vanishing":
+            assert not np.any(got)
+        # a group is one column for l21 and the whole block for frobenius; the
+        # reference converges sublinearly when ||proj x|| is close to t, so
+        # those groups are left out
+        if kind == "l21":
+            groups = [(b, slice(k, k + 1)) for b in range(B) for k in range(K)]
+        else:
+            groups = [(b, slice(None)) for b in range(B)]
+        groups = [(b, cols) for b, cols in groups
+                  if abs(np.linalg.norm(proj[b][:, cols]) - t) >= 0.05 * t]
+        for i in rng.choice(len(groups), size=min(4, len(groups)), replace=False):
+            b, cols = groups[i]
+            ref, converged = prox_dykstra(cones[b % P], S[b][:, cols], t)
+            assert converged
+            assert np.abs(got[b][:, cols] - ref).max() <= 1e-8

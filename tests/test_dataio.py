@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,18 @@ class TestPooling:
             pooled, pool_masked_mean(SequenceFeature(noisy, mask))
         )
 
+# manifest edits that load_manifest must reject with a DataFormatError naming
+# the file, each with a fragment of the message that names the field
+MALFORMED_MANIFESTS = {
+    "number-document": (lambda doc: 5, "JSON object"),
+    "number-features": (lambda doc: {**doc, "features": 5}, "'features'"),
+    "list-label-map": (lambda doc: {**doc, "label_map": sorted(doc["label_map"])}, "'label_map'"),
+    "string-class-index": (
+        lambda doc: {**doc, "label_map": {k: "x" if v == 0 else v
+                                          for k, v in doc["label_map"].items()}},
+        "label_map values"),
+}
+
 
 class TestLabelsAndManifest:
     def _write_dataset(self, tmp_path, n=3, labels=("en", "zh", "en")):
@@ -152,6 +166,15 @@ class TestLabelsAndManifest:
         assert fm.n == labels.n == 3
         np.testing.assert_array_equal(labels.class_ids, [0, 1, 0])
         assert labels.label_map == {"en": 0, "zh": 1}
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+    def test_malformed_manifest_names_file_and_field(self, tmp_path, case):
+        manifest = self._write_dataset(tmp_path)
+        edit, field = MALFORMED_MANIFESTS[case]
+        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+        with pytest.raises(DataFormatError, match="m.json") as info:
+            load_manifest(manifest)
+        assert field in str(info.value)
 
     def test_alignment_error(self, tmp_path):
         manifest = self._write_dataset(tmp_path)

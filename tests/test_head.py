@@ -368,6 +368,14 @@ class TestModelIO:
         with pytest.raises(ModelFormatError, match="penalty_kind"):
             TrainedHead(head.gates, V, np.zeros_like(V), "l1", "relaxed", head.label_map)
 
+    @pytest.mark.parametrize("label_map", [{"a": 0}, {"a": 0, "b": 2}, {"a": 0, "b": 0},
+                                           {"a": 0, "b": "1"}, {"a": 0, "b": 1, "c": 2}])
+    def test_head_rejects_label_map_not_numbering_its_classes(self, label_map):
+        # K = 2: the values must be the integers 0 and 1, once each
+        head = make_head(np.ones((2, 3, 2)))
+        with pytest.raises(ModelFormatError, match="label_map"):
+            TrainedHead(head.gates, head.V, head.W, "l21", "relaxed", label_map)
+
     def test_null_cert_gets_its_bundle(self, trained, tmp_path):
         head, _, _ = trained
         path = tmp_path / "model.json"
