@@ -11,7 +11,7 @@ iteration performs
     1. u    <- solve (F^T F + r I) u = F^T Y + r (z - lam) exactly, with the
               Cholesky factor of the smaller Gram (F^T F, or the n x n kernel
               F F^T when B*d > n) that ``linops.gram_solver`` builds once per
-              run; F^T Y is also computed once per run,
+              run from numpy GEMMs; F^T Y is also computed once per run,
     2. z    <- group_prox(project_to_cones(u + lam), beta / r), with no
               projection in relaxed mode: every column is projected onto its
               pattern cone exactly, by one batched solve on the active face
@@ -28,7 +28,9 @@ the copy carries two constraints, the penalty and the cones, each weighted
 rho, so the u-system is F^T F + 2 rho I (r = rho converges more slowly at
 the benchmark's budget). Final weights are read from z, whose prox step
 gives exact group sparsity; a shrunk projection stays in its cone, so
-split-mode weights are feasible to roundoff.
+split-mode weights are feasible to roundoff. The only scipy a run loads is
+``scipy.optimize.nnls``, for split mode's cone projection and for pattern
+enumeration; a relaxed run on sampled gates loads no scipy module.
 
 Note on defaults: rho = 1e-4 and beta = 1e-3 give a prox threshold beta/rho
 of 10, far above the weight scale of unit-scale embedding problems, so short
@@ -50,7 +52,7 @@ from . import head as _head
 from .cvxprog import ConvexProblem, ObjectiveValue, group_prox, objective, project_to_cones
 from .dataio import FeatureMatrix, LabelSet
 from .gates import ConeSpec, enumerate_patterns, sample_gates
-from .linops import GatedOperator, PcgConfig, gram_solver
+from .linops import GatedOperator, PcgConfig, gram_side, gram_solver
 
 
 @dataclass(frozen=True)
@@ -155,9 +157,18 @@ def admm_step(prob: ConvexProblem, cfg: AdmmConfig, state: AdmmState,
 
 
 def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmState:
-    """Run the configured number of iterations (or stop on small residuals)."""
+    """Run the configured number of iterations (or stop on small residuals).
+
+    ``log`` gets one ``u_factor`` record (the Gram's side and size, and the
+    seconds taken to build the u-update), then one record per iteration.
+    """
     state = init_state(prob)
+    tick = time.perf_counter()
     solve = u_update(prob, cfg)
+    if log is not None:
+        op = prob.op
+        log({"phase": "u_factor", "side": gram_side(op), "size": min(op.n, op.B * op.d),
+             "seconds": time.perf_counter() - tick})
     for it in range(cfg.admm_iters):
         tick = time.perf_counter()
         state = admm_step(prob, cfg, state, solve)

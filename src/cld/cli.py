@@ -407,8 +407,9 @@ def cmd_bench(args, log) -> int:
         sub = order[:n_train]
         sub_labels = type(data.labels)(data.labels.class_ids[sub], data.labels.label_map)
         t0 = time.perf_counter()
+        # bench records are keyed by training size, which overrides u_factor's Gram size
         head = train(X[sub], sub_labels, gate_cfg, cfg,
-                     log=lambda rec: log({"size": size, **rec}))
+                     log=lambda rec: log({**rec, "size": size}))
         log({"size": size, "phase": "train", "seconds": time.perf_counter() - t0})
         t0 = time.perf_counter()
         logits = predict_batch(head, X[test_idx])

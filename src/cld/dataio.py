@@ -311,10 +311,11 @@ def load_manifest(path) -> tuple[FeatureMatrix, LabelSet]:
                                   f"{'string' if kind is str else 'object'}, not {doc[key]!r}")
     base = path.parent
     features = read_features(base / doc["features"])
-    try:
-        label_map = {str(k): int(v) for k, v in doc["label_map"].items()}
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: label_map values must be class indices: {exc}") from None
+    label_map = doc["label_map"]
+    bad = {k: v for k, v in label_map.items() if not isinstance(v, int) or isinstance(v, bool)}
+    if bad:
+        raise DataFormatError(f"{path}: label_map values must be integer class indices, "
+                              f"not {bad}")
     if len(label_map) < 2:
         raise LabelError(f"{path}: label_map needs at least 2 classes")
     labels = read_labels(base / doc["labels"], label_map)

@@ -94,7 +94,8 @@ class TrainedHead:
             raise ModelFormatError(f"{V.shape[0]} weight blocks for {self.gates.P} gates")
         P, d, K = V.shape
         values = list(self.label_map.values())
-        if not all(isinstance(v, int) for v in values) or sorted(values) != list(range(K)):
+        if (not all(isinstance(v, int) and not isinstance(v, bool) for v in values)
+                or sorted(values) != list(range(K))):
             raise ModelFormatError(f"label_map values must be 0..{K - 1} exactly once each")
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "W", W)

@@ -13,7 +13,9 @@ B*d <= n, else the n x n kernel F F^T, used through the matrix-inversion
 lemma (e.g. d=768 encoders with few rows). Every step is then solved exactly.
 Because the masks are 0/1, F^T F is summed from the d x d Grams of classes
 of rows that share their bits on a few gates, never from the rows of F.
-The factor takes 8 * min(n, B*d)^2 bytes; an input whose smaller Gram does
+The factor is a blocked Cholesky built from numpy GEMMs (``_cholesky_solver``),
+so training in relaxed mode loads no scipy module. It overwrites the Gram in
+place and takes 8 * min(n, B*d)^2 bytes; an input whose smaller Gram does
 not fit in memory fails with MemoryError. Also provided: power iteration for
 largest-eigenvalue estimates (used by the FISTA oracle).
 """
@@ -27,6 +29,7 @@ import numpy as np
 from .gates import GateSet
 
 _GRAM_CHUNK_ROWS = 512
+_CHOLESKY_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -117,27 +120,31 @@ class PcgConfig:
     rank: int = 20
 
 
+def gram_side(op: GatedOperator) -> str:
+    """``"primal"`` when the (B*d)^2 F^T F is the smaller Gram, else ``"kernel"`` (n x n F F^T)."""
+    return "primal" if op.B * op.d <= op.n else "kernel"
+
+
 def fit_gram(op: GatedOperator) -> np.ndarray:
-    """Lower triangle of the smaller Gram of F, as a Fortran-order array.
+    """Lower triangle of the smaller Gram of F, as a C-order array.
 
     Column b*d + j of F is sign_b mask_b * X[:, j]. When B*d <= n this is the
     (B*d) x (B*d) F^T F, built from class sums (``_primal_gram``). When
     B*d > n it is the n x n kernel F F^T = (X X^T) o (W W^T) with
-    W = ``op._weights``: one syrk forms X X^T, and each block of its columns
-    is scaled in place by the matching block of W W^T, so no second n x n
-    array is held. Only the lower triangle is defined; the Cholesky factor
-    in ``gram_solver`` reads nothing else.
+    W = ``op._weights``, formed one block of rows at a time: rows lo:hi get
+    (X_r X_c^T) o (W_r W_c^T) over columns 0:hi. Only the lower triangle
+    is defined and the pages above it are never written; the Cholesky
+    factor in ``gram_solver`` reads nothing else.
     """
-    n, Bd = op.n, op.B * op.d
-    if Bd <= n:
+    if gram_side(op) == "primal":
         return _primal_gram(op)
-    from scipy.linalg.blas import dsyrk
-
-    gram = dsyrk(1.0, op.X.T, trans=1, lower=1)
-    W = op._weights
+    X, W, n = op.X, op._weights, op.n
+    gram = np.empty((n, n))
     for lo in range(0, n, _GRAM_CHUNK_ROWS):
-        hi = lo + _GRAM_CHUNK_ROWS
-        gram[lo:, lo:hi] *= W[lo:] @ W[lo:hi].T
+        hi = min(lo + _GRAM_CHUNK_ROWS, n)
+        rows = gram[lo:hi, :hi]
+        np.matmul(X[lo:hi], X[:hi].T, out=rows)
+        rows *= W[lo:hi] @ W[:hi].T
     return gram
 
 
@@ -173,7 +180,7 @@ def _primal_gram(op: GatedOperator) -> np.ndarray:
     for b in range(B):
         group_sig[b // g] |= (op.masks[b] != 0).astype(sig_type) << (b % g)
     C = np.empty((4 ** g, d, d))
-    gram = np.zeros((B * d, B * d), order="F")
+    gram = np.zeros((B * d, B * d))
     for ia, a0 in enumerate(starts):
         ga = min(g, B - a0)
         for ib, b0 in enumerate(starts[:ia + 1]):
@@ -197,6 +204,43 @@ def _primal_gram(op: GatedOperator) -> np.ndarray:
     return gram
 
 
+def _cholesky_solver(gram: np.ndarray):
+    """Factor the SPD ``gram`` in place; return ``solve(b) -> x`` for gram x = b, b (m, K).
+
+    Right-looking blocked Cholesky on blocks of ``_CHOLESKY_BLOCK``: each
+    diagonal block is factored by ``np.linalg.cholesky`` and inverted, the
+    panel below it is multiplied by that inverse, and the trailing update
+    runs over the lower block columns only. Only the lower triangle of
+    ``gram`` is read; the panels of L overwrite the blocks below the
+    diagonal, and the diagonal blocks are kept as their inverses. A solve is
+    a blocked forward and back substitution on the transposed right-hand
+    side, all GEMMs.
+    """
+    m, nb = gram.shape[0], _CHOLESKY_BLOCK
+    inverses = []
+    for k in range(0, m, nb):
+        e = min(k + nb, m)
+        inverse = np.linalg.inv(np.linalg.cholesky(gram[k:e, k:e]))
+        inverses.append(inverse)
+        if e < m:
+            panel = gram[e:, k:e] @ inverse.T
+            gram[e:, k:e] = panel
+            for j in range(e, m, nb):
+                gram[j:j + nb, e:j + nb] -= panel[j - e:j - e + nb] @ panel[:j + nb - e].T
+
+    def solve(b):
+        y = np.array(b.T, order="C")
+        for i, k in enumerate(range(0, m, nb)):      # L y = b
+            y[:, k:k + nb] = (y[:, k:k + nb] - y[:, :k] @ gram[k:k + nb, :k].T) @ inverses[i].T
+        for i in reversed(range(len(inverses))):     # L^T x = y
+            k = i * nb
+            y[:, k:k + nb] = y[:, k:k + nb] @ inverses[i]
+            y[:, :k] -= y[:, k:k + nb] @ gram[k:k + nb, :k]
+        return y.T
+
+    return solve
+
+
 def gram_solver(op: GatedOperator, sigma: float):
     """Exact solver ``solve(rhs) -> u`` for (F^T F + sigma I) u = rhs on (B, d, K) blocks.
 
@@ -206,17 +250,13 @@ def gram_solver(op: GatedOperator, sigma: float):
     z = (sigma I + F F^T)^-1 F rhs, then u = (rhs - F^T z) / sigma, i.e. one
     apply, one pair of triangular solves and one adjoint.
     """
-    from scipy.linalg import cho_factor, cho_solve
-
     B, d, K = op.block_shape
     gram = fit_gram(op)
     gram[np.diag_indices(gram.shape[0])] += sigma
-    factor = cho_factor(gram, lower=True, overwrite_a=True)
-    if B * d <= op.n:
-        return lambda rhs: cho_solve(factor, rhs.reshape(B * d, K),
-                                     check_finite=False).reshape(B, d, K)
-    return lambda rhs: (rhs - op.adjoint(
-        cho_solve(factor, op.apply(rhs), check_finite=False))) / sigma
+    solve = _cholesky_solver(gram)
+    if gram_side(op) == "primal":
+        return lambda rhs: solve(rhs.reshape(B * d, K)).reshape(B, d, K)
+    return lambda rhs: (rhs - op.adjoint(solve(op.apply(rhs)))) / sigma
 
 
 def power_iteration(matvec, dim: int, iters: int = 100, seed: int = 0, shape=None) -> float:

@@ -181,7 +181,7 @@ class TestTrain:
                      AdmmConfig(rho=0.1, admm_iters=10, mode="exact"), log=exact.append)
         train(X, labels, GateConfig(count=4, seed=3), AdmmConfig(rho=0.1, admm_iters=10),
               log=relaxed.append)
-        fallbacks = [r["cone_fallbacks"] for r in exact]
+        fallbacks = [r["cone_fallbacks"] for r in exact if "iter" in r]
         assert all(isinstance(f, int) and f >= 0 for f in fallbacks)
         # nothing is known of the faces at the first step
         assert fallbacks[0] > 0
@@ -230,8 +230,13 @@ class TestTrain:
         records = []
         train(X, labels, GateConfig(count=4, seed=14),
               AdmmConfig(rho=0.1, admm_iters=7), log=records.append)
-        assert len(records) == 7
-        assert {"iter", "objective", "primal_residual", "dual_residual"} <= set(records[0])
+        factor, iters = records[0], records[1:]
+        # 4 gates on d=4 give B*d = 16 <= n = 30: the primal Gram is factored
+        assert {k: factor[k] for k in ("phase", "side", "size")} == \
+            {"phase": "u_factor", "side": "primal", "size": 16}
+        assert factor["seconds"] >= 0.0
+        assert [rec["iter"] for rec in iters] == list(range(7))
+        assert {"iter", "objective", "primal_residual", "dual_residual"} <= set(iters[0])
 
 
 class TestSolverContracts:

@@ -85,6 +85,11 @@ class TestTrain:
         parsed = [json.loads(l) for l in log_lines]
         assert any("objective" in rec for rec in parsed)
         assert any(rec.get("phase") == "train" for rec in parsed)
+        factor = [rec for rec in parsed if rec.get("phase") == "u_factor"]
+        assert len(factor) == 1 and factor[0]["side"] in ("primal", "kernel")
+        assert factor[0]["size"] > 0 and factor[0]["seconds"] >= 0.0
+        # the log holds the wall-clock; the model file stays free of it
+        assert "u_factor" not in model.read_text()
 
     def test_missing_labels_file_exits_2(self, dataset, tmp_path, capsys):
         manifest = tmp_path / "broken.json"
@@ -489,6 +494,8 @@ class TestBench:
         iters = [rec for rec in records if "iter" in rec]
         assert {rec["size"] for rec in iters} == {12, 24}
         assert all(len([r for r in iters if r["size"] == s]) == 3 for s in (12, 24))
+        factors = [rec for rec in records if rec.get("phase") == "u_factor"]
+        assert sorted(rec["size"] for rec in factors) == [12, 24]
 
     def test_oversized_request_capped_with_warning(self, tmp_path, capsys):
         rc = main(["bench", "--languages", "2", "--accents", "1,1", "--dim", "4",

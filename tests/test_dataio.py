@@ -138,16 +138,22 @@ class TestPooling:
             pooled, pool_masked_mean(SequenceFeature(noisy, mask))
         )
 
+def _class_index_zero_as(value):
+    """A manifest edit that writes ``value`` in place of class index 0."""
+    return lambda doc: {**doc, "label_map": {k: value if v == 0 else v
+                                             for k, v in doc["label_map"].items()}}
+
+
 # manifest edits that load_manifest must reject with a DataFormatError naming
 # the file, each with a fragment of the message that names the field
 MALFORMED_MANIFESTS = {
     "number-document": (lambda doc: 5, "JSON object"),
     "number-features": (lambda doc: {**doc, "features": 5}, "'features'"),
     "list-label-map": (lambda doc: {**doc, "label_map": sorted(doc["label_map"])}, "'label_map'"),
-    "string-class-index": (
-        lambda doc: {**doc, "label_map": {k: "x" if v == 0 else v
-                                          for k, v in doc["label_map"].items()}},
-        "label_map values"),
+    "string-class-index": (_class_index_zero_as("x"), "label_map values"),
+    "float-class-index": (_class_index_zero_as(1.7), "label_map values"),
+    "bool-class-index": (_class_index_zero_as(True), "label_map values"),
+    "numeric-string-class-index": (_class_index_zero_as("0"), "label_map values"),
 }
 
 

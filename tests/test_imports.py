@@ -1,22 +1,47 @@
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import cld
 
 
-def test_package_and_cli_import_without_scipy():
-    # scipy is imported inside the functions that need it; loading it at
-    # import time would add its import cost to every CLI start
+def scipy_modules_after(code: str, cwd=None) -> list[str]:
+    """The scipy modules loaded by a fresh interpreter once it has run ``code``."""
     src = str(Path(cld.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, cld, cld.cli; "
-            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout.split()
-    assert out == []
+    code += "\nimport sys; print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
+def test_package_and_cli_import_without_scipy():
+    # scipy is imported inside the functions that need it; loading it at
+    # import time would add its import cost to every CLI start
+    assert scipy_modules_after("import cld, cld.cli") == []
+
+
+def test_relaxed_training_loads_no_scipy(tmp_path):
+    # the u-solve's Gram factor is numpy's; only exact mode's NNLS needs scipy
+    code = textwrap.dedent("""
+        import contextlib, io
+        from cld.admm import AdmmConfig, GateConfig, train
+        from cld.cli import main
+        from cld.dataio import load_manifest
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["synth", "--languages", "2", "--accents", "1,1", "--dim", "4",
+                         "--samples-per-accent", "20", "--out", "data"]) == 0
+        X, labels = load_manifest("data/manifest.json")
+        head = train(X, labels, GateConfig(count=4), AdmmConfig(rho=0.1, admm_iters=5))
+        assert head.cert.B_l21 > 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["train", "--manifest", "data/manifest.json", "--out", "model.json",
+                         "--rho", "0.1", "--admm-iters", "5", "--log", "train.log"]) == 0
+    """)
+    assert scipy_modules_after(code, cwd=tmp_path) == []
+    assert (tmp_path / "model.json").exists()
 
 
 def test_every_exported_name_resolves():

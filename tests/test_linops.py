@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,14 +116,32 @@ def _split_exact():
     return GatedOperator.split(X, enumerate_patterns(X), K=2), 2
 
 
+def _primal_sized(m):
+    return masked_operator(m + 8, m, 1, False, "random", seed=36), 1
+
+
+def _kernel_sized(m):
+    X = np.random.default_rng(37).standard_normal((m, 16))
+    return GatedOperator.relaxed(X, sample_gates(X, m // 16 + 1, seed=37), K=3), 1
+
+
+# Gram sizes one below, at, one above and at twice-plus-one the Cholesky block
+_NB = cld.linops._CHOLESKY_BLOCK
+_SIZED = [(side, build, m) for side, build in (("primal", _primal_sized), ("kernel", _kernel_sized))
+          for m in (_NB - 1, _NB, _NB + 1, 2 * _NB + 1)]
+
+
 class TestGramSolver:
-    @pytest.mark.parametrize("build, dense, side", [(_matrix_free_relaxed, False, "primal"),
-                                                    (_dense_cached_relaxed, True, "kernel"),
-                                                    (_split_exact, True, "kernel")],
-                             ids=["matrix-free", "dense-cached", "split"])
+    @pytest.mark.parametrize(
+        "build, dense, side",
+        [(_matrix_free_relaxed, False, "primal"), (_dense_cached_relaxed, True, "kernel"),
+         (_split_exact, True, "kernel")]
+        + [(partial(build, m), True, side) for side, build, m in _SIZED],
+        ids=["matrix-free", "dense-cached", "split"] + [f"{side}-{m}" for side, _, m in _SIZED])
     def test_factored_solve_residual(self, build, dense, side, monkeypatch):
         # the factored u-solve, checked against the operator's own apply/adjoint;
-        # B*d <= n factors the (B*d)^2 primal Gram, B*d > n the n x n kernel
+        # B*d <= n factors the (B*d)^2 primal Gram, B*d > n the n x n kernel.
+        # Only the Gram's lower triangle is defined, so its upper one is made NaN.
         op, copies = build()
         assert (op._dense is not None) == dense
         shapes, fit_gram = [], cld.linops.fit_gram
@@ -129,6 +149,7 @@ class TestGramSolver:
         def recording_fit_gram(op):
             gram = fit_gram(op)
             shapes.append(gram.shape)
+            gram[np.triu_indices(len(gram), 1)] = np.nan
             return gram
 
         monkeypatch.setattr(cld.linops, "fit_gram", recording_fit_gram)
