@@ -14,10 +14,10 @@ iteration performs
               run from numpy GEMMs; F^T Y is also computed once per run,
     2. z    <- group_prox(project_to_cones(u + lam), beta / r), with no
               projection in relaxed mode: every column is projected onto its
-              pattern cone exactly, by one batched solve on the active face
-              it had at the previous step; only columns that fail the KKT
-              check take the Lawson-Hanson NNLS of
-              ``gates.exact_cone_project``, which returns the new face,
+              pattern cone exactly by ``gates.project_cones``, one batched
+              numpy Lawson-Hanson active set that starts from the face the
+              column had at the previous step and returns the new one; most
+              columns pass the KKT check on that face in the first round,
     3. lam  <- lam + (u - z),
 
 with primal residual ||u - z||_F and dual residual r ||z - z_prev||_F.
@@ -28,9 +28,8 @@ the copy carries two constraints, the penalty and the cones, each weighted
 rho, so the u-system is F^T F + 2 rho I (r = rho converges more slowly at
 the benchmark's budget). Final weights are read from z, whose prox step
 gives exact group sparsity; a shrunk projection stays in its cone, so
-split-mode weights are feasible to roundoff. The only scipy a run loads is
-``scipy.optimize.nnls``, for split mode's cone projection and for pattern
-enumeration; a relaxed run on sampled gates loads no scipy module.
+split-mode weights are feasible to roundoff. Training loads no scipy
+module, in either mode and with sampled or enumerated patterns.
 
 Note on defaults: rho = 1e-4 and beta = 1e-3 give a prox threshold beta/rho
 of 10, far above the weight scale of unit-scale embedding problems, so short
@@ -49,7 +48,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import head as _head
-from .cvxprog import ConvexProblem, ObjectiveValue, group_prox, objective, project_to_cones
+from .cvxprog import (ConvexProblem, ObjectiveValue, group_norms, group_prox, objective,
+                      project_to_cones)
 from .dataio import FeatureMatrix, LabelSet
 from .gates import ConeSpec, enumerate_patterns, sample_gates
 from .linops import GatedOperator, PcgConfig, gram_side, gram_solver
@@ -96,7 +96,7 @@ class AdmmState:
     lam1: np.ndarray                   # its scaled dual
     history: tuple[IterationRecord, ...] = ()
     faces: np.ndarray | None = None    # (B, K, n) active rows of each projected column
-    cone_fallbacks: int = 0            # columns of the last projection that took the NNLS
+    cone_fallbacks: int = 0            # columns of the last projection whose face failed
 
     @property
     def primal_res(self) -> float:
@@ -160,7 +160,11 @@ def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmState:
     """Run the configured number of iterations (or stop on small residuals).
 
     ``log`` gets one ``u_factor`` record (the Gram's side and size, and the
-    seconds taken to build the u-update), then one record per iteration.
+    seconds taken to build the u-update), then one record per iteration,
+    then one ``summary`` record: why the run stopped (``tol`` or ``cap``),
+    the iterations run, the last residuals and objective, the number of
+    nonzero penalty groups in z, whether z is all zero, and in split mode
+    the cone projection's misses summed over the run.
     """
     state = init_state(prob)
     tick = time.perf_counter()
@@ -169,9 +173,11 @@ def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmState:
         op = prob.op
         log({"phase": "u_factor", "side": gram_side(op), "size": min(op.n, op.B * op.d),
              "seconds": time.perf_counter() - tick})
+    fallbacks = 0
     for it in range(cfg.admm_iters):
         tick = time.perf_counter()
         state = admm_step(prob, cfg, state, solve)
+        fallbacks += state.cone_fallbacks
         if log is not None:
             rec = state.history[-1]
             log({
@@ -185,8 +191,19 @@ def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmState:
                 "seconds": time.perf_counter() - tick,
                 **({"cone_fallbacks": state.cone_fallbacks} if prob.mode == "exact" else {}),
             })
-        if cfg.stop_tol is not None and max(state.primal_res, state.dual_res) <= cfg.stop_tol:
+        converged = (cfg.stop_tol is not None
+                     and max(state.primal_res, state.dual_res) <= cfg.stop_tol)
+        if converged:
             break
+    if log is not None:
+        rec = state.history[-1]
+        active = int(np.count_nonzero(group_norms(state.z1, prob.penalty_kind)))
+        log({"phase": "summary", "stopped": "tol" if converged else "cap",
+             "iters": len(state.history),
+             "primal_residual": rec.primal, "dual_residual": rec.dual,
+             "objective": rec.objective.total, "active_groups": active,
+             "zero_head": active == 0,
+             **({"cone_fallbacks": fallbacks} if prob.mode == "exact" else {})})
     return state
 
 

@@ -483,7 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--accents", default="5,5,5,5,4",
                        help="comma list: accents per language")
         p.add_argument("--dim", type=int, default=64)
-        p.add_argument("--separation", type=float, default=6.0)
+        p.add_argument("--separation", type=float, default=6.0,
+                       help="floor on the distance between the two nearest language "
+                            "centers: centers drawn closer are scaled up, farther ones "
+                            "are left as drawn (at --dim 64 they are about 10 apart)")
         p.add_argument("--spread", type=float, default=1.0)
         p.add_argument("--sigma", type=float, default=1.0)
         p.add_argument("--samples-per-accent", dest="samples_per_accent", type=int, default=500)

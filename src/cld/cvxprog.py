@@ -6,9 +6,9 @@ over all blocks) or the blockwise Frobenius norm (``frobenius``). Both admit
 closed-form proximal maps (group soft-thresholding), which is what both
 solvers lean on. In split mode the weight stack carries two signed copies per
 pattern and each column is additionally constrained to its pattern cone.
-``project_to_cones`` solves each column on the active face it had last time
-(a warm-started Lawson-Hanson active set), KKT-checked, and sends only the
-misses to the exact NNLS kernel ``gates.exact_cone_project``.
+``project_to_cones`` projects every column exactly with the one batched
+numpy projector ``gates.project_cones``, warm-started from the active face
+each column had last time.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import ConeSpec, exact_cone_project
+from .gates import ConeSpec, project_cones
 from .linops import GatedOperator
 
 PENALTY_KINDS = ("l21", "frobenius")
@@ -34,7 +34,7 @@ def loss(pred: np.ndarray, Y: np.ndarray) -> float:
     return 0.5 * float(np.vdot(diff, diff))
 
 
-def _group_norms(S: np.ndarray, kind: str) -> np.ndarray:
+def group_norms(S: np.ndarray, kind: str) -> np.ndarray:
     """Norm of every penalty group; columns for l21, whole blocks for frobenius."""
     if kind == "l21":
         return np.linalg.norm(S, axis=1)          # (B, K)
@@ -45,7 +45,7 @@ def _group_norms(S: np.ndarray, kind: str) -> np.ndarray:
 
 def penalty(S: np.ndarray, kind: str) -> float:
     """Group-norm penalty of a (B, d, K) weight stack."""
-    return float(_group_norms(np.asarray(S, dtype=np.float64), kind).sum())
+    return float(group_norms(np.asarray(S, dtype=np.float64), kind).sum())
 
 
 def group_prox(Z: np.ndarray, threshold: float, kind: str) -> np.ndarray:
@@ -57,7 +57,7 @@ def group_prox(Z: np.ndarray, threshold: float, kind: str) -> np.ndarray:
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
     Z = np.asarray(Z, dtype=np.float64)
-    norms = _group_norms(Z, kind)
+    norms = group_norms(Z, kind)
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(norms > threshold, 1.0 - threshold / norms, 0.0)
     if kind == "l21":
@@ -125,42 +125,16 @@ def project_to_cones(prob: ConvexProblem, S: np.ndarray, faces: np.ndarray):
 
     Block b uses cone b mod P; zero columns are fixed points and are skipped,
     so group sparsity survives. ``faces`` (B, K, n) guesses each column's
-    active rows J (all False: none). One stacked solve per face size m <= d gives
-    z = x + A_J^T mu with (A_J A_J^T) mu = -A_J x; z is kept if mu >= 0, the
-    slack on J is zero and on every other row nonnegative, each to
-    1e-13 |x_i| |x|. The rest go to ``exact_cone_project``, whose NNLS
-    support is their new face. Returns (projection, faces, fallbacks).
+    active rows (all False: none), and ``gates.project_cones`` projects every
+    nonzero column at once from there. Returns (projection, faces, misses),
+    where misses counts the columns whose hinted face failed its KKT check.
     """
-    X = prob.op.X
     out = np.array(S, dtype=np.float64)
-    P, d = len(prob.cones), out.shape[1]
-    row_norms = np.linalg.norm(X, axis=1)
-    faces = faces & (row_norms > 0.0)       # a zero row is never active
+    faces = faces.copy()
     b, k = np.nonzero(np.any(out != 0.0, axis=1))
-    x, face, sign = out[b, :, k], faces[b, k], prob.signs[b % P]
-    z = x.copy()
-    size = face.sum(axis=1)
-    ok = size <= d                          # independent rows number at most d
-    for m in np.unique(size[ok & (size > 0)]):
-        sel = np.flatnonzero(size == m)
-        rows = np.nonzero(face[sel])[1].reshape(sel.size, m)
-        A = np.take_along_axis(sign[sel], rows, axis=1)[:, :, None] * X[rows]
-        try:
-            mu = np.linalg.solve(A @ A.transpose(0, 2, 1), -(A @ x[sel, :, None]))[:, :, 0]
-        except np.linalg.LinAlgError:
-            ok[sel] = False
-            continue
-        z[sel] += np.einsum("smd,sm->sd", A, mu)
-        ok[sel] &= mu.min(axis=1) >= 0.0
-    slack = sign * (z @ X.T)
-    tol = 1e-13 * np.linalg.norm(x, axis=1)[:, None] * row_norms   # ~450 eps
-    ok &= np.all(np.where(face, np.abs(slack) <= tol, slack >= -tol), axis=1)
-    misses = np.flatnonzero(~ok)
-    for c in misses:
-        z[c], face[c] = exact_cone_project(prob.cones[b[c] % P], x[c])
-    out[b, :, k] = z
-    faces[b, k] = face
-    return out, faces, misses.size
+    out[b, :, k], faces[b, k], missed = project_cones(
+        prob.op.X, prob.signs[b % len(prob.cones)], out[b, :, k], faces[b, k])
+    return out, faces, int(missed.sum())
 
 
 def objective(prob: ConvexProblem, S: np.ndarray) -> ObjectiveValue:

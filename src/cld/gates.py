@@ -3,19 +3,21 @@
 A gate is a direction g in feature space; its pattern over a training matrix
 X is the boolean vector 1(Xg >= 0) (ties at zero count as active). The set of
 weights that realises a fixed pattern D is the polyhedral cone
-{v : (2D - I) X v >= 0}. ``exact_cone_project`` is the one exact projector
-onto it: it solves the cone's dual nonnegative least-squares problem with
-``scipy.optimize.nnls`` (Lawson-Hanson) and returns the NNLS support, the
-face of active rows, with the projection. ``cvxprog.project_to_cones`` reuses
-that face across ADMM steps and calls this kernel only where it fails.
+{v : (2D - I) X v >= 0}. ``project_cones`` is the one exact projector onto
+such cones: a Lawson-Hanson active set on the cone's dual nonnegative
+least-squares problem, written in numpy and run on a whole batch of columns
+at once from each column's hinted face of active rows. It returns every
+column's final face, which ``cvxprog.project_to_cones`` passes back as the
+next ADMM step's hint, so most columns are accepted in one round.
 
 ``enumerate_patterns`` lists every pattern of small X by walking sign
 prefixes, with no LP. A prefix is kept when a witness direction with slack
 > 1e-9 on each of its signed rows is found: its parent's, or the max-margin
 direction toward the min-norm point of the convex hull of its signed rows
-(one small NNLS, Wolfe's min-norm point). That witness is the pattern's
-generator. A cell whose margin lies within a factor sqrt(d) of 1e-9 is the
-only place where this rule can differ from a max-slack LP over the unit box.
+(Wolfe's min-norm point, one cone projection per prefix, batched per
+level). That witness is the pattern's generator. A cell whose margin lies
+within a factor sqrt(d) of 1e-9 is the only place where this rule can differ
+from a max-slack LP over the unit box. No scipy module is loaded.
 """
 
 from __future__ import annotations
@@ -76,19 +78,11 @@ class ConeSpec:
     pattern: GatePattern
     X: np.ndarray
 
-    def __post_init__(self):
+    def signed_rows(self) -> np.ndarray:
+        """Nonzero rows a_i of the cone {v : a_i . v >= 0}; zero rows constrain nothing."""
         signs = np.where(self.pattern.active, 1.0, -1.0)
         rows = signs[:, None] * np.asarray(self.X, dtype=np.float64)
-        # zero rows constrain nothing; _index maps the rest back to rows of X
-        index = np.flatnonzero(np.einsum("ij,ij->i", rows, rows) > 0.0)
-        rows = rows[index]
-        rows.setflags(write=False)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_index", index)
-
-    def signed_rows(self) -> np.ndarray:
-        """Nonzero rows a_i of the cone {v : a_i . v >= 0}; built once, read-only."""
-        return self._rows
+        return rows[np.einsum("ij,ij->i", rows, rows) > 0.0]
 
 
 def pattern_of(X: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -137,59 +131,155 @@ def sample_gates(X: np.ndarray, count: int, seed: int = 0, dedup: bool = True) -
     return GateSet(tuple(patterns), seed=seed, dedup=dedup, shortfall=shortfall)
 
 
-def exact_cone_project(cone: ConeSpec, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact Euclidean projection onto the pattern cone via its dual program.
+def _face_step(G: np.ndarray, A: np.ndarray, z: np.ndarray):
+    """Move each point z to the null space of its face rows: A_J (z + A_J^T step) = 0.
 
-    The projection of x onto {v : a_i . v >= 0} is x + A^T mu* where mu*
-    minimises ||A^T mu + x|| over mu >= 0 (Moreau decomposition against the
-    polar cone). The dual is a small nonnegative least-squares problem solved
-    by ``scipy.optimize.nnls`` (Lawson-Hanson active set), so the result is
-    exact up to linear-algebra roundoff rather than iteration tolerance.
-    Returns (projection, face), where the boolean face over the rows of X is
-    the support of mu*. Raises ``RuntimeError`` if the active-set method hits
-    scipy's iteration cap rather than return a point that may not be the
-    projection.
+    Solves (A_J A_J^T) step = -A_J z for every stacked G = A_J A_J^T, then
+    refines the step once from the point it reaches (corrected semi-normal
+    equations). The new point is that point plus the small correction, so
+    it is about as accurate as a QR projection would make it, however large
+    the step. Returns (step, new point, singular): a G that is exactly
+    singular is flagged (and overwritten with I), never raised.
     """
-    from scipy.optimize import nnls
+    r = -(A @ z[:, :, None])
+    singular = np.zeros(len(G), dtype=bool)
+    try:
+        step = np.linalg.solve(G, r)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.slogdet(G)[0] == 0.0
+        G[singular] = np.eye(G.shape[1])
+        step = np.linalg.solve(G, r)
+    z = z + (step.transpose(0, 2, 1) @ A)[:, 0]
+    fix = -np.linalg.solve(G, A @ z[:, :, None])
+    return (step + fix)[:, :, 0], z + (fix.transpose(0, 2, 1) @ A)[:, 0], singular
 
-    A = cone.signed_rows()
-    x = np.asarray(v, dtype=np.float64)
-    face = np.zeros(cone.pattern.active.size, dtype=bool)
-    if A.shape[0] == 0:
-        return x.copy(), face
-    mu, _ = nnls(A.T, -x)
-    face[cone._index[mu > 0.0]] = True
-    return x + A.T @ mu, face
+
+def project_cones(X: np.ndarray, signs: np.ndarray, x: np.ndarray, faces: np.ndarray):
+    """Exact Euclidean projection of every x[c] onto {v : signs[c, i] X[i] . v >= 0}.
+
+    The projection is z = x + A^T mu, where A holds the rows signs[c, i] X[i]
+    and mu >= 0 minimises ||A^T mu + x|| (Moreau decomposition against the
+    polar cone). That nonnegative least-squares problem is solved by Lawson
+    and Hanson's active set on all columns in lockstep, one stacked
+    ``_face_step`` per round on every column's face J, padded to the largest
+    face. A column whose new mu_J is >= 0 is done when its slack A z is zero
+    on J and nonnegative elsewhere, each to 1e-13 |X[i]| (|x| + sum_J mu_j
+    |X[j]|), about 450 eps of the terms summed; else its most violated row
+    joins J. A column with a negative entry steps from its mu toward the new
+    one until an entry reaches zero, and drops the rows at zero. The first
+    round starts from the hinted ``faces`` (c, n) instead of a feasible mu
+    and keeps the rows with mu_J > 0; a hint of more than d rows, or with a
+    singular system or two parallel rows, starts from the empty face. A zero
+    sign or a zero row of X leaves a row out.
+
+    Returns (projections, faces, misses): the final faces, on which a second
+    call accepts every column in its first round, and the mask of columns
+    whose hint failed that round. Raises ``RuntimeError`` after 3 n + 3
+    rounds rather than return a point that fails the check.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    signs = np.asarray(signs, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    n, d = X.shape
+    weight = np.abs(signs) * np.linalg.norm(X, axis=1)
+    face = faces & (weight > 0.0)
+    missed = face.sum(axis=1) > d           # independent rows number at most d
+    face[missed] = False
+    z_out, face_out = x.copy(), face.copy()
+    live = np.arange(len(x))
+    lx, lz, ls, lw, mu = x, x.copy(), signs, weight, np.zeros(signs.shape)
+    lxn = np.linalg.norm(x, axis=1)
+    for rnd in range(3 * n + 3):
+        if not live.size:
+            return z_out, face_out, missed
+        r, col = np.nonzero(face)
+        pos = np.cumsum(face, axis=1)[r, col] - 1       # slot of each face row
+        m = face.sum(axis=1)
+        M = int(m.max())
+        valid = np.arange(M) < m[:, None]
+        A = np.zeros((live.size, M, d))
+        A[r, pos] = ls[r, col, None] * X[col]
+        G = A @ A.transpose(0, 2, 1)
+        G.reshape(len(G), -1)[:, ::M + 1] += ~valid     # padded slots solve to 0
+        mu_J = np.zeros((live.size, M))
+        mu_J[r, pos] = mu[r, col]
+        step, z_J, bad = _face_step(G, A, lz)
+        if rnd == 0:    # a hint may also hold two parallel rows, such as a duplicate
+            diag = np.diagonal(G, axis1=1, axis2=2)
+            cos2 = G * G >= (1.0 - 1e-12) * diag[:, :, None] * diag[:, None, :]
+            bad |= np.count_nonzero(cos2, axis=(1, 2)) > M
+        s = mu_J + step
+        if bad.any():
+            valid[bad], face[bad] = False, False
+        below = valid & (s < 0.0)
+        neg = below.any(axis=1)
+        new = s
+        if rnd > 0 and neg.any():
+            ratio = np.divide(mu_J, mu_J - s, out=np.full(s.shape, np.inf), where=below)
+            block = ratio.argmin(axis=1)
+            alpha = np.where(neg, ratio[np.arange(len(s)), block], 0.0)[:, None]
+            new = np.where(neg[:, None], mu_J + alpha * (s - mu_J), s)
+            new[neg, block[neg]] = 0.0      # the blocking row leaves exactly
+        new = np.maximum(new, 0.0) * valid
+        # a column that kept its face takes the refined point; the rest restart from mu
+        lz, fresh = z_J, neg | bad
+        if fresh.any():
+            lz[fresh] = lx[fresh] + (new[fresh, None, :] @ A[fresh])[:, 0]
+        slack = ls * (lz @ X.T)
+        mu = np.zeros(mu.shape)
+        mu[r, col] = new[r, pos]
+        # ~450 eps of the terms summed into each slack
+        tol = 1e-13 * (lxn + np.sum(mu * lw, axis=1))[:, None] * lw
+        solved = ~neg & np.all(~face | (np.abs(slack) <= tol), axis=1)
+        viol = ~face & (slack < -tol)
+        done = solved & ~viol.any(axis=1)
+        add = solved & ~done
+        face = np.zeros(face.shape, dtype=bool)
+        face[r, col] = (valid & ~(neg[:, None] & (new <= 0.0)))[r, pos]
+        worst = np.argmin(np.where(viol, slack, np.inf), axis=1)
+        face[add, worst[add]] = True
+        if rnd == 0:
+            missed[live[~done | bad]] = True
+        if done.any():
+            z_out[live[done]], face_out[live[done]] = lz[done], face[done]
+            go = ~done
+            live, lx, lxn, lz, ls, lw, mu, face = (
+                live[go], lx[go], lxn[go], lz[go], ls[go], lw[go], mu[go], face[go])
+    if live.size:
+        raise RuntimeError(f"cone projection did not settle in {3 * n + 3} rounds "
+                           f"({live.size} columns left)")
+    return z_out, face_out, missed
 
 
 _ENUM_MAX_N = 16
 _ENUM_MAX_D = 4
 
 
-def _margin_screen(A: np.ndarray, feas_tol: float) -> np.ndarray | None:
-    """A verified witness of the strict system {a_i . v > 0}, or None.
+def _margin_screen(A: np.ndarray, signs: np.ndarray, feas_tol: float):
+    """Verified witnesses of the strict systems {s_i a_i . v > 0}, one per sign row.
 
-    By Gordan's alternative the system is feasible iff the min-norm point of
-    conv{a_i} is nonzero. With y >= 0 minimising ||A^T y||^2 + (1^T y - 1)^2
-    (one NNLS) and p = A^T y, that point is p / 1^T y, and p / ||p||_inf
-    lies in the unit box with slack at least the Euclidean max margin on
-    every row. Returns that witness when its slack exceeds ``feas_tol`` on
-    every row and None otherwise, so a kept witness is checked directly and
-    does not rest on the NNLS being solved exactly. Raises ``RuntimeError``
-    if the NNLS hits scipy's iteration cap, as ``exact_cone_project`` does.
+    By Gordan's alternative a system is feasible iff the min-norm point of
+    conv{s_i a_i} is nonzero. With y >= 0 minimising ||sum_i y_i s_i a_i||^2
+    + (1^T y - 1)^2 and p = sum_i y_i s_i a_i, that point is p / 1^T y, and
+    p / ||p||_inf lies in the unit box with slack at least the Euclidean max
+    margin on every row. The least-squares problem projects (0, -1) onto the
+    cone {(v, t) : s_i a_i . v + t >= 0}, with rows s_i (a_i, s_i) taken from
+    (a_i, 1) and (a_i, -1) (the other copy's sign zero), so one
+    ``project_cones`` call serves every sign row. Returns (witnesses, ok), ok
+    where a witness has slack > ``feas_tol`` on every row: a kept witness is
+    checked directly and does not rest on the projection being exact.
     """
-    from scipy.optimize import nnls
-
     m, d = A.shape
-    target = np.zeros(d + 1)
-    target[-1] = 1.0
-    y, _ = nnls(np.vstack([A.T, np.ones(m)]), target)
-    p = A.T @ y
-    scale = np.abs(p).max()
-    if not scale > 0.0:
-        return None
-    witness = p / scale
-    return witness if (A @ witness).min() > feas_tol else None
+    rows = np.vstack([np.hstack([A, np.ones((m, 1))]), np.hstack([A, -np.ones((m, 1))])])
+    pooled = np.hstack([np.where(signs > 0, 1.0, 0.0), np.where(signs < 0, -1.0, 0.0)])
+    target = np.zeros((len(signs), d + 1))
+    target[:, -1] = -1.0
+    p = project_cones(rows, pooled, target, np.zeros(pooled.shape, dtype=bool))[0][:, :d]
+    scale = np.abs(p).max(axis=1, initial=0.0)
+    ok = scale > 0.0
+    witness = np.divide(p, scale[:, None], out=np.zeros_like(p), where=ok[:, None])
+    ok &= (signs * (witness @ A.T)).min(axis=1, initial=np.inf) > feas_tol
+    return witness, ok
 
 
 def enumerate_patterns(X: np.ndarray) -> GateSet:
@@ -216,23 +306,22 @@ def enumerate_patterns(X: np.ndarray) -> GateSet:
         )
     nonzero = np.flatnonzero(np.linalg.norm(X, axis=1) > 0.0)
     feas_tol = 1e-9
-    prefixes: list[tuple[np.ndarray, np.ndarray]] = [(np.zeros(0), np.zeros(d))]
+    prefixes, witnesses = np.zeros((1, 0)), np.zeros((1, d))
     for count, row_idx in enumerate(nonzero, start=1):
-        rows = X[nonzero[:count]]
-        extended: list[tuple[np.ndarray, np.ndarray]] = []
-        for signs, witness in prefixes:
-            for s in (1.0, -1.0):
-                cand = np.append(signs, s)
-                # a parent witness already strictly on this side stays valid
-                if s * (X[row_idx] @ witness) > feas_tol:
-                    extended.append((cand, witness))
-                    continue
-                w = _margin_screen(cand[:, None] * rows, feas_tol)
-                if w is not None:
-                    extended.append((cand, w))
-        prefixes = extended
+        # every prefix extends by + then -, in order
+        signs = np.hstack([np.repeat(prefixes, 2, axis=0),
+                           np.tile([[1.0], [-1.0]], (len(prefixes), 1))])
+        witnesses = np.repeat(witnesses, 2, axis=0)
+        # a parent witness already strictly on this side stays valid
+        keep = signs[:, -1] * (witnesses @ X[row_idx]) > feas_tol
+        screen = np.flatnonzero(~keep)
+        if screen.size:
+            w, ok = _margin_screen(X[nonzero[:count]], signs[screen], feas_tol)
+            witnesses[screen[ok]] = w[ok]
+            keep[screen[ok]] = True
+        prefixes, witnesses = signs[keep], witnesses[keep]
     patterns = []
-    for signs, w in prefixes:
+    for signs, w in zip(prefixes, witnesses):
         active = np.ones(n, dtype=bool)
         active[nonzero] = signs > 0
         if not np.array_equal(pattern_of(X, w), active):

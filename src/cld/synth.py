@@ -29,7 +29,7 @@ class SynthSpec:
     languages: int = 5
     accents_per_language: tuple[int, ...] = (5, 5, 5, 5, 4)   # 24 accents total
     dim: int = 64
-    language_separation: float = 6.0
+    language_separation: float = 6.0     # floor on the nearest pair of language centers
     accent_spread: float = 1.0
     noise_sigma: float = 1.0
     samples_per_accent: int = 500

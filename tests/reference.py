@@ -1,7 +1,8 @@
 """Reference implementations that only the tests use.
 
-Each one is an independent, deliberately simple check of library code: the
-cyclic Dykstra projector against ``gates.exact_cone_project``, the proximal
+Each one is an independent, deliberately simple check of library code:
+scipy's NNLS projector and the cyclic Dykstra projector against
+``gates.project_cones``, the proximal
 Dykstra map of "group norm + cone" against the shrunk cone projection of the
 ADMM step, the per-cone violation against ``cvxprog.max_cone_violation``,
 the LP-only sign-prefix walk against ``gates.enumerate_patterns``, the gate
@@ -29,6 +30,30 @@ def cone_violation(cone: ConeSpec, v: np.ndarray) -> float:
     """Worst half-space violation of v; zero iff v lies in the cone."""
     slack = cone.signed_rows() @ np.asarray(v, dtype=np.float64)
     return float(max(0.0, -slack.min(initial=0.0)))
+
+
+def nnls_cone_project(cone: ConeSpec, v: np.ndarray) -> np.ndarray:
+    """Exact projection of v onto the pattern cone, one column at a time.
+
+    ``scipy.optimize.nnls`` (Lawson-Hanson on a Householder QR) solves the
+    cone's dual min ||A^T mu + v|| over mu >= 0; its support S is the active
+    face, and the projection is v minus its component in the span of the rows
+    A_S, taken from an SVD. That is v + A^T mu (Moreau decomposition against
+    the polar cone), but accurate to the roundoff of v even where mu is large
+    and v + A^T mu cancels.
+    """
+    from scipy.optimize import nnls
+
+    A = cone.signed_rows()
+    x = np.asarray(v, dtype=np.float64)
+    if A.shape[0] == 0:
+        return x.copy()
+    active = A[nnls(A.T, -x)[0] > 0.0]
+    if active.shape[0] == 0:
+        return x.copy()
+    U, sv, _ = np.linalg.svd(active.T, full_matrices=False)
+    U = U[:, sv > sv[0] * max(active.shape) * np.finfo(np.float64).eps]
+    return x - U @ (U.T @ x)
 
 
 def project_cone(

@@ -27,7 +27,6 @@ from cld.dataio import LabelSet
 from cld.gates import (
     ConeSpec,
     enumerate_patterns,
-    exact_cone_project,
     pattern_of,
     sample_gates,
 )
@@ -36,13 +35,14 @@ from cld.linops import GatedOperator
 from cld.oracle import FistaConfig, dense_solve_smallest, fista_solve
 from cld.synth import SynthSpec, generate, split
 
-from conftest import cluster_data, random_problem
+from conftest import cluster_data, project_one, random_problem
 from reference import (
     cone_violation,
     fd_gradcheck,
     fit_value_and_grad,
     gate_identity_check,
     margin_gap_check,
+    nnls_cone_project,
     project_cone,
 )
 from test_gates import sweep_oracle_2d
@@ -116,7 +116,7 @@ def test_criterion_3_gate_identity_and_projection_feasibility():
             assert gate_identity_check(ConeSpec(p, X), p.generator, tol=1e-12)
             checked += 1
     assert checked == 1000
-    worst_dykstra, worst_exact = 0.0, 0.0
+    worst_dykstra, worst_exact, worst_ref = 0.0, 0.0, 0.0
     for trial in range(100):
         n = int(rng.integers(4, 11))
         d = int(rng.integers(2, 5))
@@ -126,11 +126,17 @@ def test_criterion_3_gate_identity_and_projection_feasibility():
         v = 4.0 * rng.standard_normal(d)
         projected, _ = project_cone(cone, v, tol=1e-8)
         worst_dykstra = max(worst_dykstra, cone_violation(cone, projected))
-        worst_exact = max(worst_exact, cone_violation(cone, exact_cone_project(cone, v)[0]))
+        exact = project_one(cone, v)
+        worst_exact = max(worst_exact, cone_violation(cone, exact))
+        # the library's projector is scipy's NNLS projection to roundoff
+        worst_ref = max(worst_ref, np.linalg.norm(exact - nnls_cone_project(cone, v))
+                        / np.linalg.norm(v))
     assert worst_dykstra <= 1e-7
     assert worst_exact <= 1e-10
+    assert worst_ref <= 1e-12
     print(f"\n[criterion 3] PASS gate identity on 1000 sampled pairs at 1e-12; "
-          f"projection violations {worst_dykstra:.2e} (cyclic) / {worst_exact:.2e} (exact)")
+          f"projection violations {worst_dykstra:.2e} (cyclic) / {worst_exact:.2e} (exact), "
+          f"exact vs NNLS reference {worst_ref:.2e}")
 
 
 def _ten_heads():

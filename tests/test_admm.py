@@ -144,23 +144,19 @@ class TestTrain:
 
     def test_exact_mode_fallback_budget(self, monkeypatch):
         # a column's active face seldom changes from one step to the next, so
-        # most projections are accepted on it and skip the NNLS kernel
+        # most projections are accepted on their hinted face
         import cld.admm
-        import cld.cvxprog
 
-        counts = {"columns": 0, "nnls": 0}
-        project, kernel = cld.cvxprog.project_to_cones, cld.cvxprog.exact_cone_project
+        counts = {"columns": 0, "misses": 0}
+        project = cld.admm.project_to_cones
 
         def counting_project(prob, S, faces):
+            out, faces, misses = project(prob, S, faces)
             counts["columns"] += int(np.any(S != 0.0, axis=1).sum())
-            return project(prob, S, faces)
-
-        def counting_kernel(cone, v):
-            counts["nnls"] += 1
-            return kernel(cone, v)
+            counts["misses"] += misses
+            return out, faces, misses
 
         monkeypatch.setattr(cld.admm, "project_to_cones", counting_project)
-        monkeypatch.setattr(cld.cvxprog, "exact_cone_project", counting_kernel)
         rng = np.random.default_rng(7)   # criterion-2 instance (9, 3, 7)
         X = rng.standard_normal((9, 3))
         y = rng.integers(0, 2, 9)
@@ -168,7 +164,7 @@ class TestTrain:
         train(X, LabelSet(y, {"a": 0, "b": 1}), GateConfig(enumerate_all=True),
               AdmmConfig(rho=0.1, admm_iters=60, mode="exact"))
         assert counts["columns"] > 0
-        assert counts["nnls"] <= 0.15 * counts["columns"]
+        assert counts["misses"] <= 0.15 * counts["columns"]
 
     def test_exact_log_counts_cone_fallbacks(self):
         rng = np.random.default_rng(3)
@@ -183,6 +179,7 @@ class TestTrain:
               log=relaxed.append)
         fallbacks = [r["cone_fallbacks"] for r in exact if "iter" in r]
         assert all(isinstance(f, int) and f >= 0 for f in fallbacks)
+        assert exact[-1]["phase"] == "summary" and exact[-1]["cone_fallbacks"] == sum(fallbacks)
         # nothing is known of the faces at the first step
         assert fallbacks[0] > 0
         assert "cone_fallbacks" not in head.train_meta["history"][0]
@@ -230,13 +227,37 @@ class TestTrain:
         records = []
         train(X, labels, GateConfig(count=4, seed=14),
               AdmmConfig(rho=0.1, admm_iters=7), log=records.append)
-        factor, iters = records[0], records[1:]
+        factor, iters, summary = records[0], records[1:-1], records[-1]
         # 4 gates on d=4 give B*d = 16 <= n = 30: the primal Gram is factored
         assert {k: factor[k] for k in ("phase", "side", "size")} == \
             {"phase": "u_factor", "side": "primal", "size": 16}
         assert factor["seconds"] >= 0.0
         assert [rec["iter"] for rec in iters] == list(range(7))
         assert {"iter", "objective", "primal_residual", "dual_residual"} <= set(iters[0])
+        # one closing record: no stop_tol, so the run ends on its cap
+        assert summary == {
+            "phase": "summary", "stopped": "cap", "iters": 7,
+            "primal_residual": iters[-1]["primal_residual"],
+            "dual_residual": iters[-1]["dual_residual"], "objective": iters[-1]["objective"],
+            "active_groups": summary["active_groups"], "zero_head": False,
+        }
+        assert 0 < summary["active_groups"] <= 4 * 2
+
+    def test_summary_record_says_why_the_run_stopped(self):
+        X, labels, _ = cluster_data(n=30, d=4, K=2, seed=14)
+        records = []
+        head = train(X, labels, GateConfig(count=4, seed=14),
+                     AdmmConfig(rho=0.1, admm_iters=500, stop_tol=1e-6), log=records.append)
+        summary = records[-1]
+        assert summary["phase"] == "summary" and summary["stopped"] == "tol"
+        assert summary["iters"] == len(head.train_meta["history"]) < 500
+        assert max(summary["primal_residual"], summary["dual_residual"]) <= 1e-6
+        assert summary["active_groups"] == int(np.count_nonzero(
+            np.linalg.norm(head.V, axis=1)))
+        records.clear()
+        with pytest.warns(UserWarning, match="all zero"):
+            train(X, labels, GateConfig(count=4, seed=14), AdmmConfig(), log=records.append)
+        assert records[-1]["zero_head"] is True and records[-1]["active_groups"] == 0
 
 
 class TestSolverContracts:

@@ -88,8 +88,12 @@ class TestTrain:
         factor = [rec for rec in parsed if rec.get("phase") == "u_factor"]
         assert len(factor) == 1 and factor[0]["side"] in ("primal", "kernel")
         assert factor[0]["size"] > 0 and factor[0]["seconds"] >= 0.0
-        # the log holds the wall-clock; the model file stays free of it
+        summary = [rec for rec in parsed if rec.get("phase") == "summary"]
+        assert len(summary) == 1 and summary[0]["stopped"] in ("tol", "cap")
+        assert summary[0]["iters"] == len([rec for rec in parsed if "iter" in rec])
+        # the log holds the wall-clock and the summary; the model file stays free of them
         assert "u_factor" not in model.read_text()
+        assert "stopped" not in model.read_text()
 
     def test_missing_labels_file_exits_2(self, dataset, tmp_path, capsys):
         manifest = tmp_path / "broken.json"
@@ -496,6 +500,8 @@ class TestBench:
         assert all(len([r for r in iters if r["size"] == s]) == 3 for s in (12, 24))
         factors = [rec for rec in records if rec.get("phase") == "u_factor"]
         assert sorted(rec["size"] for rec in factors) == [12, 24]
+        summaries = [rec for rec in records if rec.get("phase") == "summary"]
+        assert sorted((rec["size"], rec["iters"]) for rec in summaries) == [(12, 3), (24, 3)]
 
     def test_oversized_request_capped_with_warning(self, tmp_path, capsys):
         rc = main(["bench", "--languages", "2", "--accents", "1,1", "--dim", "4",

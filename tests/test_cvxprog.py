@@ -13,12 +13,13 @@ from cld.cvxprog import (
     penalty,
     project_to_cones,
 )
-from cld.gates import ConeSpec, enumerate_patterns, exact_cone_project, sample_gates
+import cld.gates
+from cld.gates import ConeSpec, enumerate_patterns, sample_gates
 from cld.linops import GatedOperator
 from cld.oracle import dense_solve_smallest
 
 from conftest import random_problem
-from reference import cone_violation, loss_grad, prox_dykstra
+from reference import cone_violation, loss_grad, nnls_cone_project, prox_dykstra
 
 
 class TestLoss:
@@ -259,7 +260,7 @@ class TestProjectToCones:
                 if not np.any(x):
                     assert not np.any(out[b, :, k])
                     continue
-                ref, _ = exact_cone_project(prob.cones[b % P], x)
+                ref = nnls_cone_project(prob.cones[b % P], x)
                 assert np.linalg.norm(out[b, :, k] - ref) <= 1e-12 * np.linalg.norm(x)
 
     @settings(max_examples=100, deadline=None)
@@ -277,23 +278,33 @@ class TestProjectToCones:
                                    atol=1e-12 * np.abs(S).max())
 
     def test_inexact_face_solve_is_rejected(self, monkeypatch):
-        # a solve 1e-6 off leaves the face's slack nonzero; the check must
-        # send those columns to the kernel rather than keep them
+        # a warm face solve 1e-6 off leaves the face's slack nonzero; the check
+        # must count those columns as misses and iterate on rather than keep them
         prob = exact_problem(10, 3, 2, 4, seed=5, zero_rows=0.0)
         S = 3.0 * np.random.default_rng(5).standard_normal(prob.op.block_shape)
         _, faces, _ = project_to_cones(prob, S, np.zeros((prob.op.B, 2, 10), dtype=bool))
         assert np.any(faces)
-        real_solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve", lambda G, r: real_solve(G, r) * (1.0 + 1e-6))
+        real_step, calls = cld.gates._face_step, []
+
+        def warm_step_off(G, A, z):
+            # only the first round's solve, on the hinted faces, is off
+            calls.append(len(G))
+            step, moved, singular = real_step(G, A, z)
+            if len(calls) == 1:
+                step, moved = step * (1.0 + 1e-6), moved + 1e-6 * (moved - z)
+            return step, moved, singular
+
+        monkeypatch.setattr(cld.gates, "_face_step", warm_step_off)
         out, _, fallbacks = project_to_cones(prob, S, faces)
         assert fallbacks == int(np.any(faces, axis=2).sum())
         for b in range(prob.op.B):
             for k in range(2):
-                ref, _ = exact_cone_project(prob.cones[b % 4], S[b, :, k])
+                ref = nnls_cone_project(prob.cones[b % 4], S[b, :, k])
                 assert np.linalg.norm(out[b, :, k] - ref) <= 1e-12 * np.linalg.norm(S[b, :, k])
 
     def test_singular_face_falls_back(self, monkeypatch):
-        # two equal rows in one face make A_J A_J^T exactly singular
+        # two equal rows in one face make A_J A_J^T exactly singular; the
+        # kernel catches numpy's error and restarts those columns cold
         prob = exact_problem(6, 3, 2, 3, seed=4, zero_rows=0.0, duplicate=True)
         S = np.random.default_rng(4).standard_normal(prob.op.block_shape)
         hint = np.zeros((prob.op.B, 2, 6), dtype=bool)
@@ -312,7 +323,7 @@ class TestProjectToCones:
         assert len(raised) == 1 and fallbacks == prob.op.B * 2
         for b in range(prob.op.B):
             for k in range(2):
-                ref, _ = exact_cone_project(prob.cones[b % 3], S[b, :, k])
+                ref = nnls_cone_project(prob.cones[b % 3], S[b, :, k])
                 assert np.linalg.norm(out[b, :, k] - ref) <= 1e-12 * np.linalg.norm(S[b, :, k])
 
 

@@ -11,11 +11,18 @@ from cld.gates import (
     ConeSpec,
     GatePattern,
     enumerate_patterns,
-    exact_cone_project,
     pattern_of,
+    project_cones,
     sample_gates,
 )
-from reference import cone_violation, gate_identity_check, project_cone, reference_enumerate
+from conftest import project_one
+from reference import (
+    cone_violation,
+    gate_identity_check,
+    nnls_cone_project,
+    project_cone,
+    reference_enumerate,
+)
 
 
 def qp_projection_oracle(A, x):
@@ -180,7 +187,8 @@ class TestProjection:
         dykstra, ok = project_cone(cone, v, tol=1e-10, max_iters=100000)
         assert ok
         np.testing.assert_allclose(dykstra, expected, atol=1e-6)
-        np.testing.assert_allclose(exact_cone_project(cone, v)[0], expected, atol=1e-9)
+        np.testing.assert_allclose(project_one(cone, v), expected, atol=1e-9)
+        np.testing.assert_allclose(nnls_cone_project(cone, v), expected, atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_projection_violation_and_idempotence(self, seed):
@@ -197,7 +205,7 @@ class TestProjection:
 
     def test_exact_projection_machine_feasible(self):
         # (200, 16) is the size of the cones exact mode builds from sampled
-        # gates; there the dual NNLS has 200 columns
+        # gates; there the dual NNLS has 200 variables
         for n, d, seed in ((10, 3, 11), (200, 16, 12)):
             rng = np.random.default_rng(seed)
             X = rng.standard_normal((n, d))
@@ -205,9 +213,11 @@ class TestProjection:
                 cone = ConeSpec(p, X)
                 for x in (4.0 * rng.standard_normal(d),
                           p.generator + rng.standard_normal(d)):
-                    out, _ = exact_cone_project(cone, x)
+                    out = project_one(cone, x)
                     assert cone_violation(cone, out) <= 1e-10
-                    np.testing.assert_allclose(exact_cone_project(cone, out)[0], out,
+                    np.testing.assert_allclose(project_one(cone, out), out,
+                                               rtol=0.0, atol=1e-12 * np.linalg.norm(x))
+                    np.testing.assert_allclose(nnls_cone_project(cone, x), out,
                                                rtol=0.0, atol=1e-12 * np.linalg.norm(x))
                     # Moreau: x - out lies in the polar cone, orthogonal to out
                     assert abs((x - out) @ out) <= 1e-12 * (x @ x)
@@ -216,6 +226,60 @@ class TestProjection:
         cone = ConeSpec(GatePattern(np.array([True]), np.ones(1)), np.eye(1))
         with pytest.raises(ValueError):
             project_cone(cone, np.zeros(1), tol=0.0)
+
+
+class TestProjectCones:
+    """The batched Lawson-Hanson kernel against scipy's NNLS, column by column."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 5), st.integers(1, 8),
+           st.sampled_from(["empty", "full", "random", "d+1"]), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_matches_nnls_reference_for_any_hint(self, n, d, c, hint, zero_column, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d)) * (rng.random((n, 1)) >= 0.25)   # some zero rows
+        if n >= 3:
+            X[2] = X[0]                                                  # a duplicate row
+        # a zero sign leaves its row out, as a zero row of X does
+        signs = rng.choice([1.0, -1.0, 0.0], size=(c, n), p=[0.45, 0.45, 0.1])
+        x = 3.0 * rng.standard_normal((c, d))
+        if zero_column:
+            x[0] = 0.0
+        faces = {"empty": np.zeros((c, n), dtype=bool), "full": np.ones((c, n), dtype=bool),
+                 "random": rng.random((c, n)) < 0.4,
+                 "d+1": np.arange(n)[None, :].repeat(c, axis=0) <= d}[hint]
+        z, final, missed = project_cones(X, signs, x, faces)
+        assert final.shape == (c, n) and missed.shape == (c,)
+        for j in range(c):
+            cone = ConeSpec(GatePattern(signs[j] > 0, np.zeros(d)), X * (signs[j] != 0)[:, None])
+            scale = np.linalg.norm(x[j])
+            assert np.linalg.norm(z[j] - nnls_cone_project(cone, x[j])) <= 1e-12 * scale
+            rows = cone.signed_rows()
+            assert np.all(rows @ z[j] >= -1e-13 * scale * np.linalg.norm(rows, axis=1))
+        again, same, missed = project_cones(X, signs, x, final)
+        assert not missed.any()
+        np.testing.assert_array_equal(same, final)
+        np.testing.assert_allclose(again, z, rtol=0.0, atol=1e-12 * np.abs(x).max())
+
+    def test_raises_rather_than_return_an_unchecked_point(self, monkeypatch):
+        # a face solve that is always 1e-6 off never passes the check
+        import cld.gates
+
+        real_step = cld.gates._face_step
+
+        def step_off(G, A, z):
+            step, moved, singular = real_step(G, A, z)
+            return step + 1e-6, moved + 1e-6, singular
+
+        monkeypatch.setattr(cld.gates, "_face_step", step_off)
+        X = np.random.default_rng(3).standard_normal((6, 2))
+        with pytest.raises(RuntimeError, match="did not settle"):
+            project_cones(X, -np.ones((1, 6)), np.ones((1, 2)), np.zeros((1, 6), dtype=bool))
+
+    def test_no_columns(self):
+        z, faces, missed = project_cones(np.eye(2), np.zeros((0, 2)), np.zeros((0, 2)),
+                                         np.zeros((0, 2), dtype=bool))
+        assert z.shape == (0, 2) and faces.shape == (0, 2) and missed.shape == (0,)
 
 
 class TestEnumeration:

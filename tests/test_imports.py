@@ -18,13 +18,13 @@ def scipy_modules_after(code: str, cwd=None) -> list[str]:
 
 
 def test_package_and_cli_import_without_scipy():
-    # scipy is imported inside the functions that need it; loading it at
-    # import time would add its import cost to every CLI start
+    # cld needs no scipy; loading it at import time would add its import
+    # cost to every CLI start
     assert scipy_modules_after("import cld, cld.cli") == []
 
 
 def test_relaxed_training_loads_no_scipy(tmp_path):
-    # the u-solve's Gram factor is numpy's; only exact mode's NNLS needs scipy
+    # the u-solve's Gram factor is numpy's
     code = textwrap.dedent("""
         import contextlib, io
         from cld.admm import AdmmConfig, GateConfig, train
@@ -42,6 +42,29 @@ def test_relaxed_training_loads_no_scipy(tmp_path):
     """)
     assert scipy_modules_after(code, cwd=tmp_path) == []
     assert (tmp_path / "model.json").exists()
+
+
+def test_exact_training_and_enumeration_load_no_scipy(tmp_path):
+    # the cone projector and the enumeration's margin screen are numpy's too
+    code = textwrap.dedent("""
+        import contextlib, io
+        import numpy as np
+        from cld.admm import AdmmConfig, GateConfig, train
+        from cld.cli import main
+        from cld.dataio import LabelSet
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((9, 3))
+        y = rng.integers(0, 2, 9)
+        y[:2] = np.arange(2)
+        head = train(X, LabelSet(y, {"a": 0, "b": 1}), GateConfig(enumerate_all=True),
+                     AdmmConfig(rho=0.1, admm_iters=10, mode="exact"))
+        assert head.cert.B_l21 > 0
+        np.savetxt("tiny.csv", X, delimiter=",")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["gates-enum", "--features", "tiny.csv", "--out", "patterns.json"]) == 0
+    """)
+    assert scipy_modules_after(code, cwd=tmp_path) == []
+    assert (tmp_path / "patterns.json").exists()
 
 
 def test_every_exported_name_resolves():
