@@ -51,7 +51,7 @@ from . import head as _head
 from .cvxprog import (ConvexProblem, ObjectiveValue, group_norms, group_prox, objective,
                       project_to_cones)
 from .dataio import FeatureMatrix, LabelSet
-from .gates import ConeSpec, enumerate_patterns, sample_gates
+from .gates import enumerate_patterns, sample_gates
 from .linops import GatedOperator, PcgConfig, gram_side, gram_solver
 
 
@@ -87,6 +87,13 @@ class IterationRecord:
     objective: ObjectiveValue
     primal: float
     dual: float
+
+    def fields(self) -> dict:
+        """The iteration's numbers as logged, summarised and kept in ``train_meta``."""
+        obj = self.objective
+        return {"objective": obj.total, "fit": obj.fit, "penalty": obj.penalty,
+                "cone_violation": obj.cone_violation,
+                "primal_residual": self.primal, "dual_residual": self.dual}
 
 
 @dataclass(frozen=True)
@@ -136,9 +143,14 @@ def u_update(prob: ConvexProblem, cfg: AdmmConfig):
 
 def admm_step(prob: ConvexProblem, cfg: AdmmConfig, state: AdmmState,
               solve=None) -> AdmmState:
-    """One consensus iteration; ``solve`` is the run's ``u_update`` (built here if None)."""
-    if prob.mode != cfg.mode:
-        raise ValueError(f"problem mode {prob.mode!r} != config mode {cfg.mode!r}")
+    """One consensus iteration; ``solve`` is the run's ``u_update`` (built here if None).
+
+    The config must state the problem's mode, beta and penalty kind.
+    """
+    problem = (prob.mode, prob.beta, prob.penalty_kind)
+    config = (cfg.mode, cfg.beta, cfg.penalty_kind)
+    if problem != config:
+        raise ValueError(f"problem (mode, beta, penalty_kind) {problem} != config {config}")
     r = _penalty(prob, cfg)
     if solve is None:
         solve = u_update(prob, cfg)
@@ -162,7 +174,7 @@ def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmState:
     ``log`` gets one ``u_factor`` record (the Gram's side and size, and the
     seconds taken to build the u-update), then one record per iteration,
     then one ``summary`` record: why the run stopped (``tol`` or ``cap``),
-    the iterations run, the last residuals and objective, the number of
+    the iterations run, the last iteration's numbers, the number of
     nonzero penalty groups in z, whether z is all zero, and in split mode
     the cone projection's misses summed over the run.
     """
@@ -179,15 +191,8 @@ def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmState:
         state = admm_step(prob, cfg, state, solve)
         fallbacks += state.cone_fallbacks
         if log is not None:
-            rec = state.history[-1]
             log({
-                "iter": it,
-                "objective": rec.objective.total,
-                "fit": rec.objective.fit,
-                "penalty": rec.objective.penalty,
-                "cone_violation": rec.objective.cone_violation,
-                "primal_residual": rec.primal,
-                "dual_residual": rec.dual,
+                "iter": it, **state.history[-1].fields(),
                 "seconds": time.perf_counter() - tick,
                 **({"cone_fallbacks": state.cone_fallbacks} if prob.mode == "exact" else {}),
             })
@@ -196,13 +201,10 @@ def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmState:
         if converged:
             break
     if log is not None:
-        rec = state.history[-1]
         active = int(np.count_nonzero(group_norms(state.z1, prob.penalty_kind)))
         log({"phase": "summary", "stopped": "tol" if converged else "cap",
-             "iters": len(state.history),
-             "primal_residual": rec.primal, "dual_residual": rec.dual,
-             "objective": rec.objective.total, "active_groups": active,
-             "zero_head": active == 0,
+             "iters": len(state.history), **state.history[-1].fields(),
+             "active_groups": active, "zero_head": active == 0,
              **({"cone_fallbacks": fallbacks} if prob.mode == "exact" else {})})
     return state
 
@@ -236,11 +238,9 @@ def train(X, labels: LabelSet, gate_cfg: GateConfig, cfg: AdmmConfig,
 
     Y = labels.one_hot()
     if cfg.mode == "exact":
-        op = GatedOperator.split(X, gates, K)
-        cones = tuple(ConeSpec(p, X) for p in gates.patterns)
+        op, cones = GatedOperator.split(X, gates, K), gates.active
     else:
-        op = GatedOperator.relaxed(X, gates, K)
-        cones = ()
+        op, cones = GatedOperator.relaxed(X, gates, K), ()
     prob = ConvexProblem(op, Y, cfg.beta, cfg.penalty_kind, cfg.mode, cones)
 
     state = admm_solve(prob, cfg, log=log)
@@ -256,12 +256,7 @@ def train(X, labels: LabelSet, gate_cfg: GateConfig, cfg: AdmmConfig,
         },
         "gates": {"count": gate_cfg.count, "seed": gate_cfg.seed,
                   "enumerate_all": gate_cfg.enumerate_all, "shortfall": gates.shortfall},
-        "history": [
-            {"objective": r.objective.total, "fit": r.objective.fit,
-             "penalty": r.objective.penalty, "cone_violation": r.objective.cone_violation,
-             "primal_residual": r.primal, "dual_residual": r.dual}
-            for r in state.history
-        ],
+        "history": [r.fields() for r in state.history],
         "n_train": n,
     }
     head = _head.TrainedHead(

@@ -461,8 +461,8 @@ def cmd_gates_enum(args) -> int:
             "n": fm.n,
             "d": fm.d,
             "count": gates.P,
-            "patterns": [p.bitstring() for p in gates.patterns],
-            "witnesses": [[float(x) for x in p.generator] for p in gates.patterns],
+            "patterns": gates.bitstrings(),
+            "witnesses": gates.generators.tolist(),
         }
         _atomic_write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import ConeSpec, project_cones
+from .gates import project_cones
 from .linops import GatedOperator
 
 PENALTY_KINDS = ("l21", "frobenius")
@@ -74,7 +74,7 @@ class ConvexProblem:
     beta: float
     penalty_kind: str = "l21"
     mode: str = "relaxed"
-    cones: tuple[ConeSpec, ...] = ()
+    cones: np.ndarray = ()    # (P, n) pattern matrix D, one cone per row; exact mode only
     signs: np.ndarray = field(init=False, repr=False, compare=False)  # (P, n) rows 2D - 1
 
     def __post_init__(self):
@@ -88,12 +88,14 @@ class ConvexProblem:
         if Y.shape != (self.op.n, self.op.K):
             raise ValueError(f"targets must have shape {(self.op.n, self.op.K)}, got {Y.shape}")
         object.__setattr__(self, "Y", Y)
-        if self.mode == "exact":
-            if len(self.cones) * 2 != self.op.B:
-                raise ValueError("exact mode needs one cone per pattern (operator has 2P blocks)")
-        object.__setattr__(self, "cones", tuple(self.cones))
-        signs = [np.where(c.pattern.active, 1.0, -1.0) for c in self.cones]
-        object.__setattr__(self, "signs", np.array(signs).reshape(len(signs), self.op.n))
+        cones = np.asarray(self.cones, dtype=bool)
+        cones = cones.reshape(-1, self.op.n) if cones.size == 0 else cones
+        if cones.ndim != 2 or cones.shape[1] != self.op.n:
+            raise ValueError(f"cones must be a (P, {self.op.n}) pattern matrix, got {cones.shape}")
+        if self.mode == "exact" and len(cones) * 2 != self.op.B:
+            raise ValueError("exact mode needs one cone per pattern (operator has 2P blocks)")
+        object.__setattr__(self, "cones", cones)
+        object.__setattr__(self, "signs", np.where(cones, 1.0, -1.0))
 
     @property
     def P(self) -> int:
@@ -143,6 +145,6 @@ def objective(prob: ConvexProblem, S: np.ndarray) -> ObjectiveValue:
     fit = loss(prob.op.apply(S), prob.Y)
     pen = penalty(S, prob.penalty_kind)
     viol = 0.0
-    if prob.mode == "exact" and prob.cones:
+    if prob.mode == "exact" and len(prob.cones):
         viol = max_cone_violation(prob, S)
     return ObjectiveValue(fit + prob.beta * pen, fit, pen, viol)

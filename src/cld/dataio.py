@@ -198,6 +198,32 @@ def _read_feature_csv(path) -> FeatureMatrix:
     return FeatureMatrix(np.array(rows, dtype=np.float64))
 
 
+def _read_container(path: Path, magic: bytes, trailer_per_row: int):
+    """Checked (rows, d) float64 payload of a CLDF or CLDS file, and the bytes after it.
+
+    A CLDS file follows its frames with one mask byte per frame
+    (``trailer_per_row`` = 1); a CLDF file ends with its payload.
+    """
+    raw = path.read_bytes()
+    if len(raw) < _HEADER.size:
+        raise DataFormatError(f"{path}: truncated header at byte {len(raw)}")
+    found, version, rows, d = _HEADER.unpack_from(raw)
+    if found != magic:
+        raise DataFormatError(f"{path}: bad magic {found!r}")
+    if version != FORMAT_VERSION:
+        raise DataFormatError(f"{path}: unsupported format version {version}")
+    end = _HEADER.size + 4 * rows * d
+    expected = end + trailer_per_row * rows
+    if len(raw) != expected:
+        raise DataFormatError(f"{path}: payload truncated at byte {len(raw)}, expected {expected} bytes")
+    values = np.frombuffer(raw, dtype="<f4", count=rows * d, offset=_HEADER.size)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        offset = _HEADER.size + 4 * int(bad[0])
+        raise DataFormatError(f"{path}: non-finite entry at byte offset {offset} (row {bad[0] // d})")
+    return values.astype(np.float64).reshape(rows, d), raw[end:]
+
+
 def read_features(path) -> FeatureMatrix:
     """Read a CLDF binary or CSV feature file into a float64 matrix."""
     path = Path(path)
@@ -207,23 +233,10 @@ def read_features(path) -> FeatureMatrix:
         head = fh.read(4)
     if head != FEATURE_MAGIC:
         return _read_feature_csv(path)
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
-        raise DataFormatError(f"{path}: truncated header at byte {len(raw)}")
-    magic, version, n, d = _HEADER.unpack_from(raw)
-    if version != FORMAT_VERSION:
-        raise DataFormatError(f"{path}: unsupported format version {version}")
-    if n < 1 or d < 1:
-        raise DataFormatError(f"{path}: declared shape {n}x{d} is empty")
-    expected = _HEADER.size + 4 * n * d
-    if len(raw) != expected:
-        raise DataFormatError(f"{path}: payload truncated at byte {len(raw)}, expected {expected} bytes")
-    values = np.frombuffer(raw, dtype="<f4", count=n * d, offset=_HEADER.size)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        offset = _HEADER.size + 4 * int(bad[0])
-        raise DataFormatError(f"{path}: non-finite entry at byte offset {offset} (row {bad[0] // d})")
-    return FeatureMatrix(values.astype(np.float64).reshape(n, d))
+    values, _ = _read_container(path, FEATURE_MAGIC, 0)
+    if values.size == 0:
+        raise DataFormatError(f"{path}: declared shape {values.shape[0]}x{values.shape[1]} is empty")
+    return FeatureMatrix(values)
 
 
 def write_sequence(path, seq: SequenceFeature) -> None:
@@ -237,26 +250,8 @@ def write_sequence(path, seq: SequenceFeature) -> None:
 
 def read_sequence(path) -> SequenceFeature:
     """Read a CLDS sequence file."""
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
-        raise DataFormatError(f"{path}: truncated header at byte {len(raw)}")
-    magic, version, T, d = _HEADER.unpack_from(raw)
-    if magic != SEQUENCE_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise DataFormatError(f"{path}: unsupported format version {version}")
-    expected = _HEADER.size + 4 * T * d + T
-    if len(raw) != expected:
-        raise DataFormatError(f"{path}: payload truncated at byte {len(raw)}, expected {expected} bytes")
-    frames = np.frombuffer(raw, dtype="<f4", count=T * d, offset=_HEADER.size)
-    bad = np.flatnonzero(~np.isfinite(frames))
-    if bad.size:
-        offset = _HEADER.size + 4 * int(bad[0])
-        raise DataFormatError(f"{path}: non-finite entry at byte offset {offset}")
-    mask_bytes = raw[_HEADER.size + 4 * T * d:]
-    mask = np.frombuffer(mask_bytes, dtype=np.uint8) != 0
-    return SequenceFeature(frames.astype(np.float64).reshape(T, d), mask)
+    frames, mask_bytes = _read_container(Path(path), SEQUENCE_MAGIC, 1)
+    return SequenceFeature(frames, np.frombuffer(mask_bytes, dtype=np.uint8) != 0)
 
 
 def read_labels(path, label_map: dict[str, int]) -> LabelSet:

@@ -29,60 +29,37 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class GatePattern:
-    """A boolean activation pattern together with the direction that induced it."""
+class GateSet:
+    """Activation patterns of one training matrix, one row per pattern.
+
+    ``active`` is the (P, n) boolean pattern matrix and ``generators`` the
+    (P, d) directions that induced its rows.
+    """
 
     active: np.ndarray
-    generator: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "active", np.asarray(self.active, dtype=bool))
-        object.__setattr__(self, "generator", np.asarray(self.generator, dtype=np.float64))
-
-    def key(self) -> bytes:
-        return np.packbits(self.active).tobytes()
-
-    def bitstring(self) -> str:
-        return "".join("1" if a else "0" for a in self.active)
-
-
-@dataclass(frozen=True)
-class GateSet:
-    """A collection of patterns sampled (or enumerated) from one training matrix."""
-
-    patterns: tuple[GatePattern, ...]
+    generators: np.ndarray
     seed: int | None = None
     dedup: bool = True
     shortfall: int = 0
 
+    def __post_init__(self):
+        active = np.array(self.active, dtype=bool)
+        generators = np.array(self.generators, dtype=np.float64)
+        if active.ndim != 2 or generators.ndim != 2 or len(active) != len(generators):
+            raise ValueError(f"need a (P, n) pattern matrix and (P, d) generators, "
+                             f"got shapes {active.shape} and {generators.shape}")
+        for name, a in (("active", active), ("generators", generators)):
+            a.setflags(write=False)     # heads predict from these; they must not change
+            object.__setattr__(self, name, a)
+
     @property
     def P(self) -> int:
-        return len(self.patterns)
+        return len(self.active)
 
-    @property
-    def n(self) -> int:
-        return self.patterns[0].active.size
-
-    def generators(self) -> np.ndarray:
-        return np.stack([p.generator for p in self.patterns])
-
-    def mask_matrix(self) -> np.ndarray:
-        """(P, n) boolean matrix, one pattern per row."""
-        return np.stack([p.active for p in self.patterns])
-
-
-@dataclass(frozen=True)
-class ConeSpec:
-    """Half-space description of the cone of weights realising one pattern."""
-
-    pattern: GatePattern
-    X: np.ndarray
-
-    def signed_rows(self) -> np.ndarray:
-        """Nonzero rows a_i of the cone {v : a_i . v >= 0}; zero rows constrain nothing."""
-        signs = np.where(self.pattern.active, 1.0, -1.0)
-        rows = signs[:, None] * np.asarray(self.X, dtype=np.float64)
-        return rows[np.einsum("ij,ij->i", rows, rows) > 0.0]
+    def bitstrings(self) -> list[str]:
+        """Each pattern as a string of '0'/'1' characters."""
+        codes = np.where(self.active, ord("1"), ord("0")).astype(np.uint8)
+        return [row.tobytes().decode("ascii") for row in codes]
 
 
 def pattern_of(X: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -107,28 +84,31 @@ def sample_gates(X: np.ndarray, count: int, seed: int = 0, dedup: bool = True) -
     if count < 1:
         raise ValueError(f"need at least one pattern, got count={count}")
     d = X.shape[1]
-    patterns: list[GatePattern] = []
+    actives: list[np.ndarray] = []
+    gens: list[np.ndarray] = []
     seen: set[bytes] = set()
     budget = 8 * count if dedup else count
     for j in range(budget):
         g = _draw_rng(seed, j).standard_normal(d)
-        pat = GatePattern(pattern_of(X, g), g)
+        active = pattern_of(X, g)
         if dedup:
-            k = pat.key()
-            if k in seen:
+            key = np.packbits(active).tobytes()
+            if key in seen:
                 continue
-            seen.add(k)
-        patterns.append(pat)
-        if len(patterns) == count:
+            seen.add(key)
+        actives.append(active)
+        gens.append(g)
+        if len(gens) == count:
             break
-    shortfall = count - len(patterns)
+    shortfall = count - len(gens)
     if shortfall:
         warnings.warn(
-            f"found only {len(patterns)} distinct activation patterns after "
+            f"found only {len(gens)} distinct activation patterns after "
             f"{budget} draws ({shortfall} short)",
             stacklevel=2,
         )
-    return GateSet(tuple(patterns), seed=seed, dedup=dedup, shortfall=shortfall)
+    return GateSet(np.stack(actives), np.stack(gens), seed=seed, dedup=dedup,
+                   shortfall=shortfall)
 
 
 def _face_step(G: np.ndarray, A: np.ndarray, z: np.ndarray):
@@ -320,12 +300,10 @@ def enumerate_patterns(X: np.ndarray) -> GateSet:
             witnesses[screen[ok]] = w[ok]
             keep[screen[ok]] = True
         prefixes, witnesses = signs[keep], witnesses[keep]
-    patterns = []
-    for signs, w in zip(prefixes, witnesses):
-        active = np.ones(n, dtype=bool)
-        active[nonzero] = signs > 0
-        if not np.array_equal(pattern_of(X, w), active):
-            raise RuntimeError(f"witness {w} does not reproduce its pattern")
-        patterns.append(GatePattern(active, w))
-    patterns.sort(key=lambda p: p.bitstring(), reverse=True)
-    return GateSet(tuple(patterns), seed=None, dedup=True)
+    active = np.ones((len(prefixes), n), dtype=bool)
+    active[:, nonzero] = prefixes > 0
+    wrong = np.flatnonzero(np.any(pattern_of(X, witnesses.T).T != active, axis=1))
+    if wrong.size:
+        raise RuntimeError(f"witness {witnesses[wrong[0]]} does not reproduce its pattern")
+    order = np.lexsort(active.T[::-1])[::-1]     # descending bitstrings
+    return GateSet(active[order], witnesses[order], seed=None, dedup=True)

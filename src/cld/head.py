@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .cvxprog import MODES, PENALTY_KINDS
-from .gates import GatePattern, GateSet
+from .gates import GateSet
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cert import CertificateBundle
@@ -93,6 +93,9 @@ class TrainedHead:
         if V.shape[0] != self.gates.P:
             raise ModelFormatError(f"{V.shape[0]} weight blocks for {self.gates.P} gates")
         P, d, K = V.shape
+        if self.gates.generators.shape[1] != d:
+            raise ModelFormatError(
+                f"generators have width {self.gates.generators.shape[1]}, the weights d = {d}")
         values = list(self.label_map.values())
         if (not all(isinstance(v, int) and not isinstance(v, bool) for v in values)
                 or sorted(values) != list(range(K))):
@@ -105,8 +108,7 @@ class TrainedHead:
         keep = np.any(cols != 0.0, axis=1)
         net = ReluNetwork(cols[keep], outs[keep])
         object.__setattr__(self, "_relu", net)
-        # gated form: the generators, and V - W as a d x PK matrix
-        object.__setattr__(self, "_generators", self.gates.generators())
+        # gated form: V - W as a d x PK matrix, gated by the generators
         object.__setattr__(self, "_diff", (V - W).transpose(1, 0, 2).reshape(d, P * K))
         for a in (V, W, net.hidden, net.output):  # both forms are built from these once
             a.setflags(write=False)
@@ -153,7 +155,7 @@ def predict_batch(head: TrainedHead, H: np.ndarray, inference: str | None = None
         raise ValueError(f"embeddings have dimension {H.shape[1]}, head expects {head.d}")
     if inference == "relu":
         return head._relu.apply(H)
-    ind = (H @ head._generators.T >= 0.0).astype(np.float64)           # (m, P)
+    ind = (H @ head.gates.generators.T >= 0.0).astype(np.float64)      # (m, P)
     T = (H @ head._diff).reshape(H.shape[0], head.P, head.K)           # (m, P, K)
     return np.einsum("mp,mpk->mk", ind, T)
 
@@ -233,8 +235,8 @@ def head_to_dict(head: TrainedHead) -> dict:
         "gates": {
             "seed": head.gates.seed,
             "dedup": head.gates.dedup,
-            "generators": [[float(x).hex() for x in p.generator] for p in head.gates.patterns],
-            "patterns": [p.bitstring() for p in head.gates.patterns],
+            "generators": [[x.hex() for x in row] for row in head.gates.generators.tolist()],
+            "patterns": head.gates.bitstrings(),
         },
         "V": _enc_array(head.V),
         "W": _enc_array(head.W),
@@ -271,10 +273,11 @@ def load_model(path) -> TrainedHead:
 
     A document that is not a JSON object, a missing key, a field of the wrong
     JSON type, a mode or penalty kind the trainer does not know, a label map
-    whose values are not exactly 0..K-1, gate patterns that are not equal-length
-    strings of 0 and 1, pattern or generator counts other than P, generators
-    not of length d, floats not stored as hex strings, or arrays that disagree
-    with their stated shapes raises ModelFormatError naming the file;
+    whose values are not exactly 0..K-1, no gates (P < 1), gate patterns that
+    are not equal-length strings of 0 and 1, pattern or generator counts other
+    than P, generators not of length d, floats not stored as hex strings, or
+    arrays that disagree with their stated shapes raises ModelFormatError
+    naming the file;
     ``"cert": null`` skips the check.
     """
     from .cert import bundle_to_dict
@@ -289,6 +292,8 @@ def load_model(path) -> TrainedHead:
     if version != MODEL_VERSION:
         raise ModelVersionError(f"{path}: unknown model version {version!r}")
     P, d, K = (_field(doc, key, (int,), path) for key in ("P", "d", "K"))
+    if P < 1:
+        raise ModelFormatError(f"{path}: a model needs at least one gate pattern, got P = {P}")
     gates_doc = _field(doc, "gates", (dict,), path)
     bits = _field(gates_doc, "patterns", (list,), path, "gates.")
     gens = _field(gates_doc, "generators", (list,), path, "gates.")
@@ -299,11 +304,12 @@ def load_model(path) -> TrainedHead:
         raise ModelFormatError(
             f"{path}: need P = {P} gate patterns, each with a generator of length d = {d}"
         )
-    patterns = tuple(
-        GatePattern(_decode_pattern(b, path), _dec_floats(gen, f"generator {i}", path))
-        for i, (b, gen) in enumerate(zip(bits, gens))
-    )
-    gates = GateSet(patterns, seed=_field(gates_doc, "seed", (int, type(None)), path, "gates."),
+    if len({len(b) for b in bits}) > 1:
+        raise ModelFormatError(f"{path}: gate patterns have unequal lengths")
+    gates = GateSet(np.stack([_decode_pattern(b, path) for b in bits]),
+                    np.stack([_dec_floats(gen, f"generator {i}", path)
+                              for i, gen in enumerate(gens)]),
+                    seed=_field(gates_doc, "seed", (int, type(None)), path, "gates."),
                     dedup=_field(gates_doc, "dedup", (bool,), path, "gates."))
     V = _dec_array(_field(doc, "V", (dict,), path), "V", path)
     W = _dec_array(_field(doc, "W", (dict,), path), "W", path)
@@ -317,8 +323,6 @@ def load_model(path) -> TrainedHead:
             f"{path}: V and W have shapes {V.shape} and {W.shape}, "
             f"the document states (P, d, K) = {(P, d, K)}"
         )
-    if len({p.active.size for p in patterns}) > 1:
-        raise ModelFormatError(f"{path}: gate patterns have unequal lengths")
     try:
         head = TrainedHead(
             gates=gates,

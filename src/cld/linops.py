@@ -59,15 +59,13 @@ class GatedOperator:
     @classmethod
     def relaxed(cls, X: np.ndarray, gates: GateSet, K: int) -> "GatedOperator":
         X = np.asarray(X, dtype=np.float64)
-        masks = gates.mask_matrix().astype(np.float64)
-        return cls(X, masks, np.ones(gates.P), K)
+        return cls(X, gates.active.astype(np.float64), np.ones(gates.P), K)
 
     @classmethod
     def split(cls, X: np.ndarray, gates: GateSet, K: int) -> "GatedOperator":
         """Two signed copies of every pattern block: +V stack then -W stack."""
         X = np.asarray(X, dtype=np.float64)
-        masks = gates.mask_matrix().astype(np.float64)
-        masks = np.vstack([masks, masks])
+        masks = np.vstack([gates.active, gates.active]).astype(np.float64)
         signs = np.concatenate([np.ones(gates.P), -np.ones(gates.P)])
         return cls(X, masks, signs, K)
 

@@ -3,7 +3,7 @@ import pytest
 
 from cld.cvxprog import ConvexProblem
 from cld.dataio import LabelSet
-from cld.gates import ConeSpec, project_cones, sample_gates
+from cld.gates import project_cones, sample_gates
 from cld.linops import GatedOperator
 
 
@@ -19,10 +19,10 @@ def random_problem(n=20, d=4, K=2, P=4, beta=1e-3, seed=0, penalty_kind="l21"):
     return ConvexProblem(op, Y, beta, penalty_kind, "relaxed", ())
 
 
-def project_one(cone: ConeSpec, v: np.ndarray) -> np.ndarray:
+def project_one(cone, v: np.ndarray) -> np.ndarray:
     """``project_cones`` on the single column v, from the empty face."""
     X = np.asarray(cone.X, dtype=np.float64)
-    signs = np.where(cone.pattern.active, 1.0, -1.0)[None]
+    signs = np.where(cone.active, 1.0, -1.0)[None]
     faces = np.zeros(signs.shape, dtype=bool)
     return project_cones(X, signs, np.asarray(v, dtype=np.float64)[None], faces)[0][0]
 

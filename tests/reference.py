@@ -12,27 +12,42 @@ certificate, and the nonconvex ReLU objective the convex program stands in
 for.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from cld.cvxprog import ConvexProblem, loss
-from cld.gates import ConeSpec, GatePattern, GateSet, pattern_of
+from cld.gates import GateSet, pattern_of
 from cld.head import TrainedHead, margin, predict_batch
 
 
-def gate_identity_check(cone: ConeSpec, v: np.ndarray, tol: float = 1e-12) -> bool:
+class Cone(NamedTuple):
+    """The cone {v : (2D - I) X v >= 0} of weights realising one pattern D over X."""
+
+    active: np.ndarray
+    X: np.ndarray
+
+    def signed_rows(self) -> np.ndarray:
+        """Nonzero rows a_i of the cone {v : a_i . v >= 0}; zero rows constrain nothing."""
+        signs = np.where(self.active, 1.0, -1.0)
+        rows = signs[:, None] * np.asarray(self.X, dtype=np.float64)
+        return rows[np.einsum("ij,ij->i", rows, rows) > 0.0]
+
+
+def gate_identity_check(cone: Cone, v: np.ndarray, tol: float = 1e-12) -> bool:
     """True iff [Xv]_+ equals D X v entrywise within ``tol``."""
     Xv = np.asarray(cone.X, dtype=np.float64) @ np.asarray(v, dtype=np.float64)
-    gated = np.where(cone.pattern.active, Xv, 0.0)
+    gated = np.where(cone.active, Xv, 0.0)
     return bool(np.max(np.abs(np.maximum(Xv, 0.0) - gated)) <= tol)
 
 
-def cone_violation(cone: ConeSpec, v: np.ndarray) -> float:
+def cone_violation(cone: Cone, v: np.ndarray) -> float:
     """Worst half-space violation of v; zero iff v lies in the cone."""
     slack = cone.signed_rows() @ np.asarray(v, dtype=np.float64)
     return float(max(0.0, -slack.min(initial=0.0)))
 
 
-def nnls_cone_project(cone: ConeSpec, v: np.ndarray) -> np.ndarray:
+def nnls_cone_project(cone: Cone, v: np.ndarray) -> np.ndarray:
     """Exact projection of v onto the pattern cone, one column at a time.
 
     ``scipy.optimize.nnls`` (Lawson-Hanson on a Householder QR) solves the
@@ -57,7 +72,7 @@ def nnls_cone_project(cone: ConeSpec, v: np.ndarray) -> np.ndarray:
 
 
 def project_cone(
-    cone: ConeSpec, v: np.ndarray, tol: float = 1e-8, max_iters: int = 10000
+    cone: Cone, v: np.ndarray, tol: float = 1e-8, max_iters: int = 10000
 ) -> tuple[np.ndarray, bool]:
     """Euclidean projection of v onto the pattern cone.
 
@@ -87,7 +102,7 @@ def project_cone(
 
 
 def prox_dykstra(
-    cone: ConeSpec, x: np.ndarray, threshold: float, tol: float = 1e-12, max_iters: int = 5000
+    cone: Cone, x: np.ndarray, threshold: float, tol: float = 1e-12, max_iters: int = 5000
 ) -> tuple[np.ndarray, bool]:
     """Proximal map of ``threshold * ||.||_F`` plus the cone constraint at a d x K group.
 
@@ -235,6 +250,7 @@ def reference_enumerate(X: np.ndarray) -> GateSet:
         active[nonzero] = signs > 0
         if not np.array_equal(pattern_of(X, w), active):
             continue
-        patterns.append(GatePattern(active, w))
-    patterns.sort(key=lambda p: p.bitstring(), reverse=True)
-    return GateSet(tuple(patterns), seed=None, dedup=True)
+        patterns.append((active, w))
+    patterns.sort(key=lambda p: "".join("1" if a else "0" for a in p[0]), reverse=True)
+    return GateSet(np.array([a for a, _ in patterns]).reshape(-1, n),
+                   np.array([w for _, w in patterns]).reshape(-1, d), seed=None, dedup=True)

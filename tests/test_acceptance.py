@@ -25,7 +25,6 @@ from cld.cli import main
 from cld.cvxprog import objective
 from cld.dataio import LabelSet
 from cld.gates import (
-    ConeSpec,
     enumerate_patterns,
     pattern_of,
     sample_gates,
@@ -37,6 +36,7 @@ from cld.synth import SynthSpec, generate, split
 
 from conftest import cluster_data, project_one, random_problem
 from reference import (
+    Cone,
     cone_violation,
     fd_gradcheck,
     fit_value_and_grad,
@@ -112,8 +112,8 @@ def test_criterion_3_gate_identity_and_projection_feasibility():
         d = int(rng.integers(2, 7))
         X = rng.standard_normal((n, d))
         gs = sample_gates(X, 20, seed=trial, dedup=False)
-        for p in gs.patterns:
-            assert gate_identity_check(ConeSpec(p, X), p.generator, tol=1e-12)
+        for active, g in zip(gs.active, gs.generators):
+            assert gate_identity_check(Cone(active, X), g, tol=1e-12)
             checked += 1
     assert checked == 1000
     worst_dykstra, worst_exact, worst_ref = 0.0, 0.0, 0.0
@@ -121,8 +121,7 @@ def test_criterion_3_gate_identity_and_projection_feasibility():
         n = int(rng.integers(4, 11))
         d = int(rng.integers(2, 5))
         X = rng.standard_normal((n, d))
-        pattern = sample_gates(X, 1, seed=1000 + trial).patterns[0]
-        cone = ConeSpec(pattern, X)
+        cone = Cone(sample_gates(X, 1, seed=1000 + trial).active[0], X)
         v = 4.0 * rng.standard_normal(d)
         projected, _ = project_cone(cone, v, tol=1e-8)
         worst_dykstra = max(worst_dykstra, cone_violation(cone, projected))
@@ -307,9 +306,9 @@ def test_criterion_9_enumeration_sanity():
         sweep = sweep_oracle_2d(X)
         bound = 2 * n   # 2 * sum_{k<=1} C(n-1, k) for lines through the origin
         assert gs.P == len(sweep), f"seed {seed}: {gs.P} patterns vs sweep {len(sweep)}"
-        assert {p.active.tobytes() for p in gs.patterns} == sweep
+        assert {a.tobytes() for a in gs.active} == sweep
         assert gs.P <= bound
-        for p in gs.patterns:
-            np.testing.assert_array_equal(pattern_of(X, p.generator), p.active)
+        for active, g in zip(gs.active, gs.generators):
+            np.testing.assert_array_equal(pattern_of(X, g), active)
     print("\n[criterion 9] PASS enumeration sanity: counts equal the sweep oracle "
           "and respect the arrangement bound on 20 instances")

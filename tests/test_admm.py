@@ -15,7 +15,7 @@ from cld.admm import (
 )
 from cld.cvxprog import ConvexProblem, group_prox, max_cone_violation, objective
 from cld.dataio import LabelSet
-from cld.gates import ConeSpec, enumerate_patterns
+from cld.gates import enumerate_patterns
 from cld.head import predict_batch
 from cld.linops import GatedOperator
 from cld.oracle import FistaConfig, dense_solve_smallest, fista_solve
@@ -59,6 +59,15 @@ class TestAdmmStep:
         cfg = AdmmConfig(mode="exact")
         with pytest.raises(ValueError, match="mode"):
             admm_step(prob, cfg, init_state(prob))
+
+    @pytest.mark.parametrize("change", [{"beta": 0.1}, {"penalty_kind": "frobenius"}])
+    def test_beta_or_penalty_mismatch_rejected(self, change):
+        # the prox would shrink with the config's beta while the objective,
+        # history and log report the problem's
+        prob = random_problem(n=40, d=5, K=2, P=6, beta=1e-3, seed=15)
+        cfg = AdmmConfig(rho=0.1, admm_iters=3, **change)
+        with pytest.raises(ValueError, match="beta, penalty_kind"):
+            admm_solve(prob, cfg)
 
 
 class TestResiduals:
@@ -133,8 +142,7 @@ class TestTrain:
         y[:K] = np.arange(K)
         gates = enumerate_patterns(X)
         prob = ConvexProblem(GatedOperator.split(X, gates, K), np.eye(K)[y], 1e-3,
-                             mode="exact",
-                             cones=tuple(ConeSpec(p, X) for p in gates.patterns))
+                             mode="exact", cones=gates.active)
         cfg = AdmmConfig(rho=0.1, mode="exact")
         solve = u_update(prob, cfg)
         state = init_state(prob)
@@ -225,20 +233,22 @@ class TestTrain:
     def test_training_log_records_every_iteration(self):
         X, labels, _ = cluster_data(n=30, d=4, K=2, seed=14)
         records = []
-        train(X, labels, GateConfig(count=4, seed=14),
-              AdmmConfig(rho=0.1, admm_iters=7), log=records.append)
+        head = train(X, labels, GateConfig(count=4, seed=14),
+                     AdmmConfig(rho=0.1, admm_iters=7), log=records.append)
         factor, iters, summary = records[0], records[1:-1], records[-1]
         # 4 gates on d=4 give B*d = 16 <= n = 30: the primal Gram is factored
         assert {k: factor[k] for k in ("phase", "side", "size")} == \
             {"phase": "u_factor", "side": "primal", "size": 16}
         assert factor["seconds"] >= 0.0
         assert [rec["iter"] for rec in iters] == list(range(7))
-        assert {"iter", "objective", "primal_residual", "dual_residual"} <= set(iters[0])
+        fields = ("objective", "fit", "penalty", "cone_violation",
+                  "primal_residual", "dual_residual")
+        # the model's history holds the same numbers as the log
+        assert head.train_meta["history"] == [{k: rec[k] for k in fields} for rec in iters]
         # one closing record: no stop_tol, so the run ends on its cap
         assert summary == {
             "phase": "summary", "stopped": "cap", "iters": 7,
-            "primal_residual": iters[-1]["primal_residual"],
-            "dual_residual": iters[-1]["dual_residual"], "objective": iters[-1]["objective"],
+            **{k: iters[-1][k] for k in fields},
             "active_groups": summary["active_groups"], "zero_head": False,
         }
         assert 0 < summary["active_groups"] <= 4 * 2

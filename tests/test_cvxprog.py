@@ -14,12 +14,12 @@ from cld.cvxprog import (
     project_to_cones,
 )
 import cld.gates
-from cld.gates import ConeSpec, enumerate_patterns, sample_gates
+from cld.gates import enumerate_patterns, sample_gates
 from cld.linops import GatedOperator
 from cld.oracle import dense_solve_smallest
 
 from conftest import random_problem
-from reference import cone_violation, loss_grad, nnls_cone_project, prox_dykstra
+from reference import Cone, cone_violation, loss_grad, nnls_cone_project, prox_dykstra
 
 
 class TestLoss:
@@ -181,9 +181,8 @@ class TestExactModeObjective:
         X = rng.standard_normal((6, 3))
         gates = sample_gates(X, 2, seed=8)
         op = GatedOperator.split(X, gates, K=2)
-        cones = tuple(ConeSpec(p, X) for p in gates.patterns)
         Y = np.eye(2)[rng.integers(0, 2, 6)]
-        prob = ConvexProblem(op, Y, 0.1, "l21", "exact", cones)
+        prob = ConvexProblem(op, Y, 0.1, "l21", "exact", gates.active)
         S = rng.standard_normal(op.block_shape)
         val = objective(prob, S)
         assert val.cone_violation == pytest.approx(max_cone_violation(prob, S))
@@ -200,10 +199,10 @@ class TestExactModeObjective:
         X = rng.standard_normal((n, d)) * (rng.random((n, 1)) < 0.75)
         gates = sample_gates(X, P, seed=seed, dedup=False)
         op = GatedOperator.split(X, gates, K)
-        cones = tuple(ConeSpec(p, X) for p in gates.patterns)
-        prob = ConvexProblem(op, np.eye(K)[rng.integers(0, K, n)], 0.1, "l21", "exact", cones)
+        prob = ConvexProblem(op, np.eye(K)[rng.integers(0, K, n)], 0.1, "l21", "exact",
+                             gates.active)
         S = rng.standard_normal(op.block_shape) * (rng.random((op.B, 1, K)) < 0.6)
-        expected = max(cone_violation(cones[b % P], S[b, :, k])
+        expected = max(cone_violation(Cone(gates.active[b % P], X), S[b, :, k])
                        for b in range(op.B) for k in range(K))
         # the two sum the d-term products X @ s in different orders; bound the
         # difference by the forward error of a d-term dot product
@@ -223,9 +222,8 @@ def exact_problem(n, d, K, P, seed, zero_rows=0.25, duplicate=False):
     if duplicate and n >= 2:
         X[1] = X[0]
     gates = sample_gates(X, P, seed=seed, dedup=False)
-    cones = tuple(ConeSpec(p, X) for p in gates.patterns)
     op = GatedOperator.split(X, gates, K)
-    return ConvexProblem(op, np.eye(K)[rng.integers(0, K, n)], 0.1, "l21", "exact", cones)
+    return ConvexProblem(op, np.eye(K)[rng.integers(0, K, n)], 0.1, "l21", "exact", gates.active)
 
 
 def face_hint(kind, shape, d, rng):
@@ -260,7 +258,7 @@ class TestProjectToCones:
                 if not np.any(x):
                     assert not np.any(out[b, :, k])
                     continue
-                ref = nnls_cone_project(prob.cones[b % P], x)
+                ref = nnls_cone_project(Cone(prob.cones[b % P], prob.op.X), x)
                 assert np.linalg.norm(out[b, :, k] - ref) <= 1e-12 * np.linalg.norm(x)
 
     @settings(max_examples=100, deadline=None)
@@ -299,7 +297,7 @@ class TestProjectToCones:
         assert fallbacks == int(np.any(faces, axis=2).sum())
         for b in range(prob.op.B):
             for k in range(2):
-                ref = nnls_cone_project(prob.cones[b % 4], S[b, :, k])
+                ref = nnls_cone_project(Cone(prob.cones[b % 4], prob.op.X), S[b, :, k])
                 assert np.linalg.norm(out[b, :, k] - ref) <= 1e-12 * np.linalg.norm(S[b, :, k])
 
     def test_singular_face_falls_back(self, monkeypatch):
@@ -323,7 +321,7 @@ class TestProjectToCones:
         assert len(raised) == 1 and fallbacks == prob.op.B * 2
         for b in range(prob.op.B):
             for k in range(2):
-                ref = nnls_cone_project(prob.cones[b % 3], S[b, :, k])
+                ref = nnls_cone_project(Cone(prob.cones[b % 3], prob.op.X), S[b, :, k])
                 assert np.linalg.norm(out[b, :, k] - ref) <= 1e-12 * np.linalg.norm(S[b, :, k])
 
 
@@ -351,9 +349,8 @@ class TestConeProx:
             X = np.ones((1, d))
         n = X.shape[0]
         gates = enumerate_patterns(X)
-        cones = tuple(ConeSpec(p, X) for p in gates.patterns)
         prob = ConvexProblem(GatedOperator.split(X, gates, K), np.zeros((n, K)), 0.1, kind,
-                             "exact", cones)
+                             "exact", gates.active)
         B, P = prob.op.B, gates.P
         rng = np.random.default_rng(seed)
         S = 3.0 * rng.standard_normal(prob.op.block_shape)
@@ -377,6 +374,6 @@ class TestConeProx:
                   if abs(np.linalg.norm(proj[b][:, cols]) - t) >= 0.05 * t]
         for i in rng.choice(len(groups), size=min(4, len(groups)), replace=False):
             b, cols = groups[i]
-            ref, converged = prox_dykstra(cones[b % P], S[b][:, cols], t)
+            ref, converged = prox_dykstra(Cone(gates.active[b % P], X), S[b][:, cols], t)
             assert converged
             assert np.abs(got[b][:, cols] - ref).max() <= 1e-8

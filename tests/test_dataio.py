@@ -24,6 +24,14 @@ from cld.dataio import (
 )
 
 
+# one (3, 2) file of each binary container, and its reader
+CONTAINERS = {
+    "cldf": (lambda p: write_features(p, np.ones((3, 2))), read_features),
+    "clds": (lambda p: write_sequence(p, SequenceFeature(np.ones((3, 2)), np.ones(3, dtype=bool))),
+             read_sequence),
+}
+
+
 class TestFeatureFiles:
     def test_csv_identity(self, tmp_path):
         p = tmp_path / "f.csv"
@@ -51,22 +59,37 @@ class TestFeatureFiles:
         with pytest.raises(DataFormatError, match=r"row 1, col 1"):
             read_features(p)
 
-    def test_binary_truncated_reports_offset(self, tmp_path):
-        p = tmp_path / "f.cldf"
-        write_features(p, np.ones((3, 2)))
+    @pytest.mark.parametrize("fmt", sorted(CONTAINERS))
+    def test_binary_truncated_reports_offset(self, tmp_path, fmt):
+        write, read = CONTAINERS[fmt]
+        p = tmp_path / f"f.{fmt}"
+        write(p)
         raw = p.read_bytes()
         p.write_bytes(raw[:-5])
         with pytest.raises(DataFormatError, match="byte"):
-            read_features(p)
+            read(p)
 
-    def test_binary_bad_version(self, tmp_path):
-        p = tmp_path / "f.cldf"
-        write_features(p, np.ones((2, 2)))
+    @pytest.mark.parametrize("fmt", sorted(CONTAINERS))
+    def test_binary_bad_version(self, tmp_path, fmt):
+        write, read = CONTAINERS[fmt]
+        p = tmp_path / f"f.{fmt}"
+        write(p)
         raw = bytearray(p.read_bytes())
         raw[4] = 9
         p.write_bytes(bytes(raw))
         with pytest.raises(DataFormatError, match="version"):
-            read_features(p)
+            read(p)
+
+    @pytest.mark.parametrize("fmt", sorted(CONTAINERS))
+    def test_binary_nonfinite_reports_offset(self, tmp_path, fmt):
+        write, read = CONTAINERS[fmt]
+        p = tmp_path / f"f.{fmt}"
+        write(p)
+        raw = bytearray(p.read_bytes())
+        raw[36:40] = np.float32(np.nan).tobytes()     # row 1, col 1 after the 24-byte header
+        p.write_bytes(bytes(raw))
+        with pytest.raises(DataFormatError, match=r"non-finite entry at byte offset 36 \(row 1\)"):
+            read(p)
 
     def test_binary_nonfinite_rejected_on_write(self, tmp_path):
         with pytest.raises(DataFormatError):

@@ -8,8 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cld.gates import (
-    ConeSpec,
-    GatePattern,
+    GateSet,
     enumerate_patterns,
     pattern_of,
     project_cones,
@@ -17,6 +16,7 @@ from cld.gates import (
 )
 from conftest import project_one
 from reference import (
+    Cone,
     cone_violation,
     gate_identity_check,
     nnls_cone_project,
@@ -79,7 +79,7 @@ def sweep_oracle_2d(X, step_deg=None):
 def assert_same_enumeration(X):
     """Bitstrings equal the LP-only walk's; every generator is a verified witness."""
     got, ref = enumerate_patterns(X), reference_enumerate(X)
-    assert [p.bitstring() for p in got.patterns] == [p.bitstring() for p in ref.patterns]
+    assert got.bitstrings() == ref.bitstrings()
     assert_generators_verified(X, got)
 
 
@@ -87,10 +87,10 @@ def assert_generators_verified(X, gs):
     """Every generator has slack > 1e-9 on every nonzero row and reproduces its pattern."""
     X = np.asarray(X, dtype=np.float64)
     nonzero = np.linalg.norm(X, axis=1) > 0.0
-    for p in gs.patterns:
-        slack = np.where(p.active, 1.0, -1.0) * (X @ p.generator)
+    for active, g in zip(gs.active, gs.generators):
+        slack = np.where(active, 1.0, -1.0) * (X @ g)
         assert slack[nonzero].min(initial=np.inf) > 1e-9
-        np.testing.assert_array_equal(pattern_of(X, p.generator), p.active)
+        np.testing.assert_array_equal(pattern_of(X, g), active)
 
 
 class TestSampling:
@@ -103,9 +103,8 @@ class TestSampling:
         a = sample_gates(X, 6, seed=42)
         b = sample_gates(X, 6, seed=42)
         assert a.P == b.P == 6
-        for pa, pb in zip(a.patterns, b.patterns):
-            np.testing.assert_array_equal(pa.generator, pb.generator)
-            np.testing.assert_array_equal(pa.active, pb.active)
+        np.testing.assert_array_equal(a.generators, b.generators)
+        np.testing.assert_array_equal(a.active, b.active)
 
     def test_tie_at_zero_counts_active(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 1.0]])
@@ -123,8 +122,24 @@ class TestSampling:
     def test_sampled_generators_satisfy_gate_identity(self):
         X = np.random.default_rng(3).standard_normal((15, 4))
         gs = sample_gates(X, 12, seed=9)
-        for p in gs.patterns:
-            assert gate_identity_check(ConeSpec(p, X), p.generator)
+        for active, g in zip(gs.active, gs.generators):
+            assert gate_identity_check(Cone(active, X), g)
+
+    @pytest.mark.parametrize("active, generators", [
+        (np.ones(3, dtype=bool), np.ones((1, 2))),          # a 1-D pattern
+        (np.ones((2, 3), dtype=bool), np.ones((3, 2))),     # P disagrees
+        (np.ones((2, 3), dtype=bool), np.ones(2)),          # 1-D generators
+    ])
+    def test_gate_set_rejects_misshapen_arrays(self, active, generators):
+        with pytest.raises(ValueError, match=r"\(P, n\)"):
+            GateSet(active, generators)
+
+    def test_gate_set_arrays_are_read_only(self):
+        gs = sample_gates(np.eye(3), 2, seed=0)
+        with pytest.raises(ValueError, match="read-only"):
+            gs.generators[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            gs.active[0, 0] = False
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
@@ -134,12 +149,12 @@ class TestSampling:
 class TestGateIdentity:
     def test_identity_inside_cone(self):
         X = np.eye(2)
-        cone = ConeSpec(GatePattern(np.array([True, True]), np.ones(2)), X)
+        cone = Cone(np.array([True, True]), X)
         assert gate_identity_check(cone, np.array([1.0, 1.0]))
 
     def test_identity_outside_cone(self):
         X = np.eye(2)
-        cone = ConeSpec(GatePattern(np.array([True, True]), np.ones(2)), X)
+        cone = Cone(np.array([True, True]), X)
         assert not gate_identity_check(cone, np.array([1.0, -1.0]))
 
 
@@ -147,41 +162,40 @@ class TestConeViolation:
     def test_generator_has_zero_violation(self):
         X = np.random.default_rng(5).standard_normal((8, 3))
         gs = sample_gates(X, 4, seed=5)
-        for p in gs.patterns:
-            assert cone_violation(ConeSpec(p, X), p.generator) == 0.0
+        for active, g in zip(gs.active, gs.generators):
+            assert cone_violation(Cone(active, X), g) == 0.0
 
     def test_orthant_violation_value(self):
-        cone = ConeSpec(GatePattern(np.array([True, True]), np.ones(2)), np.eye(2))
+        cone = Cone(np.array([True, True]), np.eye(2))
         assert cone_violation(cone, np.array([1.0, -2.0])) == pytest.approx(2.0)
 
     def test_zero_vector_in_every_cone(self):
         X = np.random.default_rng(6).standard_normal((8, 3))
-        for p in sample_gates(X, 5, seed=6).patterns:
-            assert cone_violation(ConeSpec(p, X), np.zeros(3)) == 0.0
+        for active in sample_gates(X, 5, seed=6).active:
+            assert cone_violation(Cone(active, X), np.zeros(3)) == 0.0
 
 
 class TestProjection:
     def test_orthant_projection(self):
-        cone = ConeSpec(GatePattern(np.array([True, True]), np.ones(2)), np.eye(2))
+        cone = Cone(np.array([True, True]), np.eye(2))
         out, ok = project_cone(cone, np.array([1.0, -2.0]))
         assert ok
         np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-9)
 
     def test_fixed_point_inside_cone(self):
         X = np.random.default_rng(2).standard_normal((6, 3))
-        p = sample_gates(X, 1, seed=2).patterns[0]
-        cone = ConeSpec(p, X)
-        out, ok = project_cone(cone, p.generator)
+        gs = sample_gates(X, 1, seed=2)
+        cone = Cone(gs.active[0], X)
+        out, ok = project_cone(cone, gs.generators[0])
         assert ok
-        np.testing.assert_allclose(out, p.generator, atol=1e-9)
+        np.testing.assert_allclose(out, gs.generators[0], atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_qp_oracle(self, seed):
         rng = np.random.default_rng(seed)
         n, d = rng.integers(3, 8), 2 + seed % 2
         X = rng.standard_normal((n, d))
-        p = sample_gates(X, 1, seed=seed).patterns[0]
-        cone = ConeSpec(p, X)
+        cone = Cone(sample_gates(X, 1, seed=seed).active[0], X)
         v = 3.0 * rng.standard_normal(d)
         expected = qp_projection_oracle(cone.signed_rows(), v)
         dykstra, ok = project_cone(cone, v, tol=1e-10, max_iters=100000)
@@ -194,8 +208,7 @@ class TestProjection:
     def test_projection_violation_and_idempotence(self, seed):
         rng = np.random.default_rng(100 + seed)
         X = rng.standard_normal((7, 3))
-        p = sample_gates(X, 1, seed=seed).patterns[0]
-        cone = ConeSpec(p, X)
+        cone = Cone(sample_gates(X, 1, seed=seed).active[0], X)
         v = 5.0 * rng.standard_normal(3)
         tol = 1e-8
         out, _ = project_cone(cone, v, tol=tol)
@@ -209,10 +222,10 @@ class TestProjection:
         for n, d, seed in ((10, 3, 11), (200, 16, 12)):
             rng = np.random.default_rng(seed)
             X = rng.standard_normal((n, d))
-            for p in sample_gates(X, 6, seed=seed).patterns:
-                cone = ConeSpec(p, X)
-                for x in (4.0 * rng.standard_normal(d),
-                          p.generator + rng.standard_normal(d)):
+            gs = sample_gates(X, 6, seed=seed)
+            for active, g in zip(gs.active, gs.generators):
+                cone = Cone(active, X)
+                for x in (4.0 * rng.standard_normal(d), g + rng.standard_normal(d)):
                     out = project_one(cone, x)
                     assert cone_violation(cone, out) <= 1e-10
                     np.testing.assert_allclose(project_one(cone, out), out,
@@ -223,7 +236,7 @@ class TestProjection:
                     assert abs((x - out) @ out) <= 1e-12 * (x @ x)
 
     def test_tol_validation(self):
-        cone = ConeSpec(GatePattern(np.array([True]), np.ones(1)), np.eye(1))
+        cone = Cone(np.array([True]), np.eye(1))
         with pytest.raises(ValueError):
             project_cone(cone, np.zeros(1), tol=0.0)
 
@@ -251,7 +264,7 @@ class TestProjectCones:
         z, final, missed = project_cones(X, signs, x, faces)
         assert final.shape == (c, n) and missed.shape == (c,)
         for j in range(c):
-            cone = ConeSpec(GatePattern(signs[j] > 0, np.zeros(d)), X * (signs[j] != 0)[:, None])
+            cone = Cone(signs[j] > 0, X * (signs[j] != 0)[:, None])
             scale = np.linalg.norm(x[j])
             assert np.linalg.norm(z[j] - nnls_cone_project(cone, x[j])) <= 1e-12 * scale
             rows = cone.signed_rows()
@@ -285,14 +298,13 @@ class TestProjectCones:
 class TestEnumeration:
     def test_identity_two_by_two(self):
         gs = enumerate_patterns(np.eye(2))
-        got = {p.bitstring() for p in gs.patterns}
-        assert got == {"11", "10", "01", "00"}
+        assert gs.bitstrings() == ["11", "10", "01", "00"]
         # dense grid of unit directions finds the same four cells
         assert len(sweep_oracle_2d(np.eye(2), step_deg=0.5)) == 4
 
     def test_single_row_splits_line(self):
         gs = enumerate_patterns(np.array([[1.0]]))
-        assert {p.bitstring() for p in gs.patterns} == {"1", "0"}
+        assert gs.bitstrings() == ["1", "0"]
 
     def test_six_rows_matches_sweep_and_bound(self):
         rng = np.random.default_rng(17)
@@ -300,23 +312,23 @@ class TestEnumeration:
         gs = enumerate_patterns(X)
         sweep = sweep_oracle_2d(X)
         assert gs.P == len(sweep)
-        assert {p.active.tobytes() for p in gs.patterns} == sweep
+        assert {a.tobytes() for a in gs.active} == sweep
         # arrangement bound: 2 * sum_{k<=d-1} C(n-1, k) = 2 * (1 + 5) = 12
         assert gs.P <= 12
 
     def test_witnesses_reproduce_patterns(self):
         rng = np.random.default_rng(23)
         X = rng.standard_normal((7, 3))
-        for p in enumerate_patterns(X).patterns:
-            np.testing.assert_array_equal(pattern_of(X, p.generator), p.active)
+        gs = enumerate_patterns(X)
+        np.testing.assert_array_equal(pattern_of(X, gs.generators.T).T, gs.active)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_superset_of_sampled(self, seed):
         rng = np.random.default_rng(40 + seed)
         X = rng.standard_normal((8, 2))
-        full = {p.active.tobytes() for p in enumerate_patterns(X).patterns}
+        full = {a.tobytes() for a in enumerate_patterns(X).active}
         sampled = sample_gates(X, 6, seed=seed)
-        assert {p.active.tobytes() for p in sampled.patterns} <= full
+        assert {a.tobytes() for a in sampled.active} <= full
 
     def test_size_guard(self):
         with pytest.raises(ValueError, match="enumeration"):
@@ -326,8 +338,7 @@ class TestEnumeration:
 
     def test_zero_rows_always_active(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0]])
-        got = {p.bitstring() for p in enumerate_patterns(X).patterns}
-        assert got == {"11", "10"}
+        assert enumerate_patterns(X).bitstrings() == ["11", "10"]
 
 
 def _cells_bound(n, d):
@@ -373,7 +384,7 @@ class TestScreenedEnumeration:
     def test_no_lp_on_criterion_2(self, monkeypatch):
         Xs = [np.random.default_rng(seed).standard_normal((n, d))
               for n, d, seed in ((10, 2, 3), (12, 2, 5), (11, 2, 11), (9, 3, 7), (8, 3, 13))]
-        refs = [[p.bitstring() for p in reference_enumerate(X).patterns] for X in Xs]
+        refs = [reference_enumerate(X).bitstrings() for X in Xs]
 
         def no_lp(*args, **kwargs):
             raise AssertionError("enumerate_patterns ran an LP")
@@ -382,7 +393,7 @@ class TestScreenedEnumeration:
         total = 0
         for X, ref in zip(Xs, refs):
             gs = enumerate_patterns(X)
-            assert [p.bitstring() for p in gs.patterns] == ref
+            assert gs.bitstrings() == ref
             assert_generators_verified(X, gs)
             total += gs.P
         assert total == 198

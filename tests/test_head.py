@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cld.admm import AdmmConfig, GateConfig, train
 from cld.cert import var_bound_l21
 from cld.cvxprog import loss, penalty
-from cld.gates import GatePattern, GateSet
+from cld.gates import GateSet
 from cld.head import (
     CertificateMismatchError,
     ModelFormatError,
@@ -41,15 +41,17 @@ MALFORMED_DOCS = {
     "string-dedup": lambda doc: {**doc, "gates": {**doc["gates"], "dedup": "yes"}},
     "list-seed": lambda doc: {**doc, "gates": {**doc["gates"], "seed": [1, 2]}},
     "list-train-meta": lambda doc: {**doc, "train_meta": [3]},
+    "no-gates": lambda doc: {
+        **doc, "P": 0, "cert": None,
+        "gates": {**doc["gates"], "patterns": [], "generators": []},
+        **{key: {"shape": [0, doc["d"], doc["K"]], "data": []} for key in ("V", "W")}},
 }
 
 
 def make_head(V, W=None, mode="relaxed", seed=0):
     P, d, K = V.shape
     rng = np.random.default_rng(seed)
-    gens = rng.standard_normal((P, d))
-    pats = tuple(GatePattern(np.ones(3, dtype=bool), g) for g in gens)
-    gates = GateSet(pats, seed=seed)
+    gates = GateSet(np.ones((P, 3), dtype=bool), rng.standard_normal((P, d)), seed=seed)
     W = np.zeros_like(V) if W is None else W
     label_map = {f"l{k}": k for k in range(K)}
     return TrainedHead(gates, V, W, "l21", mode, label_map)
@@ -294,9 +296,8 @@ class TestModelIO:
         path = tmp_path / "model.json"
         save_model(head, path)
         back = load_model(path)
-        for a, b in zip(head.gates.patterns, back.gates.patterns):
-            np.testing.assert_array_equal(a.generator, b.generator)
-            np.testing.assert_array_equal(a.active, b.active)
+        np.testing.assert_array_equal(head.gates.generators, back.gates.generators)
+        np.testing.assert_array_equal(head.gates.active, back.gates.active)
 
     @pytest.mark.parametrize("bad", ["x", "\u00e9"])
     def test_tampered_pattern_rejected(self, trained, tmp_path, bad):
@@ -367,6 +368,12 @@ class TestModelIO:
         head = make_head(V)
         with pytest.raises(ModelFormatError, match="penalty_kind"):
             TrainedHead(head.gates, V, np.zeros_like(V), "l1", "relaxed", head.label_map)
+
+    def test_head_rejects_generators_not_of_width_d(self):
+        head = make_head(np.ones((2, 3, 2)))
+        gates = GateSet(head.gates.active, np.ones((2, 4)))
+        with pytest.raises(ModelFormatError, match="width"):
+            TrainedHead(gates, head.V, head.W, "l21", "relaxed", head.label_map)
 
     @pytest.mark.parametrize("label_map", [{"a": 0}, {"a": 0, "b": 2}, {"a": 0, "b": 0},
                                            {"a": 0, "b": "1"}, {"a": 0, "b": 1, "c": 2},

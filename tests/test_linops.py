@@ -5,16 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cld.gates import GatePattern, GateSet, enumerate_patterns, sample_gates
+from cld.gates import GateSet, enumerate_patterns, sample_gates
 import cld.linops
 from cld.linops import GatedOperator, gram_solver, power_iteration
 
 
 def all_on_gates(n, d, count=1):
-    pats = tuple(
-        GatePattern(np.ones(n, dtype=bool), np.ones(d)) for _ in range(count)
-    )
-    return GateSet(pats)
+    return GateSet(np.ones((count, n), dtype=bool), np.ones((count, d)))
 
 
 def dense_blocks(op):
@@ -174,7 +171,7 @@ def masked_operator(n, d, P, split, kind, seed):
         active[:] = False
     elif kind == "mixed":
         active[0], active[-1] = True, False
-    gates = GateSet(tuple(GatePattern(a, np.ones(d)) for a in active))
+    gates = GateSet(active, np.ones((P, d)))
     return (GatedOperator.split if split else GatedOperator.relaxed)(X, gates, K=2)
 
 

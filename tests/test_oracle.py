@@ -35,15 +35,15 @@ class TestFista:
 
     def test_relaxed_mode_only(self):
         import cld.cvxprog as cp
-        from cld.gates import ConeSpec, sample_gates
+        from cld.gates import sample_gates
         from cld.linops import GatedOperator
 
         rng = np.random.default_rng(3)
         X = rng.standard_normal((6, 2))
         gates = sample_gates(X, 2, seed=3)
         op = GatedOperator.split(X, gates, K=2)
-        cones = tuple(ConeSpec(p, X) for p in gates.patterns)
-        prob = cp.ConvexProblem(op, np.eye(2)[rng.integers(0, 2, 6)], 0.1, "l21", "exact", cones)
+        prob = cp.ConvexProblem(op, np.eye(2)[rng.integers(0, 2, 6)], 0.1, "l21", "exact",
+                                gates.active)
         with pytest.raises(ValueError, match="relaxed"):
             fista_solve(prob)
 
@@ -80,12 +80,12 @@ class TestGradcheck:
 class TestDenseOracle:
     def test_ungated_beta_zero_is_ordinary_least_squares(self):
         rng = np.random.default_rng(7)
-        from cld.gates import GatePattern, GateSet
+        from cld.gates import GateSet
         from cld.linops import GatedOperator
         from cld.cvxprog import ConvexProblem
 
         X = rng.standard_normal((10, 3))
-        gates = GateSet((GatePattern(np.ones(10, dtype=bool), np.ones(3)),))
+        gates = GateSet(np.ones((1, 10), dtype=bool), np.ones((1, 3)))
         op = GatedOperator.relaxed(X, gates, K=2)
         Y = rng.standard_normal((10, 2))
         prob = ConvexProblem(op, Y, 0.0, "l21", "relaxed", ())
@@ -119,11 +119,9 @@ class TestDenseOracle:
 
         big_X = np.zeros((20000, 4))
         from cld.linops import GatedOperator
-        from cld.gates import GatePattern, GateSet
+        from cld.gates import GateSet
 
-        gates = GateSet(tuple(
-            GatePattern(np.ones(20000, dtype=bool), np.ones(4)) for _ in range(4)
-        ))
+        gates = GateSet(np.ones((4, 20000), dtype=bool), np.ones((4, 4)))
         op = GatedOperator.relaxed(big_X, gates, K=2)
         from cld.cvxprog import ConvexProblem
 
