@@ -1,15 +1,15 @@
 """Command-line surface: train, predict, certify, eval, synth, bench, verify.
 
 Exit codes: 0 success, 2 usage or I/O failure, 3 verification failure.
-Config precedence is flags > config file (--config, JSON or TOML) > built-in
-defaults. Every command takes --seed and is fully deterministic for fixed
-seeds and flags; for training the seed draws the gates and starts the power
-iteration of the FISTA verification oracle (the ADMM u-solve is exact and
-has no settings). Wall-clock measurements go to the log sink (stderr or
---log), never into result files. The CLD_THREADS environment variable is
-only validated (a value that is not a positive integer exits 2): block loops
-run sequentially in a fixed order, and BLAS threads follow
-OPENBLAS_NUM_THREADS.
+Settings resolve once: flags > config file (--config, JSON or TOML) > the
+library's defaults (``AdmmConfig``'s fields). Every command takes --seed and
+is fully deterministic for fixed seeds and flags; for training the seed
+draws the gates and starts the power iteration of the FISTA verification
+oracle (the ADMM u-solve is exact and has no settings). Wall-clock
+measurements go to the log sink (stderr or --log), never into result files.
+The CLD_THREADS environment variable is only validated (a value that is not
+a positive integer exits 2): block loops run sequentially in a fixed order,
+and BLAS threads follow OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -65,10 +65,13 @@ def _atomic_write(path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write the header and then each row, both sequences of cells, as CSV lines."""
+    _atomic_write(path, "".join(",".join(map(str, line)) + "\n" for line in [header, *rows]))
+
+
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return repr(float(x))
+    return "" if x is None else repr(float(x))
 
 
 @contextlib.contextmanager
@@ -88,115 +91,96 @@ def _logging(cmd):
     return run
 
 
-# every key a --config file may set, each named as its flag's dest
-_CONFIG_KEYS = frozenset({"seed", "stop_tol", "rho", "beta", "admm_iters", "mode", "penalty",
-                          "gates"})
+# every setting a --config file may set, by its flag's dest, with the flag's type
+_SETTINGS = {"seed": int, "stop_tol": float, "rho": float, "beta": float, "admm_iters": int,
+             "mode": str, "penalty": str, "gates": int}
 
 
-def _load_config_file(path) -> dict:
-    if path is None:
-        return {}
-    path = Path(path)
-    raw = path.read_bytes()
-    if path.suffix.lower() == ".toml":
-        import tomllib
+def _settings(args) -> dict:
+    """The solver settings given by flags, then by the --config file (JSON or TOML).
 
-        config = tomllib.loads(raw.decode("utf-8"))
-    else:
-        config = json.loads(raw.decode("utf-8"))
-    if not isinstance(config, dict):
-        raise ValueError(f"config file {path} must hold one object of settings")
-    unknown = sorted(set(config) - _CONFIG_KEYS)
-    if unknown:
-        raise ValueError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
-    return config
+    A config value must have its flag's type; an int stands for a float. A
+    setting given in neither place is left out, so the library's own
+    default applies.
+    """
+    settings = {}
+    if args.config is not None:
+        path = Path(args.config)
+        text = path.read_text(encoding="utf-8")
+        if path.suffix.lower() == ".toml":
+            import tomllib
 
-
-def _setting(args, config: dict, name: str, default):
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    if name in config:
-        return config[name]
-    return default
-
-
-def _default_gate_count(K: int) -> int:
-    return 10 if K == 2 else 32
+            settings = tomllib.loads(text)
+        else:
+            settings = json.loads(text)
+        if not isinstance(settings, dict):
+            raise ValueError(f"config file {path} must hold one object of settings")
+        unknown = sorted(set(settings) - set(_SETTINGS))
+        if unknown:
+            raise ValueError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
+        for key, value in settings.items():
+            kind = _SETTINGS[key]
+            if kind is float and type(value) is int:
+                settings[key] = float(value)
+            elif type(value) is not kind:
+                raise ValueError(f"config file {path}: {key} must be a {kind.__name__}, "
+                                 f"got {value!r}")
+    settings.update((key, getattr(args, key)) for key in _SETTINGS
+                    if getattr(args, key) is not None)
+    return settings
 
 
 def _solver_configs(args, K: int) -> tuple[GateConfig, AdmmConfig]:
-    config = _load_config_file(getattr(args, "config", None))
-    seed = _setting(args, config, "seed", 0)
-    stop_tol = _setting(args, config, "stop_tol", None)
-    cfg = AdmmConfig(
-        rho=float(_setting(args, config, "rho", 1e-4)),
-        beta=float(_setting(args, config, "beta", 1e-3)),
-        admm_iters=int(_setting(args, config, "admm_iters", 6)),
-        mode=str(_setting(args, config, "mode", "relaxed")),
-        penalty_kind=str(_setting(args, config, "penalty", "l21")),
-        seed=int(seed),
-        stop_tol=None if stop_tol is None else float(stop_tol),
-    )
-    gate_cfg = GateConfig(
-        count=int(_setting(args, config, "gates", _default_gate_count(K))),
-        seed=int(seed),
-        enumerate_all=bool(getattr(args, "enumerate_gates", False)),
-    )
-    return gate_cfg, cfg
+    settings = _settings(args)
+    count = settings.pop("gates", 10 if K == 2 else 32)
+    if "penalty" in settings:
+        settings["penalty_kind"] = settings.pop("penalty")
+    cfg = AdmmConfig(**settings)
+    return GateConfig(count=count, seed=cfg.seed, enumerate_all=args.enumerate_gates), cfg
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON or TOML file with default-overriding settings")
-    p.add_argument("--beta", type=float, help="group-penalty weight (default 1e-3)")
-    p.add_argument("--rho", type=float, help="consensus penalty (default 1e-4)")
-    p.add_argument("--admm-iters", dest="admm_iters", type=int, help="outer iterations (default 6)")
-    p.add_argument("--gates", type=int, help="activation patterns to sample (default 10 binary / 32 multiclass)")
+    p.add_argument("--beta", type=float, help=f"group-penalty weight (default {AdmmConfig.beta:g})")
+    p.add_argument("--rho", type=float, help=f"consensus penalty (default {AdmmConfig.rho:g})")
+    p.add_argument("--admm-iters", dest="admm_iters", type=int,
+                   help=f"outer iterations (default {AdmmConfig.admm_iters})")
+    p.add_argument("--gates", type=int,
+                   help="activation patterns to sample (default 10 binary / 32 multiclass)")
     p.add_argument("--enumerate-gates", dest="enumerate_gates", action="store_true",
                    help="enumerate the complete pattern set (tiny instances only)")
-    p.add_argument("--mode", choices=("relaxed", "exact"), help="training mode (default relaxed)")
-    p.add_argument("--penalty", choices=("l21", "frobenius"), help="penalty kind (default l21)")
+    p.add_argument("--mode", choices=("relaxed", "exact"),
+                   help=f"training mode (default {AdmmConfig.mode})")
+    p.add_argument("--penalty", choices=("l21", "frobenius"),
+                   help=f"penalty kind (default {AdmmConfig.penalty_kind})")
     p.add_argument("--stop-tol", dest="stop_tol", type=float,
                    help="stop early once both residuals fall below this")
     p.add_argument("--seed", type=int,
-                   help="seed for the gates and for the power iteration of the FISTA "
-                        "oracle that verification runs (default 0)")
-
-
-def _head_objective(head, X, Y):
-    """Objective of the stored weights under the training operator."""
-    if head.mode == "exact":
-        op = GatedOperator.split(X, head.gates, head.K)
-        S = np.concatenate([head.V, head.W], axis=0)
-    else:
-        op = GatedOperator.relaxed(X, head.gates, head.K)
-        S = head.V
-    kind = head.penalty_kind
-    prob = ConvexProblem(op, Y, head.train_meta["admm"]["beta"], kind, "relaxed", ())
-    return objective(prob, S), prob
+                   help="seed for the gates, for the power iteration of the FISTA oracle "
+                        "that verification runs, and for bench's data and split "
+                        f"(default {AdmmConfig.seed})")
 
 
 _FISTA_VERIFY_GUARD = 1_000_000   # n * P * d budget for the accelerated oracle
 
 
 def _cross_check(head, X, labels, tol: float, log) -> dict:
-    """Compare the trained objective against the reference solvers.
+    """Compare a relaxed head's objective against the reference solvers.
 
     Each oracle only runs when the instance is small enough for it; asking
     for verification on an instance too large for either is an error.
     """
-    if head.mode != "relaxed":
-        raise ValueError("oracle verification covers relaxed-mode training only")
     size = X.shape[0] * head.P * head.d
     if size > _FISTA_VERIFY_GUARD:
         raise ValueError(
             f"instance too large to verify (n*P*d = {size} > {_FISTA_VERIFY_GUARD}); "
             "verify a subsample instead"
         )
-    Y = labels.one_hot()
-    obj_head, prob = _head_objective(head, X, Y)
-    fista = fista_solve(prob, FistaConfig(max_iters=20000, seed=head.train_meta["admm"]["seed"]))
-    values = {"admm": obj_head.total, "fista": fista.objective}
+    admm = head.train_meta["admm"]
+    prob = ConvexProblem(GatedOperator.relaxed(X, head.gates, head.K), labels.one_hot(),
+                         admm["beta"], head.penalty_kind)
+    fista = fista_solve(prob, FistaConfig(max_iters=20000, seed=admm["seed"]))
+    values = {"admm": objective(prob, head.V).total, "fista": fista.objective}
     if size <= _DENSE_GUARD:
         values["dense"] = dense_solve_smallest(prob).objective
     lo, hi = min(values.values()), max(values.values())
@@ -208,6 +192,24 @@ def _cross_check(head, X, labels, tol: float, log) -> dict:
             f"solver objectives disagree: spread {rel:.3e} > tolerance {tol:.1e} ({values})"
         )
     return report
+
+
+def _train_step(args, log):
+    """Train on --manifest, logging every phase, and cross-check if --verify asks.
+
+    Returns the head and the cross-check report (None without --verify).
+    Verification covers relaxed-mode training only, so exact mode is
+    refused before any training is done.
+    """
+    X, labels = load_manifest(args.manifest)
+    gate_cfg, cfg = _solver_configs(args, labels.K)
+    if args.verify and cfg.mode != "relaxed":
+        raise ValueError("oracle verification covers relaxed-mode training only")
+    t0 = time.perf_counter()
+    head = train(X, labels, gate_cfg, cfg, log=log)
+    log({"phase": "train", "seconds": time.perf_counter() - t0})
+    report = _cross_check(head, X.values, labels, args.verify_tol, log) if args.verify else None
+    return head, report
 
 
 # --- subcommands -----------------------------------------------------------
@@ -233,11 +235,10 @@ def cmd_synth(args) -> int:
     write_features(out / "features.cldf", data.features)
     write_labels(out / "labels.csv", data.labels)
     write_manifest(out / "manifest.json", "features.cldf", "labels.csv", data.labels.label_map)
-    lines = ["id,accent_id,label"]
     names = data.labels.names
-    for i, (a, y) in enumerate(zip(data.accent_ids, data.labels.class_ids)):
-        lines.append(f"{i},{a},{names[y]}")
-    _atomic_write(out / "accents.csv", "\n".join(lines) + "\n")
+    _write_csv(out / "accents.csv", ["id", "accent_id", "label"],
+               ((i, a, names[y]) for i, (a, y) in
+                enumerate(zip(data.accent_ids, data.labels.class_ids))))
     print(f"wrote {data.features.n} x {data.features.d} features to {out} "
           f"(nearest-center accuracy {data.nearest_center_accuracy:.4f})")
     return 0
@@ -245,13 +246,7 @@ def cmd_synth(args) -> int:
 
 @_logging
 def cmd_train(args, log) -> int:
-    X, labels = load_manifest(args.manifest)
-    gate_cfg, cfg = _solver_configs(args, labels.K)
-    t0 = time.perf_counter()
-    head = train(X, labels, gate_cfg, cfg, log=log)
-    log({"phase": "train", "seconds": time.perf_counter() - t0})
-    if args.verify:
-        _cross_check(head, X.values, labels, tol=args.verify_tol, log=log)
+    head, _ = _train_step(args, log)
     save_model(head, args.out)
     print(f"model written to {args.out} (B_l21 {head.cert.B_l21:.6g})")
     return 0
@@ -263,11 +258,7 @@ def _pooled_inputs(path):
     files = sorted(path.glob("*.clds")) if path.is_dir() else [path]
     if not files:
         raise DataFormatError(f"no .clds sequence files under {path}")
-    ids, rows = [], []
-    for f in files:
-        ids.append(f.stem)
-        rows.append(pool_masked_mean(read_sequence(f)))
-    return ids, np.vstack(rows)
+    return [f.stem for f in files], np.vstack([pool_masked_mean(read_sequence(f)) for f in files])
 
 
 @_logging
@@ -278,18 +269,13 @@ def cmd_predict(args, log) -> int:
     else:
         fm = read_features(args.features)
         ids, H = [str(i) for i in range(fm.n)], fm.values
-    if H.shape[1] != head.d:
-        raise DataFormatError(f"features have dimension {H.shape[1]}, model expects {head.d}")
-    names = head.class_names
-    header = "id,pred_class,pred_label," + ",".join(f"logit_{k}" for k in range(head.K))
-    lines = [header]
     t0 = time.perf_counter()
     logits = predict_batch(head, H, args.inference)
     log({"rows": len(ids), "latency_ms": (time.perf_counter() - t0) * 1e3})
-    for ex_id, row in zip(ids, logits):
-        pred = int(np.argmax(row))
-        lines.append(f"{ex_id},{pred},{names[pred]}," + ",".join(_fmt(v) for v in row))
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    names = head.class_names
+    _write_csv(args.out, ["id", "pred_class", "pred_label", *(f"logit_{k}" for k in range(head.K))],
+               ((ex_id, pred, names[pred], *map(_fmt, row))
+                for ex_id, pred, row in zip(ids, logits.argmax(axis=1), logits)))
     print(f"predictions for {len(ids)} examples written to {args.out}")
     return 0
 
@@ -305,19 +291,13 @@ def cmd_certify(args) -> int:
     head = load_model(args.model)
     X, labels = load_manifest(args.manifest)
     labels = labels.relabel(head.label_map)
-    if X.d != head.d:
-        raise DataFormatError(f"features have dimension {X.d}, model expects {head.d}")
     certs = certify_batch(head, X.values, labels.class_ids, L_E=args.L_E)
     audio = certs.radius_audio if certs.radius_audio is not None else [None] * labels.n
-    lines = ["id,pred,true,margin,radius_feature,radius_audio,certified"]
-    columns = (labels.ids, certs.pred, labels.class_ids, certs.margin, certs.radius_feature,
-               audio, certs.certified)
-    for ex_id, pred, y, mar, radius, radius_audio, certified in zip(*columns, strict=True):
-        lines.append(
-            f"{ex_id},{pred},{y},{_fmt(mar)},{_fmt(radius)},"
-            f"{_fmt(radius_audio)},{str(certified).lower()}"
-        )
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    columns = (labels.ids, certs.pred, labels.class_ids, map(_fmt, certs.margin),
+               map(_fmt, certs.radius_feature), map(_fmt, audio),
+               (str(c).lower() for c in certs.certified))
+    _write_csv(args.out, ["id", "pred", "true", "margin", "radius_feature", "radius_audio",
+                          "certified"], zip(*columns, strict=True))
     eps = _parse_grid(args.eps_grid)
     curve = certified_accuracy(certs, labels.class_ids, eps)
     summary = {
@@ -364,10 +344,8 @@ def cmd_eval(args) -> int:
         sys.stdout.write(text)
     if args.confusion_csv:
         names = labels.names
-        lines = ["true\\pred," + ",".join(names)]
-        for k, row in enumerate(report.confusion):
-            lines.append(names[k] + "," + ",".join(str(int(c)) for c in row))
-        _atomic_write(args.confusion_csv, "\n".join(lines) + "\n")
+        _write_csv(args.confusion_csv, ["true\\pred", *names],
+                   ((names[k], *map(int, row)) for k, row in enumerate(report.confusion)))
     return 0
 
 
@@ -388,18 +366,19 @@ def _stratified_order(group_ids: np.ndarray, pool: np.ndarray) -> np.ndarray:
 
 @_logging
 def cmd_bench(args, log) -> int:
-    seed = args.seed if args.seed is not None else 0
-    data = generate(_synth_spec(args, seed))
-    train_idx, test_idx, _val_idx = split(data.labels.class_ids, seed=seed)
-    gate_cfg, cfg = _solver_configs(args, data.labels.K)
+    gate_cfg, cfg = _solver_configs(args, args.languages)
+    data = generate(_synth_spec(args, cfg.seed))
+    train_idx, test_idx, _val_idx = split(data.labels.class_ids, seed=cfg.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     order = _stratified_order(data.accent_ids, train_idx)
     X = data.features.values
+    X_test, y_test = X[test_idx], data.labels.class_ids[test_idx]
+    accents_test = data.accent_ids[test_idx]
     names = data.labels.names
-    sizes = [int(s) for s in args.sizes.split(",")]
-    rows = ["size,n_train,accuracy,certified_fraction,mean_radius"]
-    for size in sizes:
+    accent_langs = {int(a): names[y] for a, y in zip(accents_test, y_test)}
+    rows = []
+    for size in [int(s) for s in args.sizes.split(",")]:
         n_train = min(size, order.size)
         if size > order.size:
             print(f"warning: size {size} exceeds the {order.size} available training rows; "
@@ -412,13 +391,11 @@ def cmd_bench(args, log) -> int:
                      log=lambda rec: log({**rec, "size": size}))
         log({"size": size, "phase": "train", "seconds": time.perf_counter() - t0})
         t0 = time.perf_counter()
-        logits = predict_batch(head, X[test_idx])
-        preds = logits.argmax(axis=1)
-        report = evaluate(preds, data.labels.class_ids[test_idx],
-                          accents=data.accent_ids[test_idx], class_names=names)
+        logits = predict_batch(head, X_test)
+        report = evaluate(logits.argmax(axis=1), y_test, accents=accents_test, class_names=names)
         log({"size": size, "phase": "eval", "seconds": time.perf_counter() - t0})
         t0 = time.perf_counter()
-        certs = certify_batch(head, X[test_idx], data.labels.class_ids[test_idx])
+        certs = certify_batch(head, X_test, y_test)
         log({"size": size, "phase": "certify", "seconds": time.perf_counter() - t0})
         radii = certs.radius_feature
         certified = float(np.mean(certs.certified))
@@ -428,26 +405,19 @@ def cmd_bench(args, log) -> int:
                                   "mean_radius": float(radii.mean()),
                                   "n_train": int(n_train)},
                                  indent=2, sort_keys=True) + "\n")
-        acc_lines = ["accent_id,label,n,accuracy"]
-        accent_langs = {}
-        for a, y in zip(data.accent_ids[test_idx], data.labels.class_ids[test_idx]):
-            accent_langs[int(a)] = names[y]
-        for a, acc in sorted(report.per_accent.items()):
-            count = int(np.sum(data.accent_ids[test_idx] == a))
-            acc_lines.append(f"{a},{accent_langs[a]},{count},{_fmt(acc)}")
-        _atomic_write(out / f"per_accent_{size}.csv", "\n".join(acc_lines) + "\n")
-        rows.append(f"{size},{n_train},{_fmt(report.accuracy)},{_fmt(certified)},{_fmt(radii.mean())}")
+        _write_csv(out / f"per_accent_{size}.csv", ["accent_id", "label", "n", "accuracy"],
+                   ((a, accent_langs[a], int(np.sum(accents_test == a)), _fmt(acc))
+                    for a, acc in sorted(report.per_accent.items())))
+        rows.append((size, n_train, _fmt(report.accuracy), _fmt(certified), _fmt(radii.mean())))
         print(f"size {size}: accuracy {report.accuracy:.4f}, certified {certified:.4f}")
-    _atomic_write(out / "accuracy_vs_size.csv", "\n".join(rows) + "\n")
+    _write_csv(out / "accuracy_vs_size.csv",
+               ["size", "n_train", "accuracy", "certified_fraction", "mean_radius"], rows)
     return 0
 
 
 @_logging
 def cmd_verify(args, log) -> int:
-    X, labels = load_manifest(args.manifest)
-    gate_cfg, cfg = _solver_configs(args, labels.K)
-    head = train(X, labels, gate_cfg, cfg)
-    report = _cross_check(head, X.values, labels, tol=args.verify_tol, log=log)
+    _, report = _train_step(args, log)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
@@ -548,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify-tol", dest="verify_tol", type=float, default=1e-4)
     p.add_argument("--log", help="JSON-lines log file (default stderr)")
     _add_solver_flags(p)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, verify=True)
 
     p = sub.add_parser("gates-enum", help="enumerate all activation patterns (tiny inputs)")
     p.add_argument("--features", required=True)

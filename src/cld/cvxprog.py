@@ -97,10 +97,6 @@ class ConvexProblem:
         object.__setattr__(self, "cones", cones)
         object.__setattr__(self, "signs", np.where(cones, 1.0, -1.0))
 
-    @property
-    def P(self) -> int:
-        return self.op.B // 2 if self.mode == "exact" else self.op.B
-
 
 @dataclass(frozen=True)
 class ObjectiveValue:

@@ -27,12 +27,14 @@ from .cvxprog import ConvexProblem, group_prox, loss, penalty
 from .linops import power_iteration
 
 
+_LIPSCHITZ_SAFETY = 1.1   # the step is 1 / (safety * the power-iteration estimate)
+_POWER_ITERS = 200
+
+
 @dataclass(frozen=True)
 class FistaConfig:
     max_iters: int = 5000
     rel_obj_tol: float = 1e-10
-    lipschitz_safety: float = 1.1
-    power_iters: int = 200
     seed: int = 0
 
     def __post_init__(self):
@@ -67,8 +69,8 @@ def fista_solve(prob: ConvexProblem, cfg: FistaConfig = FistaConfig()) -> FistaR
     shape = op.block_shape
     dim = int(np.prod(shape))
     lam_max = power_iteration(lambda S: op.adjoint(op.apply(S)), dim,
-                              iters=cfg.power_iters, seed=cfg.seed, shape=shape)
-    L = cfg.lipschitz_safety * max(lam_max, np.finfo(np.float64).tiny)
+                              iters=_POWER_ITERS, seed=cfg.seed, shape=shape)
+    L = _LIPSCHITZ_SAFETY * max(lam_max, np.finfo(np.float64).tiny)
 
     def value(F_of_S, S):
         return loss(F_of_S, prob.Y) + prob.beta * penalty(S, prob.penalty_kind)
@@ -112,6 +114,7 @@ def fista_solve(prob: ConvexProblem, cfg: FistaConfig = FistaConfig()) -> FistaR
 
 
 _DENSE_GUARD = 200_000
+_DENSE_REL_OBJ_TOL = 1e-12
 
 
 @dataclass
@@ -128,13 +131,12 @@ def dense_matrix(prob: ConvexProblem) -> np.ndarray:
     return np.hstack(cols)
 
 
-def dense_solve_smallest(prob: ConvexProblem, max_iters: int = 100_000,
-                         rel_obj_tol: float = 1e-12) -> DenseResult:
+def dense_solve_smallest(prob: ConvexProblem, max_iters: int = 100_000) -> DenseResult:
     """Brute-force reference solve on the materialised dense matrix.
 
     beta = 0 reduces to a least-squares solve; beta > 0 runs an accelerated
     proximal loop with inline group shrinkage, stopping once the relative
-    objective decrease stays below ``rel_obj_tol``. Guarded to small
+    objective decrease stays below ``_DENSE_REL_OBJ_TOL``. Guarded to small
     instances.
     """
     op = prob.op
@@ -202,7 +204,7 @@ def dense_solve_smallest(prob: ConvexProblem, max_iters: int = 100_000,
         S_mat, GS, t, obj = cand, Gcand, t_next, cand_obj
         if obj < best_obj:
             best_obj, best_S = obj, S_mat
-        flat_streak = flat_streak + 1 if drop <= rel_obj_tol * max(abs(obj), 1e-300) else 0
+        flat_streak = flat_streak + 1 if drop <= _DENSE_REL_OBJ_TOL * max(abs(obj), 1e-300) else 0
         if flat_streak >= 20:
             break
     final = loss(A @ best_S, Y) + prob.beta * inline_penalty(best_S)

@@ -167,6 +167,44 @@ class TestTrain:
         assert key in capsys.readouterr().err
         assert not path.exists()
 
+    @pytest.mark.parametrize("key, value", [("admm_iters", 2.9), ("gates", True),
+                                            ("rho", "1e-1"), ("seed", 1.5)])
+    def test_mistyped_config_value_exits_2(self, dataset, tmp_path, capsys, key, value):
+        # a value of another type than its flag's is refused, not coerced
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"rho": 0.1, key: value}))
+        path = tmp_path / "m.json"
+        rc = main(["train", "--manifest", str(dataset / "manifest.json"),
+                   "--out", str(path), "--config", str(cfgfile)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "cfg.json" in err and key in err and "Traceback" not in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("suffix", [".json", ".toml"])
+    def test_every_config_key_matches_its_flag(self, dataset, tmp_path, suffix):
+        # all eight keys, none at its default; rho is an int, which stands for a float
+        settings = {"seed": 3, "stop_tol": 1e-6, "rho": 1, "beta": 0.01, "admm_iters": 5,
+                    "mode": "exact", "penalty": "frobenius", "gates": 4}
+        cfgfile = tmp_path / f"cfg{suffix}"
+        cfgfile.write_text(json.dumps(settings) if suffix == ".json" else
+                           "".join(f"{k} = {json.dumps(v)}\n" for k, v in settings.items()))
+        flags = ["--seed", "3", "--stop-tol", "1e-6", "--rho", "1", "--beta", "0.01",
+                 "--admm-iters", "5", "--mode", "exact", "--penalty", "frobenius",
+                 "--gates", "4"]
+
+        def model_bytes(name, *extra):
+            path = tmp_path / name
+            assert main(["train", "--manifest", str(dataset / "manifest.json"),
+                         "--out", str(path), *extra]) == 0
+            return path.read_bytes()
+
+        assert (model_bytes("file.json", "--config", str(cfgfile))
+                == model_bytes("flags.json", *flags))
+        # a flag still wins over the file
+        assert (model_bytes("file7.json", "--config", str(cfgfile), "--admm-iters", "7")
+                == model_bytes("flags7.json", *flags, "--admm-iters", "7"))
+
 
 class TestPredict:
     def test_predictions_match_library(self, dataset, model, tmp_path):
@@ -513,6 +551,20 @@ class TestBench:
         rows = (tmp_path / "r" / "accuracy_vs_size.csv").read_text().strip().splitlines()
         assert rows[1].startswith("999,16,")
 
+    def test_config_seed_draws_data_split_and_gates(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"seed": 5}))
+        args = ["bench", "--languages", "2", "--accents", "1,1", "--dim", "4",
+                "--samples-per-accent", "20", "--sizes", "24", "--rho", "0.1",
+                "--admm-iters", "20", "--log", str(tmp_path / "b.log")]
+        assert main([*args, "--out", str(tmp_path / "cfg"), "--config", str(cfgfile)]) == 0
+        assert main([*args, "--out", str(tmp_path / "flag"), "--seed", "5"]) == 0
+        cfg, flag = tmp_path / "cfg", tmp_path / "flag"
+        names = sorted(p.name for p in cfg.iterdir())
+        assert names == sorted(p.name for p in flag.iterdir())
+        for name in names:
+            assert (cfg / name).read_bytes() == (flag / name).read_bytes()
+
 
 class TestVerifyCommand:
     def test_agreement_exit_zero(self, dataset):
@@ -539,6 +591,35 @@ class TestVerifyCommand:
                        "--gates", "64", "--admm-iters", "2", "--seed", "1"])
         assert rc == 2
         assert "too large" in capsys.readouterr().err
+
+    def test_log_reports_training_like_train_verify(self, dataset, tmp_path):
+        flags = ["--manifest", str(dataset / "manifest.json"), "--gates", "4", "--rho", "0.1",
+                 "--admm-iters", "400", "--stop-tol", "1e-9", "--seed", "0"]
+        assert main(["verify", *flags, "--log", str(tmp_path / "v.log")]) == 0
+        assert main(["train", *flags, "--verify", "--out", str(tmp_path / "m.json"),
+                     "--log", str(tmp_path / "t.log")]) == 0
+
+        def records(name):
+            recs = [json.loads(l) for l in (tmp_path / name).read_text().splitlines()]
+            return [{k: v for k, v in rec.items() if k != "seconds"} for rec in recs]
+
+        verify_log = records("v.log")
+        assert [rec.get("phase") for rec in verify_log if "phase" in rec] == [
+            "u_factor", "summary", "train"]
+        assert "verify" in verify_log[-1]
+        assert verify_log == records("t.log")
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_exact_mode_refused_before_training(self, dataset, tmp_path, capsys, train):
+        log = tmp_path / "v.log"
+        out = tmp_path / "m.json"
+        command = ["train", "--verify", "--out", str(out)] if train else ["verify"]
+        rc = main([*command, "--manifest", str(dataset / "manifest.json"), "--mode", "exact",
+                   "--gates", "4", "--log", str(log)])
+        assert rc == 2
+        assert "relaxed-mode training only" in capsys.readouterr().err
+        assert log.read_text() == ""      # no training record: it never started
+        assert not out.exists()
 
 
 class TestGatesEnum:
