@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import os
 import sys
@@ -26,13 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .admm import AdmmConfig, GateConfig, TrainingError, train
+from .admm import AdmmConfig, GateConfig, train
 from .cert import certify_batch, certified_accuracy
-from .cvxprog import ConvexProblem, objective
+from .cvxprog import MODES, PENALTY_KINDS, ConvexProblem, objective
 from .dataio import (
-    AlignmentError,
     DataFormatError,
-    LabelError,
+    LabelSet,
     load_manifest,
     pool_masked_mean,
     read_features,
@@ -42,14 +40,13 @@ from .dataio import (
     write_manifest,
 )
 from .gates import enumerate_patterns
-from .head import ModelFormatError, load_model, predict_batch, save_model
+from .head import INFERENCE_MODES, load_model, predict_batch, save_model
 from .linops import GatedOperator
 from .metrics import evaluate
 from .oracle import FistaConfig, dense_solve_smallest, fista_solve, _DENSE_GUARD
 from .synth import SynthSpec, generate, split
 
-_USAGE_ERRORS = (DataFormatError, AlignmentError, LabelError, TrainingError,
-                 ModelFormatError, ValueError, OSError)
+_USAGE_ERRORS = (ValueError, OSError)   # the library's input errors all subclass ValueError
 
 
 class VerificationFailure(RuntimeError):
@@ -80,15 +77,6 @@ def _log_sink(path):
     with contextlib.nullcontext(sys.stderr) if path is None else open(
             path, "a", encoding="utf-8") as fh:
         yield lambda rec: print(json.dumps(rec, sort_keys=True), file=fh, flush=True)
-
-
-def _logging(cmd):
-    """Run ``cmd(args, log)`` with the --log sink open, and close it afterwards."""
-    @functools.wraps(cmd)
-    def run(args) -> int:
-        with _log_sink(args.log) as log:
-            return cmd(args, log)
-    return run
 
 
 # every setting a --config file may set, by its flag's dest, with the flag's type
@@ -149,9 +137,9 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="activation patterns to sample (default 10 binary / 32 multiclass)")
     p.add_argument("--enumerate-gates", dest="enumerate_gates", action="store_true",
                    help="enumerate the complete pattern set (tiny instances only)")
-    p.add_argument("--mode", choices=("relaxed", "exact"),
+    p.add_argument("--mode", choices=MODES,
                    help=f"training mode (default {AdmmConfig.mode})")
-    p.add_argument("--penalty", choices=("l21", "frobenius"),
+    p.add_argument("--penalty", choices=PENALTY_KINDS,
                    help=f"penalty kind (default {AdmmConfig.penalty_kind})")
     p.add_argument("--stop-tol", dest="stop_tol", type=float,
                    help="stop early once both residuals fall below this")
@@ -164,6 +152,12 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 _FISTA_VERIFY_GUARD = 1_000_000   # n * P * d budget for the accelerated oracle
 
 
+def _check_verify_size(size: int) -> None:
+    if size > _FISTA_VERIFY_GUARD:
+        raise ValueError(f"instance too large to verify (n*P*d = {size} > {_FISTA_VERIFY_GUARD}); "
+                         "verify a subsample instead")
+
+
 def _cross_check(head, X, labels, tol: float, log) -> dict:
     """Compare a relaxed head's objective against the reference solvers.
 
@@ -171,11 +165,7 @@ def _cross_check(head, X, labels, tol: float, log) -> dict:
     for verification on an instance too large for either is an error.
     """
     size = X.shape[0] * head.P * head.d
-    if size > _FISTA_VERIFY_GUARD:
-        raise ValueError(
-            f"instance too large to verify (n*P*d = {size} > {_FISTA_VERIFY_GUARD}); "
-            "verify a subsample instead"
-        )
+    _check_verify_size(size)
     admm = head.train_meta["admm"]
     prob = ConvexProblem(GatedOperator.relaxed(X, head.gates, head.K), labels.one_hot(),
                          admm["beta"], head.penalty_kind)
@@ -198,13 +188,15 @@ def _train_step(args, log):
     """Train on --manifest, logging every phase, and cross-check if --verify asks.
 
     Returns the head and the cross-check report (None without --verify).
-    Verification covers relaxed-mode training only, so exact mode is
-    refused before any training is done.
+    Verification covers relaxed-mode training only; exact mode, and sampled
+    gates whose n * count * d bound is over budget, are refused before training.
     """
     X, labels = load_manifest(args.manifest)
     gate_cfg, cfg = _solver_configs(args, labels.K)
     if args.verify and cfg.mode != "relaxed":
         raise ValueError("oracle verification covers relaxed-mode training only")
+    if args.verify and not gate_cfg.enumerate_all:
+        _check_verify_size(X.n * gate_cfg.count * X.d)   # sampling gives P <= count
     t0 = time.perf_counter()
     head = train(X, labels, gate_cfg, cfg, log=log)
     log({"phase": "train", "seconds": time.perf_counter() - t0})
@@ -228,7 +220,7 @@ def _synth_spec(args, seed: int) -> SynthSpec:
     )
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args, log) -> int:
     data = generate(_synth_spec(args, args.seed))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -244,7 +236,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-@_logging
 def cmd_train(args, log) -> int:
     head, _ = _train_step(args, log)
     save_model(head, args.out)
@@ -261,7 +252,6 @@ def _pooled_inputs(path):
     return [f.stem for f in files], np.vstack([pool_masked_mean(read_sequence(f)) for f in files])
 
 
-@_logging
 def cmd_predict(args, log) -> int:
     head = load_model(args.model)
     if args.pool:
@@ -287,7 +277,7 @@ def _parse_grid(text: str) -> np.ndarray:
     return values
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args, log) -> int:
     head = load_model(args.model)
     X, labels = load_manifest(args.manifest)
     labels = labels.relabel(head.label_map)
@@ -320,7 +310,7 @@ def cmd_certify(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, log) -> int:
     head = load_model(args.model)
     X, labels = load_manifest(args.manifest)
     labels = labels.relabel(head.label_map)
@@ -328,14 +318,17 @@ def cmd_eval(args) -> int:
     accents = None
     if args.accents:
         rows = Path(args.accents).read_text(encoding="utf-8").strip().splitlines()[1:]
-        accents = []
+        by_id = {}   # accent_id by example id, the first column
         for line, row in enumerate(rows, start=2):
             try:
-                accents.append(int(row.split(",")[1]))
+                by_id[row.split(",")[0].strip()] = int(row.split(",")[1])
             except (IndexError, ValueError):
                 raise DataFormatError(
                     f"{args.accents}: line {line} has no integer accent_id: {row!r}") from None
-        accents = np.array(accents)
+        missing = [ex_id for ex_id in labels.ids if ex_id not in by_id]
+        if missing:
+            raise DataFormatError(f"{args.accents}: no row for example id {missing[0]!r}")
+        accents = np.array([by_id[ex_id] for ex_id in labels.ids])
     report = evaluate(logits.argmax(axis=1), labels, accents=accents)
     text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -364,8 +357,10 @@ def _stratified_order(group_ids: np.ndarray, pool: np.ndarray) -> np.ndarray:
     return np.array(order)
 
 
-@_logging
 def cmd_bench(args, log) -> int:
+    sizes = [int(s) for s in args.sizes.split(",")]
+    if min(sizes) < 1:
+        raise ValueError(f"--sizes must be positive, got {min(sizes)}")
     gate_cfg, cfg = _solver_configs(args, args.languages)
     data = generate(_synth_spec(args, cfg.seed))
     train_idx, test_idx, _val_idx = split(data.labels.class_ids, seed=cfg.seed)
@@ -378,13 +373,13 @@ def cmd_bench(args, log) -> int:
     names = data.labels.names
     accent_langs = {int(a): names[y] for a, y in zip(accents_test, y_test)}
     rows = []
-    for size in [int(s) for s in args.sizes.split(",")]:
+    for size in sizes:
         n_train = min(size, order.size)
         if size > order.size:
             print(f"warning: size {size} exceeds the {order.size} available training rows; "
                   f"capping to {n_train}", file=sys.stderr)
         sub = order[:n_train]
-        sub_labels = type(data.labels)(data.labels.class_ids[sub], data.labels.label_map)
+        sub_labels = LabelSet(data.labels.class_ids[sub], data.labels.label_map)
         t0 = time.perf_counter()
         # bench records are keyed by training size, which overrides u_factor's Gram size
         head = train(X[sub], sub_labels, gate_cfg, cfg,
@@ -415,14 +410,13 @@ def cmd_bench(args, log) -> int:
     return 0
 
 
-@_logging
 def cmd_verify(args, log) -> int:
     _, report = _train_step(args, log)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 
-def cmd_gates_enum(args) -> int:
+def cmd_gates_enum(args, log) -> int:
     fm = read_features(args.features)
     gates = enumerate_patterns(fm.values)
     print(f"{gates.P} activation patterns over {fm.n} rows")
@@ -481,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True, help="CLDF/CSV matrix, or CLDS file/dir with --pool")
     p.add_argument("--pool", action="store_true", help="inputs are frame sequences; pool them first")
-    p.add_argument("--inference", choices=("gated", "relu"), default=None)
+    p.add_argument("--inference", choices=INFERENCE_MODES, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--log", help="JSON-lines log file (default stderr)")
     p.set_defaults(func=cmd_predict)
@@ -499,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a model against labelled features")
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--inference", choices=("gated", "relu"), default=None)
+    p.add_argument("--inference", choices=INFERENCE_MODES, default=None)
     p.add_argument("--accents", help="accents.csv for per-accent accuracy")
     p.add_argument("--out", help="report JSON path (default stdout)")
     p.add_argument("--confusion-csv", dest="confusion_csv")
@@ -540,7 +534,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _log_sink(getattr(args, "log", None)) as log:   # stderr without --log
+            return args.func(args, log)
     except VerificationFailure as exc:
         print(f"cld: verification failed: {exc}", file=sys.stderr)
         return 3

@@ -158,11 +158,7 @@ def pool_masked_mean(seq: SequenceFeature) -> np.ndarray:
 
 def write_features(path, matrix) -> None:
     """Write a feature matrix in the CLDF binary format (f32 payload)."""
-    values = matrix.values if isinstance(matrix, FeatureMatrix) else np.asarray(matrix, dtype=np.float64)
-    if values.ndim != 2:
-        raise DataFormatError(f"feature matrix must be 2-D, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise DataFormatError("refusing to write non-finite feature values")
+    values = (matrix if isinstance(matrix, FeatureMatrix) else FeatureMatrix(matrix)).values
     n, d = values.shape
     payload = np.ascontiguousarray(values, dtype="<f4")
     with open(path, "wb") as fh:

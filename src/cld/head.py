@@ -24,15 +24,12 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .cert import CertificateBundle, bundle_from_weights, bundle_to_dict
 from .cvxprog import MODES, PENALTY_KINDS
 from .gates import GateSet
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .cert import CertificateBundle
 
 MODEL_VERSION = 1
 INFERENCE_MODES = ("gated", "relu")
@@ -75,12 +72,10 @@ class TrainedHead:
     penalty_kind: str
     mode: str
     label_map: dict[str, int]
-    cert: "CertificateBundle" = field(init=False)   # computed from the weights
+    cert: CertificateBundle = field(init=False)   # computed from the weights
     train_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        from .cert import bundle_from_weights
-
         if self.mode not in MODES:
             raise ModelFormatError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.penalty_kind not in PENALTY_KINDS:
@@ -222,8 +217,6 @@ def _dec_array(doc: dict, name: str, path) -> np.ndarray:
 
 
 def head_to_dict(head: TrainedHead) -> dict:
-    from .cert import bundle_to_dict
-
     return {
         "version": MODEL_VERSION,
         "d": head.d,
@@ -280,8 +273,6 @@ def load_model(path) -> TrainedHead:
     naming the file;
     ``"cert": null`` skips the check.
     """
-    from .cert import bundle_to_dict
-
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:

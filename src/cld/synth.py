@@ -20,10 +20,6 @@ from .dataio import FeatureMatrix, LabelSet
 _DEFAULT_LANGS = ("en", "zh", "id", "ms", "hi")
 
 
-class GenerationError(RuntimeError):
-    """Requested cluster geometry could not be realised."""
-
-
 @dataclass(frozen=True)
 class SynthSpec:
     languages: int = 5
@@ -68,16 +64,11 @@ class SynthData:
 
 
 def _language_centers(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
-    for _ in range(100):
-        centers = rng.standard_normal((spec.languages, spec.dim))
-        diffs = centers[:, None, :] - centers[None, :, :]
-        dist = np.linalg.norm(diffs, axis=2)
-        min_pair = dist[np.triu_indices(spec.languages, k=1)].min()
-        if min_pair > 0.0:
-            if min_pair < spec.language_separation:
-                centers *= spec.language_separation / min_pair
-            return centers
-    raise GenerationError("could not draw distinct language centers in 100 attempts")
+    centers = rng.standard_normal((spec.languages, spec.dim))
+    dist = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
+    min_pair = dist[np.triu_indices(spec.languages, k=1)].min()
+    centers *= max(1.0, spec.language_separation / min_pair)   # scale up to the floor only
+    return centers
 
 
 def generate(spec: SynthSpec) -> SynthData:

@@ -205,6 +205,16 @@ class TestTrain:
         with pytest.raises(TrainingError, match="no training examples"):
             train(X, labels, GateConfig(count=2), AdmmConfig())
 
+    @pytest.mark.parametrize("rows, class_ids, names, message", [
+        (6, [0, 1, 0, 1, 0], "ab", "6 feature rows but 5 labels"),
+        (2, [0, 1], "abc", "need at least K=3 examples, got 2"),
+    ])
+    def test_malformed_training_input_rejected(self, rows, class_ids, names, message):
+        X = np.random.default_rng(12).standard_normal((rows, 2))
+        labels = LabelSet(np.array(class_ids), {name: k for k, name in enumerate(names)})
+        with pytest.raises(TrainingError, match=message):
+            train(X, labels, GateConfig(count=2), AdmmConfig())
+
     def test_thin_class_warns_but_trains(self):
         X = np.random.default_rng(11).standard_normal((7, 2))
         labels = LabelSet(np.array([0, 0, 0, 0, 0, 0, 1]), {"a": 0, "b": 1})

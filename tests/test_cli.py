@@ -504,6 +504,37 @@ class TestEvalCommand:
         assert not (tmp_path / "report.json").exists()
 
 
+    def test_reordered_accent_rows_give_same_report(self, model, tmp_path):
+        # overlapping clouds, so the accents' accuracies differ and a row
+        # matched to the wrong example would show
+        data = tmp_path / "overlap"
+        assert main(["synth", "--out", str(data), "--languages", "2", "--accents", "2,2",
+                     "--dim", "8", "--spread", "3", "--sigma", "3",
+                     "--samples-per-accent", "30", "--seed", "6"]) == 0
+        header, *rows = (data / "accents.csv").read_text().splitlines()
+        reversed_rows = tmp_path / "reversed.csv"
+        reversed_rows.write_text("\n".join([header, *reversed(rows)]) + "\n")
+        reports = []
+        for accents in (data / "accents.csv", reversed_rows):
+            out = tmp_path / f"{accents.stem}.json"
+            assert main(["eval", "--model", str(model), "--manifest", str(data / "manifest.json"),
+                         "--accents", str(accents), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert len(set(json.loads(reports[0])["per_accent"].values())) > 1
+
+    def test_example_without_accent_row_exits_2(self, dataset, model, tmp_path, capsys):
+        header, *rows = (dataset / "accents.csv").read_text().splitlines()
+        accents = tmp_path / "accents.csv"
+        accents.write_text("\n".join([header, *rows[:3], *rows[4:]]) + "\n")
+        rc = main(["eval", "--model", str(model), "--manifest", str(dataset / "manifest.json"),
+                   "--accents", str(accents), "--out", str(tmp_path / "report.json")])
+        assert rc == 2
+        missing = rows[3].split(",")[0]
+        assert f"accents.csv: no row for example id '{missing}'" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+
 class TestBench:
     def test_single_size_and_determinism(self, tmp_path):
         args = ["bench", "--languages", "2", "--accents", "1,1", "--dim", "6",
@@ -551,6 +582,17 @@ class TestBench:
         rows = (tmp_path / "r" / "accuracy_vs_size.csv").read_text().strip().splitlines()
         assert rows[1].startswith("999,16,")
 
+    @pytest.mark.parametrize("sizes", ["0", "-5", "24,-5"])
+    def test_size_below_one_exits_2(self, tmp_path, capsys, sizes):
+        log = tmp_path / "b.log"
+        rc = main(["bench", "--languages", "2", "--accents", "1,1", "--dim", "4",
+                   "--samples-per-accent", "20", "--sizes", sizes,
+                   "--out", str(tmp_path / "r"), "--log", str(log)])
+        assert rc == 2
+        assert f"got {sizes.split(',')[-1]}" in capsys.readouterr().err
+        assert log.read_text() == ""      # refused before any training
+        assert not (tmp_path / "r").exists()
+
     def test_config_seed_draws_data_split_and_gates(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"seed": 5}))
@@ -586,11 +628,12 @@ class TestVerifyCommand:
         assert main(["synth", "--out", str(data), "--languages", "2",
                      "--accents", "1,1", "--dim", "64",
                      "--samples-per-accent", "300", "--seed", "1"]) == 0
-        with pytest.warns(UserWarning, match="all zero"):
-            rc = main(["verify", "--manifest", str(data / "manifest.json"),
-                       "--gates", "64", "--admm-iters", "2", "--seed", "1"])
+        log = tmp_path / "v.log"
+        rc = main(["verify", "--manifest", str(data / "manifest.json"),
+                   "--gates", "64", "--admm-iters", "2", "--seed", "1", "--log", str(log)])
         assert rc == 2
         assert "too large" in capsys.readouterr().err
+        assert log.read_text() == ""      # refused on n * count * d before training
 
     def test_log_reports_training_like_train_verify(self, dataset, tmp_path):
         flags = ["--manifest", str(dataset / "manifest.json"), "--gates", "4", "--rho", "0.1",

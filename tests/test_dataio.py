@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -90,6 +91,12 @@ class TestFeatureFiles:
     def test_binary_nonfinite_rejected_on_write(self, tmp_path):
         with pytest.raises(DataFormatError):
             write_features(tmp_path / "f.cldf", np.array([[1.0, np.inf]]))
+
+    def test_empty_matrix_rejected_on_write(self, tmp_path):
+        # the writer checks as FeatureMatrix does, so it writes nothing the reader refuses
+        with pytest.raises(DataFormatError, match=r"non-empty, got shape \(0, 3\)"):
+            write_features(tmp_path / "f.cldf", np.zeros((0, 3)))
+        assert not (tmp_path / "f.cldf").exists()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError, match="exist"):
@@ -193,17 +200,19 @@ MALFORMED_MANIFESTS = {
 }
 
 
-class TestLabelsAndManifest:
-    def _write_dataset(self, tmp_path, n=3, labels=("en", "zh", "en")):
-        write_features(tmp_path / "f.cldf", np.arange(2 * n, dtype=float).reshape(n, 2))
-        (tmp_path / "l.csv").write_text(
-            "".join(f"{i},{lab}\n" for i, lab in enumerate(labels))
-        )
-        write_manifest(tmp_path / "m.json", "f.cldf", "l.csv", {"en": 0, "zh": 1})
-        return tmp_path / "m.json"
+def _write_dataset(tmp_path, n=3, labels=("en", "zh", "en"), label_map=None):
+    """m.json over an (n, 2) f.cldf and an l.csv of ``labels``."""
+    write_features(tmp_path / "f.cldf", np.arange(2 * n, dtype=float).reshape(n, 2))
+    (tmp_path / "l.csv").write_text(
+        "".join(f"{i},{lab}\n" for i, lab in enumerate(labels))
+    )
+    write_manifest(tmp_path / "m.json", "f.cldf", "l.csv", label_map or {"en": 0, "zh": 1})
+    return tmp_path / "m.json"
 
+
+class TestLabelsAndManifest:
     def test_load_manifest(self, tmp_path):
-        manifest = self._write_dataset(tmp_path)
+        manifest = _write_dataset(tmp_path)
         fm, labels = load_manifest(manifest)
         assert fm.n == labels.n == 3
         np.testing.assert_array_equal(labels.class_ids, [0, 1, 0])
@@ -211,7 +220,7 @@ class TestLabelsAndManifest:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
     def test_malformed_manifest_names_file_and_field(self, tmp_path, case):
-        manifest = self._write_dataset(tmp_path)
+        manifest = _write_dataset(tmp_path)
         edit, field = MALFORMED_MANIFESTS[case]
         manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
         with pytest.raises(DataFormatError, match="m.json") as info:
@@ -219,18 +228,18 @@ class TestLabelsAndManifest:
         assert field in str(info.value)
 
     def test_alignment_error(self, tmp_path):
-        manifest = self._write_dataset(tmp_path)
+        manifest = _write_dataset(tmp_path)
         write_features(tmp_path / "f.cldf", np.zeros((10, 2)))
         with pytest.raises(AlignmentError, match="10"):
             load_manifest(manifest)
 
     def test_unknown_label(self, tmp_path):
-        manifest = self._write_dataset(tmp_path, labels=("en", "fr", "en"))
+        manifest = _write_dataset(tmp_path, labels=("en", "fr", "en"))
         with pytest.raises(LabelError, match="'fr'"):
             load_manifest(manifest)
 
     def test_empty_label_file(self, tmp_path):
-        manifest = self._write_dataset(tmp_path)
+        manifest = _write_dataset(tmp_path)
         (tmp_path / "l.csv").write_text("")
         with pytest.raises(LabelError, match="empty"):
             load_manifest(manifest)
@@ -252,3 +261,75 @@ class TestLabelsAndManifest:
     def test_label_set_needs_two_classes(self):
         with pytest.raises(LabelError):
             LabelSet(np.array([0, 0]), {"en": 0})
+
+
+def _load_written(name, text):
+    """load_manifest after writing ``text`` to ``name`` over a valid dataset."""
+    def run(tmp_path):
+        manifest = _write_dataset(tmp_path)
+        (tmp_path / name).write_text(text)
+        load_manifest(manifest)
+    return run
+
+
+def _read_written(name, data, read):
+    """``read`` of a file holding ``data`` (bytes, or text)."""
+    def run(tmp_path):
+        p = tmp_path / name
+        if isinstance(data, bytes):
+            p.write_bytes(data)
+        else:
+            p.write_text(data)
+        read(p)
+    return run
+
+
+# inputs each reader or record must refuse: (trigger, expected error or warning, message)
+INPUT_ERRORS = {
+    "labels-empty": (lambda tmp: LabelSet(np.array([], dtype=int), {"a": 0, "b": 1}),
+                     LabelError, "non-empty 1-D"),
+    "labels-map-gap": (lambda tmp: LabelSet(np.array([0, 1]), {"a": 0, "b": 2}),
+                       LabelError, "exactly 0..K-1"),
+    "labels-id-out-of-range": (lambda tmp: LabelSet(np.array([0, 2]), {"a": 0, "b": 1}),
+                               LabelError, r"out of range \[0, 2\)"),
+    "labels-ids-length": (lambda tmp: LabelSet(np.array([0, 1]), {"a": 0, "b": 1}, ("x",)),
+                          LabelError, "lengths differ"),
+    "sequence-1d-frames": (lambda tmp: SequenceFeature(np.ones(3), np.ones(3, dtype=bool)),
+                           DataFormatError, "frames must be 2-D"),
+    "sequence-mask-length": (lambda tmp: SequenceFeature(np.ones((3, 2)), np.ones(2, dtype=bool)),
+                             DataFormatError, "mask length"),
+    "sequence-nonfinite": (lambda tmp: SequenceFeature(np.array([[1.0, np.nan]]), [True]),
+                           DataFormatError, "non-finite frame entry"),
+    "csv-unparseable": (_read_written("f.csv", "1,2\n3,x\n", read_features),
+                        DataFormatError, r"f.csv: unparseable value at \(row 1, col 1\)"),
+    "csv-empty": (_read_written("f.csv", "\n\n", read_features),
+                  DataFormatError, "f.csv: empty feature file"),
+    "cldf-truncated-header": (_read_written("f.cldf", b"CLDF" + bytes(6), read_features),
+                              DataFormatError, "f.cldf: truncated header at byte 10"),
+    "clds-truncated-header": (_read_written("s.clds", b"CLDS" + bytes(6), read_sequence),
+                              DataFormatError, "s.clds: truncated header at byte 10"),
+    "cldf-declared-empty": (_read_written("f.cldf", struct.pack("<4sIQQ", b"CLDF", 1, 0, 2),
+                                          read_features),
+                            DataFormatError, "f.cldf: declared shape 0x2 is empty"),
+    "labels-row-not-id-label": (_load_written("l.csv", "0,en\n1,zh,extra\n2,en\n"),
+                                LabelError, "l.csv: row 1 is not 'id,label'"),
+    "manifest-unreadable": (_load_written("m.json", "{not json"),
+                            DataFormatError, "cannot read manifest .*m.json"),
+    "manifest-missing-key": (_load_written("m.json", json.dumps(
+                                 {"features": "f.cldf", "label_map": {"en": 0, "zh": 1}})),
+                             DataFormatError, "m.json: manifest missing 'labels'"),
+    "manifest-one-class": (lambda tmp: load_manifest(_write_dataset(
+                               tmp, labels=("en",) * 3, label_map={"en": 0})),
+                           LabelError, "m.json: label_map needs at least 2 classes"),
+    "manifest-class-never-seen": (lambda tmp: load_manifest(_write_dataset(
+                                      tmp, labels=("en",) * 3)),
+                                  UserWarning, r"classes never seen in labels: \['zh'\]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_input_error_names_its_cause(tmp_path, case):
+    trigger, expected, message = INPUT_ERRORS[case]
+    check = pytest.warns if issubclass(expected, Warning) else pytest.raises
+    with check(expected, match=message):
+        trigger(tmp_path)

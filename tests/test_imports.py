@@ -4,6 +4,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import cld
 
 
@@ -21,6 +23,13 @@ def test_package_and_cli_import_without_scipy():
     # cld needs no scipy; loading it at import time would add its import
     # cost to every CLI start
     assert scipy_modules_after("import cld, cld.cli") == []
+
+
+@pytest.mark.parametrize("module", ["cld.cert", "cld.head", "cld.cli"])
+def test_each_module_imports_first(module):
+    # head imports cert at module level, and cert imports head: a fresh
+    # interpreter must import either, or the CLI, first without a cycle error
+    assert scipy_modules_after(f"import {module}") == []
 
 
 def test_relaxed_training_loads_no_scipy(tmp_path):
