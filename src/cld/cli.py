@@ -271,13 +271,18 @@ def cmd_predict(args, log) -> int:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    values = np.array([float(x) for x in text.split(",") if x.strip() != ""])
-    if values.size == 0:
-        raise ValueError("empty eps grid")
-    return values
+    """The --eps-grid radii: a non-empty comma list of finite numbers >= 0."""
+    try:
+        values = np.array([float(x) for x in text.split(",") if x.strip() != ""])
+        if values.size and np.all(np.isfinite(values) & (values >= 0)):
+            return values
+    except ValueError:
+        pass
+    raise ValueError(f"--eps-grid must be a comma list of finite numbers >= 0, got {text!r}")
 
 
 def cmd_certify(args, log) -> int:
+    eps = _parse_grid(args.eps_grid)   # before anything is read or written
     head = load_model(args.model)
     X, labels = load_manifest(args.manifest)
     labels = labels.relabel(head.label_map)
@@ -288,7 +293,6 @@ def cmd_certify(args, log) -> int:
                (str(c).lower() for c in certs.certified))
     _write_csv(args.out, ["id", "pred", "true", "margin", "radius_feature", "radius_audio",
                           "certified"], zip(*columns, strict=True))
-    eps = _parse_grid(args.eps_grid)
     curve = certified_accuracy(certs, labels.class_ids, eps)
     summary = {
         "n": labels.n,

@@ -156,14 +156,24 @@ def pool_masked_mean(seq: SequenceFeature) -> np.ndarray:
     return seq.frames[seq.mask].sum(axis=0) / count
 
 
+def _f32_payload(path, values: np.ndarray) -> bytes:
+    """The <f4 bytes of a finite 2-D array; an entry beyond float32's range is refused."""
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(values, dtype="<f4")
+    if not np.all(np.isfinite(payload)):
+        r, c = np.argwhere(~np.isfinite(payload))[0]
+        raise DataFormatError(f"{path}: {values[r, c]:g} at (row {r}, col {c}) overflows float32")
+    return payload.tobytes()
+
+
 def write_features(path, matrix) -> None:
     """Write a feature matrix in the CLDF binary format (f32 payload)."""
     values = (matrix if isinstance(matrix, FeatureMatrix) else FeatureMatrix(matrix)).values
     n, d = values.shape
-    payload = np.ascontiguousarray(values, dtype="<f4")
+    payload = _f32_payload(path, values)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(FEATURE_MAGIC, FORMAT_VERSION, n, d))
-        fh.write(payload.tobytes())
+        fh.write(payload)
 
 
 def _read_feature_csv(path) -> FeatureMatrix:
@@ -237,10 +247,10 @@ def read_features(path) -> FeatureMatrix:
 
 def write_sequence(path, seq: SequenceFeature) -> None:
     """Write a frame sequence in the CLDS binary format."""
-    payload = np.ascontiguousarray(seq.frames, dtype="<f4")
+    payload = _f32_payload(path, seq.frames)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(SEQUENCE_MAGIC, FORMAT_VERSION, seq.T, seq.d))
-        fh.write(payload.tobytes())
+        fh.write(payload)
         fh.write(seq.mask.astype(np.uint8).tobytes())
 
 

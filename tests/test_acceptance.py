@@ -52,8 +52,8 @@ from test_head import make_head
 def _oracle_instance(seed):
     """One three-solver comparison; module-level so worker pools can run it."""
     prob = random_problem(n=200, d=16, K=3, P=32, beta=1e-3, seed=100 + seed)
-    state = admm_solve(prob, AdmmConfig(rho=0.1, beta=1e-3, admm_iters=250, stop_tol=1e-8))
-    admm_obj = objective(prob, state.z1).total
+    result = admm_solve(prob, AdmmConfig(rho=0.1, beta=1e-3, admm_iters=250, stop_tol=1e-8))
+    admm_obj = objective(prob, result.z).total
     fista = fista_solve(prob, FistaConfig(max_iters=10000, rel_obj_tol=1e-12, seed=seed))
     dense = dense_solve_smallest(prob, max_iters=11000)
     values = (admm_obj, fista.objective, dense.objective)

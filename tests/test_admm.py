@@ -3,21 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from cld.admm import (
-    AdmmConfig,
-    GateConfig,
-    TrainingError,
-    admm_solve,
-    admm_step,
-    init_state,
-    train,
-    u_update,
-)
-from cld.cvxprog import ConvexProblem, group_prox, max_cone_violation, objective
+from cld.admm import AdmmConfig, GateConfig, TrainingError, admm_solve, train
+from cld.cvxprog import ConvexProblem, group_prox, objective
 from cld.dataio import LabelSet
 from cld.gates import enumerate_patterns
 from cld.head import predict_batch
-from cld.linops import GatedOperator
+from cld.linops import GatedOperator, gram_solver
 from cld.oracle import FistaConfig, dense_solve_smallest, fista_solve
 
 from conftest import cluster_data, random_problem
@@ -29,9 +20,9 @@ class TestAdmmStep:
     def test_beta_zero_reaches_least_squares(self):
         prob = random_problem(n=20, d=4, K=2, P=4, beta=0.0, seed=0)
         cfg = AdmmConfig(beta=0.0, **CONVERGED)
-        state = admm_solve(prob, cfg)
+        result = admm_solve(prob, cfg)
         dense = dense_solve_smallest(prob)
-        final = objective(prob, state.z1)
+        final = objective(prob, result.z)
         assert final.fit == pytest.approx(dense.objective, abs=1e-6)
 
     def test_zero_targets_stay_zero(self):
@@ -40,25 +31,27 @@ class TestAdmmStep:
 
         prob = dataclasses.replace(prob, Y=np.zeros_like(prob.Y))
         cfg = AdmmConfig(rho=0.5, beta=1e-2, admm_iters=10)
-        state = admm_solve(prob, cfg)
-        np.testing.assert_array_equal(state.z1, np.zeros(prob.op.block_shape))
-        np.testing.assert_array_equal(state.u, np.zeros(prob.op.block_shape))
+        result = admm_solve(prob, cfg)
+        np.testing.assert_array_equal(result.z, np.zeros(prob.op.block_shape))
+        # a zero primal residual at every step means u = z = 0 throughout
+        assert [r.primal for r in result.history] == [0.0] * 10
 
     def test_first_step_is_definitional(self):
-        # from a zero state, z1 must equal group_prox(u, beta/rho) of the
-        # solver's own u output
+        # from z = lam = 0 the first u solves (F^T F + rho I) u = F^T Y, and
+        # z is group_prox(u, beta/rho) of it
         prob = random_problem(n=12, d=3, K=2, P=3, beta=1e-2, seed=2)
         cfg = AdmmConfig(rho=0.25, beta=1e-2, admm_iters=1)
-        state = admm_step(prob, cfg, init_state(prob))
+        op = prob.op
+        u = gram_solver(op, cfg.rho)(op.adjoint(prob.Y))
         np.testing.assert_array_equal(
-            state.z1, group_prox(state.u, cfg.beta / cfg.rho, prob.penalty_kind)
+            admm_solve(prob, cfg).z, group_prox(u, cfg.beta / cfg.rho, prob.penalty_kind)
         )
 
     def test_mode_mismatch_rejected(self):
         prob = random_problem(seed=3)
         cfg = AdmmConfig(mode="exact")
         with pytest.raises(ValueError, match="mode"):
-            admm_step(prob, cfg, init_state(prob))
+            admm_solve(prob, cfg)
 
     @pytest.mark.parametrize("change", [{"beta": 0.1}, {"penalty_kind": "frobenius"}])
     def test_beta_or_penalty_mismatch_rejected(self, change):
@@ -74,25 +67,19 @@ class TestResiduals:
     def test_primal_zero_when_copies_agree(self):
         prob = random_problem(n=10, d=3, K=2, P=2, beta=0.0, seed=4)
         cfg = AdmmConfig(beta=0.0, **CONVERGED)
-        state = admm_solve(prob, cfg)
-        primal, dual = state.primal_res, state.dual_res
-        assert primal <= 1e-9 and dual <= 1e-9
+        last = admm_solve(prob, cfg).history[-1]
+        assert last.primal <= 1e-9 and last.dual <= 1e-9
 
     def test_dual_zero_when_z_frozen(self):
-        # a shrinkage threshold large enough to pin z1 at zero keeps the dual
+        # a shrinkage threshold large enough to pin z at zero keeps the dual
         # residual exactly zero step after step
         prob = random_problem(n=8, d=2, K=2, P=2, beta=1e6, seed=5)
         cfg = AdmmConfig(rho=1.0, beta=1e6, admm_iters=2)
-        s1 = admm_step(prob, cfg, init_state(prob))
-        s2 = admm_step(prob, cfg, s1)
-        np.testing.assert_array_equal(s2.z1, s1.z1)
-        assert s2.history[-1].dual == 0.0
-
-    def test_residuals_before_first_step_are_infinite(self):
-        prob = random_problem(seed=6)
-        state = init_state(prob)
-        primal, dual = state.primal_res, state.dual_res
-        assert primal == np.inf and dual == np.inf
+        result = admm_solve(prob, cfg)
+        np.testing.assert_array_equal(result.z, np.zeros(prob.op.block_shape))
+        assert len(result.history) == 2
+        assert [r.dual for r in result.history] == [0.0, 0.0]
+        assert result.history[-1].primal > 0.0   # u still moves
 
 
 class TestTrain:
@@ -143,12 +130,11 @@ class TestTrain:
         gates = enumerate_patterns(X)
         prob = ConvexProblem(GatedOperator.split(X, gates, K), np.eye(K)[y], 1e-3,
                              mode="exact", cones=gates.active)
-        cfg = AdmmConfig(rho=0.1, mode="exact")
-        solve = u_update(prob, cfg)
-        state = init_state(prob)
-        for _ in range(20):
-            state = admm_step(prob, cfg, state, solve)
-            assert max_cone_violation(prob, state.z1) <= 1e-10
+        records = []
+        admm_solve(prob, AdmmConfig(rho=0.1, admm_iters=20, mode="exact"), log=records.append)
+        violations = [rec["cone_violation"] for rec in records if "iter" in rec]
+        assert len(violations) == 20
+        assert max(violations) <= 1e-10
 
     def test_exact_mode_fallback_budget(self, monkeypatch):
         # a column's active face seldom changes from one step to the next, so
@@ -283,16 +269,16 @@ class TestTrain:
 class TestSolverContracts:
     def test_matches_fista_objective(self):
         prob = random_problem(n=40, d=5, K=2, P=6, beta=1e-3, seed=15)
-        state = admm_solve(prob, AdmmConfig(beta=1e-3, **CONVERGED))
-        admm_obj = objective(prob, state.z1).total
+        result = admm_solve(prob, AdmmConfig(beta=1e-3, **CONVERGED))
+        admm_obj = objective(prob, result.z).total
         fista = fista_solve(prob, FistaConfig(max_iters=30000, rel_obj_tol=1e-14))
         rel = abs(admm_obj - fista.objective) / max(abs(fista.objective), 1e-12)
         assert rel <= 1e-4
 
     def test_history_finite_and_running_min_non_increasing(self):
         prob = random_problem(n=25, d=4, K=2, P=4, beta=1e-3, seed=16)
-        state = admm_solve(prob, AdmmConfig(rho=0.1, beta=1e-3, admm_iters=50))
-        objs = np.array([r.objective.total for r in state.history])
+        result = admm_solve(prob, AdmmConfig(rho=0.1, beta=1e-3, admm_iters=50))
+        objs = np.array([r.objective.total for r in result.history])
         assert np.all(np.isfinite(objs))
         running = np.minimum.accumulate(objs)
         assert np.all(np.diff(running) <= 0.0)
@@ -307,22 +293,24 @@ class TestSolverContracts:
         for lo, hi in zip(pens[1:], pens[:-1]):
             assert lo <= hi + 1e-8
 
-    def test_wide_u_solve_is_exact(self):
-        # B*d = 5,120 > n = 300, the encoder-width regime: the u-system is
-        # solved through the n x n kernel and must still be exact
-        prob = random_problem(n=300, d=160, K=3, P=32, seed=22)
-        op = prob.op
-        assert op.B * op.d == 5120
-        cfg = AdmmConfig(rho=1.0)
-        consensus = np.random.default_rng(22).standard_normal(op.block_shape)
-        u = u_update(prob, cfg)(consensus)
-        rhs = op.adjoint(prob.Y) + consensus
-        residual = op.adjoint(op.apply(u)) + cfg.rho * u - rhs
-        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
-
     def test_early_stop_on_stop_tol(self):
         prob = random_problem(n=20, d=3, K=2, P=3, beta=0.0, seed=18)
         cfg = AdmmConfig(beta=0.0, rho=0.5, admm_iters=500, stop_tol=1e-8)
-        state = admm_solve(prob, cfg)
-        assert len(state.history) < 500
-        assert max(state.primal_res, state.dual_res) <= 1e-8
+        result = admm_solve(prob, cfg)
+        assert len(result.history) < 500
+        assert max(result.history[-1].primal, result.history[-1].dual) <= 1e-8
+
+    @pytest.mark.parametrize("stop_tol", [1e-3, 1e-6])
+    def test_stop_tol_ends_on_first_iteration_within_it(self, stop_tol):
+        # the stopped run is the capped run cut after its first iteration
+        # whose residuals are both at most stop_tol; every earlier one is above
+        prob = random_problem(n=25, d=4, K=2, P=4, beta=1e-3, seed=21)
+        base = dict(rho=0.1, beta=1e-3, admm_iters=300)
+        capped = admm_solve(prob, AdmmConfig(**base)).history
+        stopped = admm_solve(prob, AdmmConfig(**base, stop_tol=stop_tol)).history
+        worst = [max(r.primal, r.dual) for r in capped]
+        first = next(i for i, w in enumerate(worst) if w <= stop_tol)
+        assert 0 < first < 299
+        assert stopped == capped[:first + 1]
+        assert all(max(r.primal, r.dual) > stop_tol for r in stopped[:-1])
+        assert max(stopped[-1].primal, stopped[-1].dual) <= stop_tol

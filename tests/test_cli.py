@@ -347,6 +347,16 @@ class TestCertify:
         assert "L_E must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["0,abc", "0,nan", "inf", "0,-0.1", " , "])
+    def test_bad_eps_grid_exits_2_before_any_output(self, dataset, model, tmp_path, capsys, grid):
+        out, summary = tmp_path / "c.csv", tmp_path / "s.json"
+        rc = main(["certify", "--model", str(model),
+                   "--manifest", str(dataset / "manifest.json"),
+                   "--out", str(out), "--summary", str(summary), "--eps-grid", grid])
+        assert rc == 2
+        assert "--eps-grid" in capsys.readouterr().err
+        assert not out.exists() and not summary.exists()
+
     def test_reordered_label_map_gives_same_certificates(self, dataset, model, tmp_path):
         manifest = _manifest_copy(dataset, tmp_path, _reordered_label_map(dataset))
         outputs = []

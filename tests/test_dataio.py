@@ -98,6 +98,25 @@ class TestFeatureFiles:
             write_features(tmp_path / "f.cldf", np.zeros((0, 3)))
         assert not (tmp_path / "f.cldf").exists()
 
+    @pytest.mark.parametrize("fmt", ["cldf", "clds"])
+    def test_float32_overflow_rejected_on_write(self, tmp_path, fmt):
+        # -1e39 is finite in float64 but -inf in float32, which the readers refuse;
+        # float32's own largest value still round-trips
+        write, read = {
+            "cldf": (write_features, lambda p: read_features(p).values),
+            "clds": (lambda p, v: write_sequence(p, SequenceFeature(v, np.ones(3, dtype=bool))),
+                     lambda p: read_sequence(p).frames),
+        }[fmt]
+        values = np.ones((3, 2))
+        values[0, 0] = np.finfo(np.float32).max
+        write(tmp_path / f"ok.{fmt}", values)
+        np.testing.assert_array_equal(read(tmp_path / f"ok.{fmt}"), values)
+        values[2, 1] = -1e39
+        p = tmp_path / f"f.{fmt}"
+        with pytest.raises(DataFormatError, match=r"-1e\+39 at \(row 2, col 1\) overflows float32"):
+            write(p, values)
+        assert not p.exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError, match="exist"):
             read_features(tmp_path / "nope.cldf")

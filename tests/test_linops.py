@@ -9,6 +9,8 @@ from cld.gates import GateSet, enumerate_patterns, sample_gates
 import cld.linops
 from cld.linops import GatedOperator, gram_solver, power_iteration
 
+from conftest import random_problem
+
 
 def all_on_gates(n, d, count=1):
     return GateSet(np.ones((count, n), dtype=bool), np.ones((count, d)))
@@ -156,6 +158,18 @@ class TestGramSolver:
         size = op.B * op.d if side == "primal" else op.n
         assert shapes == [(size, size)]
         residual = op.adjoint(op.apply(u)) + sigma * u - rhs
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
+
+    def test_wide_u_solve_is_exact(self):
+        # B*d = 5,120 > n = 300, the encoder-width regime: the u-system is
+        # solved through the n x n kernel and must still be exact
+        prob = random_problem(n=300, d=160, K=3, P=32, seed=22)
+        op = prob.op
+        assert op.B * op.d == 5120
+        consensus = np.random.default_rng(22).standard_normal(op.block_shape)
+        rhs = op.adjoint(prob.Y) + consensus
+        u = gram_solver(op, 1.0)(rhs)
+        residual = op.adjoint(op.apply(u)) + u - rhs
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
 
 
