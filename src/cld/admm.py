@@ -23,7 +23,8 @@ F^T Y once. From u = z = lam = 0 each iteration then performs
 
 with primal residual ||u - z||_F and dual residual r ||z - z_prev||_F,
 until both are at most ``stop_tol`` or ``admm_iters`` have run. Fixed
-points are exactly the minimisers of the convex objective.
+points are exactly the minimisers of the convex objective. Each objective's
+fit is read off the factor of F^T F (with the kernel, one apply forms it).
 
 The penalty is r = rho in relaxed mode and r = 2 rho in split mode
 (``AdmmConfig.r``), where the copy carries two constraints, the penalty and
@@ -50,7 +51,7 @@ import numpy as np
 
 from . import head as _head
 from .cvxprog import (ConvexProblem, ObjectiveValue, group_norms, group_prox, objective,
-                      project_to_cones)
+                      penalty, project_to_cones)
 from .dataio import FeatureMatrix, LabelSet
 from .gates import enumerate_patterns, sample_gates
 from .linops import GatedOperator, PcgConfig, gram_side, gram_solver
@@ -77,8 +78,12 @@ class AdmmConfig:
     stop_tol: float | None = None     # set (e.g. 1e-6) to stop on small residuals
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not (np.isfinite(self.rho) and self.rho > 0):
+            raise ValueError(f"rho must be finite and positive, got {self.rho}")
+        if not (np.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        if self.stop_tol is not None and not (np.isfinite(self.stop_tol) and self.stop_tol >= 0):
+            raise ValueError(f"stop_tol must be finite and >= 0, got {self.stop_tol}")
         if self.admm_iters < 1:
             raise ValueError("admm_iters must be >= 1")
 
@@ -119,8 +124,9 @@ def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmResult:
     gets one ``u_factor`` record (the Gram's side and size, and the seconds
     taken to build the u-update), then one record per iteration, then one
     ``summary`` record: why the run stopped (``tol`` or ``cap``), the
-    iterations run, the last iteration's numbers, the number of nonzero
-    penalty groups in z, whether z is all zero, and in split mode the cone
+    iterations run, the last iteration's numbers, the l21 norm of z
+    (``B_l21``, the head's certificate bound), the number of nonzero penalty
+    groups in z, whether z is all zero, and in split mode the cone
     projection's misses summed over the run.
     """
     problem = (prob.mode, prob.beta, prob.penalty_kind)
@@ -129,7 +135,7 @@ def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmResult:
         raise ValueError(f"problem (mode, beta, penalty_kind) {problem} != config {config}")
     op, r, exact = prob.op, cfg.r, prob.mode == "exact"
     tick = time.perf_counter()
-    solve = gram_solver(op, r)
+    solve, fit = gram_solver(op, r)
     fty = op.adjoint(prob.Y)
     if log is not None:
         log({"phase": "u_factor", "side": gram_side(op), "size": min(op.n, op.B * op.d),
@@ -147,7 +153,7 @@ def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmResult:
         z_prev, z = z, group_prox(v, cfg.beta / r, prob.penalty_kind)
         lam = lam + u - z
         record = IterationRecord(
-            objective=objective(prob, z),
+            objective=objective(prob, z, fit(z, prob.Y, fty)),
             primal=float(np.sqrt(np.vdot(u - z, u - z))),
             dual=r * float(np.sqrt(np.vdot(z - z_prev, z - z_prev))),
         )
@@ -162,7 +168,7 @@ def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmResult:
         active = int(np.count_nonzero(group_norms(z, prob.penalty_kind)))
         log({"phase": "summary", "stopped": "tol" if converged else "cap",
              "iters": len(history), **history[-1].fields(),
-             "active_groups": active, "zero_head": active == 0,
+             "B_l21": penalty(z, "l21"), "active_groups": active, "zero_head": active == 0,
              **({"cone_fallbacks": fallbacks} if exact else {})})
     return AdmmResult(z, tuple(history))
 

@@ -135,10 +135,11 @@ def project_to_cones(prob: ConvexProblem, S: np.ndarray, faces: np.ndarray):
     return out, faces, int(missed.sum())
 
 
-def objective(prob: ConvexProblem, S: np.ndarray) -> ObjectiveValue:
-    """Evaluate fit, penalty, and (in split mode) cone violation at S."""
+def objective(prob: ConvexProblem, S: np.ndarray, fit: float | None = None) -> ObjectiveValue:
+    """Fit (one apply, unless already known), penalty, and split mode's cone violation at S."""
     S = np.asarray(S, dtype=np.float64)
-    fit = loss(prob.op.apply(S), prob.Y)
+    if fit is None:
+        fit = loss(prob.op.apply(S), prob.Y)
     pen = penalty(S, prob.penalty_kind)
     viol = 0.0
     if prob.mode == "exact" and len(prob.cones):

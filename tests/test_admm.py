@@ -6,9 +6,9 @@ import pytest
 from cld.admm import AdmmConfig, GateConfig, TrainingError, admm_solve, train
 from cld.cvxprog import ConvexProblem, group_prox, objective
 from cld.dataio import LabelSet
-from cld.gates import enumerate_patterns
+from cld.gates import enumerate_patterns, sample_gates
 from cld.head import predict_batch
-from cld.linops import GatedOperator, gram_solver
+from cld.linops import GatedOperator, gram_side, gram_solver
 from cld.oracle import FistaConfig, dense_solve_smallest, fista_solve
 
 from conftest import cluster_data, random_problem
@@ -42,7 +42,7 @@ class TestAdmmStep:
         prob = random_problem(n=12, d=3, K=2, P=3, beta=1e-2, seed=2)
         cfg = AdmmConfig(rho=0.25, beta=1e-2, admm_iters=1)
         op = prob.op
-        u = gram_solver(op, cfg.rho)(op.adjoint(prob.Y))
+        u = gram_solver(op, cfg.rho)[0](op.adjoint(prob.Y))
         np.testing.assert_array_equal(
             admm_solve(prob, cfg).z, group_prox(u, cfg.beta / cfg.rho, prob.penalty_kind)
         )
@@ -61,6 +61,81 @@ class TestAdmmStep:
         cfg = AdmmConfig(rho=0.1, admm_iters=3, **change)
         with pytest.raises(ValueError, match="beta, penalty_kind"):
             admm_solve(prob, cfg)
+
+
+class TestAdmmConfig:
+    @pytest.mark.parametrize("key, value", [
+        ("rho", float("nan")), ("rho", float("inf")), ("rho", 0.0),
+        ("beta", float("nan")), ("beta", float("inf")), ("beta", -1e-3),
+        ("stop_tol", float("nan")), ("stop_tol", float("inf")), ("stop_tol", -1.0)])
+    def test_value_that_gives_garbage_refused(self, key, value):
+        # a NaN rho gives NaN weights, a NaN beta an all-zero head, and a NaN
+        # or negative stop_tol a run that can never stop early
+        with pytest.raises(ValueError, match=key):
+            AdmmConfig(**{key: value})
+
+    def test_boundary_values_accepted(self):
+        AdmmConfig(beta=0.0, stop_tol=0.0)
+
+
+class TestObjectiveFromFactor:
+    @staticmethod
+    def _problem(mode, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((60, 4))
+        Y = np.eye(2)[rng.integers(0, 2, 60)]
+        gates = sample_gates(X, 4, seed=seed)
+        if mode == "exact":
+            return ConvexProblem(GatedOperator.split(X, gates, 2), Y, 1e-2, "l21", "exact",
+                                 gates.active)
+        return ConvexProblem(GatedOperator.relaxed(X, gates, 2), Y, 1e-2)
+
+    @pytest.mark.parametrize("mode", ["relaxed", "exact"])
+    @pytest.mark.parametrize("iters", [1, 3, 8])
+    def test_history_objective_matches_apply(self, mode, iters):
+        # on the primal side each iteration's fit comes from the u-system's
+        # factor; it must agree with the apply-based objective at z
+        prob = self._problem(mode, seed=40 + iters)
+        assert gram_side(prob.op) == "primal"
+        cfg = AdmmConfig(rho=0.3, beta=1e-2, admm_iters=iters, mode=mode)
+        result = admm_solve(prob, cfg)
+        last, ref = result.history[-1].objective, objective(prob, result.z)
+        z, fty = result.z, prob.op.adjoint(prob.Y)
+        bound = 1e-12 * (0.5 * np.vdot(prob.Y, prob.Y) + 0.5 * cfg.r * np.vdot(z, z)
+                         + abs(np.vdot(z, fty)))
+        assert abs(last.fit - ref.fit) <= bound
+        assert abs(last.total - ref.total) <= bound
+        assert (last.penalty, last.cone_violation) == (ref.penalty, ref.cone_violation)
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        counts = {"apply": 0, "adjoint": 0}
+        for name in counts:
+            method = getattr(GatedOperator, name)
+
+            def counted(self, arg, _name=name, _method=method):
+                counts[_name] += 1
+                return _method(self, arg)
+
+            monkeypatch.setattr(GatedOperator, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("mode", ["relaxed", "exact"])
+    def test_primal_side_loop_makes_no_apply(self, monkeypatch, mode):
+        # one adjoint forms F^T Y; the u-solves and the objectives read the factor
+        prob = self._problem(mode, seed=50)
+        counts = self._count_calls(monkeypatch)
+        admm_solve(prob, AdmmConfig(rho=0.3, beta=1e-2, admm_iters=5, mode=mode))
+        assert counts == {"apply": 0, "adjoint": 1}
+
+    def test_kernel_side_counts_unchanged(self, monkeypatch):
+        # B*d = 24 > n = 10: each u-solve is one apply and one adjoint, and
+        # each objective one apply, besides the adjoint that forms F^T Y
+        prob = random_problem(n=10, d=3, K=2, P=8, beta=1e-2, seed=51)
+        assert gram_side(prob.op) == "kernel"
+        counts = self._count_calls(monkeypatch)
+        admm_solve(prob, AdmmConfig(rho=0.3, beta=1e-2, admm_iters=5))
+        assert counts == {"apply": 10, "adjoint": 6}
 
 
 class TestResiduals:
@@ -244,10 +319,11 @@ class TestTrain:
         # one closing record: no stop_tol, so the run ends on its cap
         assert summary == {
             "phase": "summary", "stopped": "cap", "iters": 7,
-            **{k: iters[-1][k] for k in fields},
+            **{k: iters[-1][k] for k in fields}, "B_l21": summary["B_l21"],
             "active_groups": summary["active_groups"], "zero_head": False,
         }
         assert 0 < summary["active_groups"] <= 4 * 2
+        assert summary["B_l21"] == pytest.approx(head.cert.B_l21, rel=1e-12, abs=0.0)
 
     def test_summary_record_says_why_the_run_stopped(self):
         X, labels, _ = cluster_data(n=30, d=4, K=2, seed=14)

@@ -181,6 +181,24 @@ class TestTrain:
         assert "cfg.json" in err and key in err and "Traceback" not in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("key, value", [("rho", "nan"), ("rho", "inf"), ("beta", "nan"),
+                                            ("stop_tol", "nan"), ("stop_tol", "-1")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_garbage_solver_value_exits_2(self, dataset, tmp_path, capsys, key, value, source):
+        # NaN weights, an all-zero head or a run that can never stop early:
+        # refused before training, naming the setting
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({key: float(value)}))
+        given = (["--config", str(cfgfile)] if source == "config"
+                 else ["--" + key.replace("_", "-"), value])
+        path = tmp_path / "m.json"
+        rc = main(["train", "--manifest", str(dataset / "manifest.json"),
+                   "--out", str(path), "--admm-iters", "5", *given])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not path.exists()
+
     @pytest.mark.parametrize("suffix", [".json", ".toml"])
     def test_every_config_key_matches_its_flag(self, dataset, tmp_path, suffix):
         # all eight keys, none at its default; rho is an int, which stands for a float

@@ -154,11 +154,35 @@ class TestGramSolver:
         monkeypatch.setattr(cld.linops, "fit_gram", recording_fit_gram)
         sigma = copies * 0.1
         rhs = np.random.default_rng(33).standard_normal(op.block_shape)
-        u = gram_solver(op, sigma)(rhs)
+        u = gram_solver(op, sigma)[0](rhs)
         size = op.B * op.d if side == "primal" else op.n
         assert shapes == [(size, size)]
         residual = op.adjoint(op.apply(u)) + sigma * u - rhs
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("split, m", [(False, m) for m in (_NB - 1, _NB, _NB + 1, 2 * _NB + 1)]
+                             + [(True, m) for m in (_NB - 2, _NB, _NB + 2, 2 * _NB + 2)])
+    @pytest.mark.parametrize("sigma", [1e-4, 1.0, 100.0])
+    def test_factor_fit_matches_apply(self, split, m, sigma, monkeypatch):
+        # on the primal side the fit is read off the factor, whose upper
+        # triangle is made NaN as above; split stacks have an even B*d, so
+        # they take the even sizes around the block
+        op = masked_operator(m + 40, m // 2 if split else m, 1, split, "random", seed=m)
+        assert op.B * op.d == m and cld.linops.gram_side(op) == "primal"
+        fit_gram = cld.linops.fit_gram
+
+        def upper_nan_fit_gram(op):
+            gram = fit_gram(op)
+            gram[np.triu_indices(len(gram), 1)] = np.nan
+            return gram
+
+        monkeypatch.setattr(cld.linops, "fit_gram", upper_nan_fit_gram)
+        rng = np.random.default_rng(m)
+        Y, z = rng.standard_normal((op.n, op.K)), rng.standard_normal(op.block_shape)
+        fty = op.adjoint(Y)
+        diff = op.apply(z) - Y
+        bound = 1e-12 * (0.5 * np.vdot(Y, Y) + 0.5 * sigma * np.vdot(z, z) + abs(np.vdot(z, fty)))
+        assert abs(gram_solver(op, sigma)[1](z, Y, fty) - 0.5 * np.vdot(diff, diff)) <= bound
 
     def test_wide_u_solve_is_exact(self):
         # B*d = 5,120 > n = 300, the encoder-width regime: the u-system is
@@ -168,7 +192,7 @@ class TestGramSolver:
         assert op.B * op.d == 5120
         consensus = np.random.default_rng(22).standard_normal(op.block_shape)
         rhs = op.adjoint(prob.Y) + consensus
-        u = gram_solver(op, 1.0)(rhs)
+        u = gram_solver(op, 1.0)[0](rhs)
         residual = op.adjoint(op.apply(u)) + u - rhs
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
 
