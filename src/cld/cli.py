@@ -1,4 +1,4 @@
-"""Command-line surface: train, predict, certify, eval, synth, bench, verify.
+"""Command-line surface: train, predict, certify, eval, synth, bench, gates-enum.
 
 Exit codes: 0 success, 2 usage or I/O failure, 3 verification failure.
 Settings resolve once: flags > config file (--config, JSON or TOML) > the
@@ -152,56 +152,26 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 _FISTA_VERIFY_GUARD = 1_000_000   # n * P * d budget for the accelerated oracle
 
 
-def _check_verify_size(size: int) -> None:
-    if size > _FISTA_VERIFY_GUARD:
-        raise ValueError(f"instance too large to verify (n*P*d = {size} > {_FISTA_VERIFY_GUARD}); "
-                         "verify a subsample instead")
-
-
-def _cross_check(head, X, labels, tol: float, log) -> dict:
+def _cross_check(head, X, labels, tol: float, log) -> None:
     """Compare a relaxed head's objective against the reference solvers.
 
-    Each oracle only runs when the instance is small enough for it; asking
-    for verification on an instance too large for either is an error.
+    The dense oracle only runs when the instance is small enough for it; the
+    accelerated one's budget was checked before training.
     """
-    size = X.shape[0] * head.P * head.d
-    _check_verify_size(size)
     admm = head.train_meta["admm"]
     prob = ConvexProblem(GatedOperator.relaxed(X, head.gates, head.K), labels.one_hot(),
                          admm["beta"], head.penalty_kind)
     fista = fista_solve(prob, FistaConfig(max_iters=20000, seed=admm["seed"]))
     values = {"admm": objective(prob, head.V).total, "fista": fista.objective}
-    if size <= _DENSE_GUARD:
+    if X.shape[0] * head.P * head.d <= _DENSE_GUARD:
         values["dense"] = dense_solve_smallest(prob).objective
     lo, hi = min(values.values()), max(values.values())
     rel = (hi - lo) / max(abs(hi), 1e-300)
-    report = {"objectives": values, "relative_spread": rel, "tolerance": tol}
-    log({"verify": report})
+    log({"verify": {"objectives": values, "relative_spread": rel, "tolerance": tol}})
     if rel > tol:
         raise VerificationFailure(
             f"solver objectives disagree: spread {rel:.3e} > tolerance {tol:.1e} ({values})"
         )
-    return report
-
-
-def _train_step(args, log):
-    """Train on --manifest, logging every phase, and cross-check if --verify asks.
-
-    Returns the head and the cross-check report (None without --verify).
-    Verification covers relaxed-mode training only; exact mode, and sampled
-    gates whose n * count * d bound is over budget, are refused before training.
-    """
-    X, labels = load_manifest(args.manifest)
-    gate_cfg, cfg = _solver_configs(args, labels.K)
-    if args.verify and cfg.mode != "relaxed":
-        raise ValueError("oracle verification covers relaxed-mode training only")
-    if args.verify and not gate_cfg.enumerate_all:
-        _check_verify_size(X.n * gate_cfg.count * X.d)   # sampling gives P <= count
-    t0 = time.perf_counter()
-    head = train(X, labels, gate_cfg, cfg, log=log)
-    log({"phase": "train", "seconds": time.perf_counter() - t0})
-    report = _cross_check(head, X.values, labels, args.verify_tol, log) if args.verify else None
-    return head, report
 
 
 # --- subcommands -----------------------------------------------------------
@@ -237,7 +207,26 @@ def cmd_synth(args, log) -> int:
 
 
 def cmd_train(args, log) -> int:
-    head, _ = _train_step(args, log)
+    """Train on --manifest, logging every phase; --verify cross-checks before saving.
+
+    Verification covers relaxed-mode training only. Exact mode, and sampled
+    gates whose n * count * d bound is over the oracle's budget, are refused
+    before training; enumeration's own limits keep n * P * d within it.
+    """
+    X, labels = load_manifest(args.manifest)
+    gate_cfg, cfg = _solver_configs(args, labels.K)
+    if args.verify and cfg.mode != "relaxed":
+        raise ValueError("oracle verification covers relaxed-mode training only")
+    if args.verify and not gate_cfg.enumerate_all:
+        size = X.n * gate_cfg.count * X.d   # sampling gives P <= count
+        if size > _FISTA_VERIFY_GUARD:
+            raise ValueError(f"instance too large to verify (n*P*d = {size} > "
+                             f"{_FISTA_VERIFY_GUARD}); verify a subsample instead")
+    t0 = time.perf_counter()
+    head = train(X, labels, gate_cfg, cfg, log=log)
+    log({"phase": "train", "seconds": time.perf_counter() - t0})
+    if args.verify:
+        _cross_check(head, X.values, labels, args.verify_tol, log)
     save_model(head, args.out)
     print(f"model written to {args.out} (B_l21 {head.cert.B_l21:.6g})")
     return 0
@@ -414,12 +403,6 @@ def cmd_bench(args, log) -> int:
     return 0
 
 
-def cmd_verify(args, log) -> int:
-    _, report = _train_step(args, log)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return 0
-
-
 def cmd_gates_enum(args, log) -> int:
     fm = read_features(args.features)
     gates = enumerate_patterns(fm.values)
@@ -510,13 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", help="JSON-lines log file (default stderr)")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("verify", help="train and cross-check against the reference solvers")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--verify-tol", dest="verify_tol", type=float, default=1e-4)
-    p.add_argument("--log", help="JSON-lines log file (default stderr)")
-    _add_solver_flags(p)
-    p.set_defaults(func=cmd_verify, verify=True)
 
     p = sub.add_parser("gates-enum", help="enumerate all activation patterns (tiny inputs)")
     p.add_argument("--features", required=True)

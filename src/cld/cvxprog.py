@@ -78,8 +78,8 @@ class ConvexProblem:
     signs: np.ndarray = field(init=False, repr=False, compare=False)  # (P, n) rows 2D - 1
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        if not (np.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         if self.penalty_kind not in PENALTY_KINDS:
             raise ValueError(f"penalty_kind must be one of {PENALTY_KINDS}")
         if self.mode not in MODES:

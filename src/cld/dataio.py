@@ -83,6 +83,9 @@ class LabelSet:
         K = len(self.label_map)
         if K < 2:
             raise LabelError(f"need at least 2 classes, label_map has {K}")
+        bad = {k: v for k, v in self.label_map.items() if type(v) is not int}
+        if bad:
+            raise LabelError(f"label_map values must be integer class indices, not {bad}")
         if sorted(self.label_map.values()) != list(range(K)):
             raise LabelError("label_map values must be exactly 0..K-1")
         if cid.min() < 0 or cid.max() >= K:

@@ -1,14 +1,22 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cld.cli import main
-from cld.dataio import SequenceFeature, read_features, write_features, write_sequence
+from cld.cli import _FISTA_VERIFY_GUARD, build_parser, main
+from cld.dataio import (LabelSet, SequenceFeature, read_features, write_features, write_labels,
+                        write_manifest, write_sequence)
+from cld.gates import _ENUM_MAX_D, _ENUM_MAX_N
 from cld.head import ModelFormatError, load_model, predict_batch
 
 from test_dataio import MALFORMED_MANIFESTS
+from test_gates import _cells_bound
 from test_head import MALFORMED_DOCS
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 FAST_TRAIN = ["--rho", "0.1", "--admm-iters", "60", "--stop-tol", "1e-8", "--seed", "0"]
 
@@ -30,6 +38,16 @@ def model(dataset, tmp_path_factory):
                "--out", str(path), "--log", str(log), *FAST_TRAIN])
     assert rc == 0
     return path
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """A 10 x 2 CSV dataset with alternating labels, small enough to enumerate."""
+    out = tmp_path_factory.mktemp("tiny")
+    np.savetxt(out / "x.csv", np.random.default_rng(3).standard_normal((10, 2)), delimiter=",")
+    write_labels(out / "labels.csv", LabelSet(np.arange(10) % 2, {"a": 0, "b": 1}))
+    write_manifest(out / "manifest.json", "x.csv", "labels.csv", {"a": 0, "b": 1})
+    return out
 
 
 def _manifest_copy(dataset, tmp_path, label_map, rename=None):
@@ -637,60 +655,70 @@ class TestBench:
 
 
 class TestVerifyCommand:
-    def test_agreement_exit_zero(self, dataset):
-        rc = main(["verify", "--manifest", str(dataset / "manifest.json"),
+    """`cld train --verify`: the cross-check against the reference solvers."""
+
+    def test_agreement_exit_zero(self, dataset, tmp_path):
+        log, out = tmp_path / "t.log", tmp_path / "m.json"
+        rc = main(["train", "--verify", "--out", str(out), "--log", str(log),
+                   "--manifest", str(dataset / "manifest.json"),
                    "--gates", "4", "--rho", "0.1", "--admm-iters", "400",
                    "--stop-tol", "1e-9", "--seed", "0"])
         assert rc == 0
+        assert out.exists()
+        records = [json.loads(l) for l in log.read_text().splitlines()]
+        assert [rec.get("phase") for rec in records if "phase" in rec] == [
+            "u_factor", "summary", "train"]
+        assert "verify" in records[-1]
 
-    def test_unconverged_run_exits_3(self, dataset, capsys):
+    def test_unconverged_run_exits_3(self, dataset, tmp_path, capsys):
         # paper-default iteration budget leaves the objective far from optimal
+        out = tmp_path / "m.json"
         with pytest.warns(UserWarning, match="all zero"):
-            rc = main(["verify", "--manifest", str(dataset / "manifest.json"),
+            rc = main(["train", "--verify", "--out", str(out),
+                       "--manifest", str(dataset / "manifest.json"),
                        "--gates", "4", "--admm-iters", "2", "--seed", "0"])
         assert rc == 3
         assert "verification failed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_oversized_instance_refused(self, tmp_path, capsys):
         data = tmp_path / "big"
         assert main(["synth", "--out", str(data), "--languages", "2",
                      "--accents", "1,1", "--dim", "64",
                      "--samples-per-accent", "300", "--seed", "1"]) == 0
-        log = tmp_path / "v.log"
-        rc = main(["verify", "--manifest", str(data / "manifest.json"),
+        log, out = tmp_path / "v.log", tmp_path / "m.json"
+        rc = main(["train", "--verify", "--out", str(out),
+                   "--manifest", str(data / "manifest.json"),
                    "--gates", "64", "--admm-iters", "2", "--seed", "1", "--log", str(log)])
         assert rc == 2
         assert "too large" in capsys.readouterr().err
         assert log.read_text() == ""      # refused on n * count * d before training
+        assert not out.exists()
 
-    def test_log_reports_training_like_train_verify(self, dataset, tmp_path):
-        flags = ["--manifest", str(dataset / "manifest.json"), "--gates", "4", "--rho", "0.1",
-                 "--admm-iters", "400", "--stop-tol", "1e-9", "--seed", "0"]
-        assert main(["verify", *flags, "--log", str(tmp_path / "v.log")]) == 0
-        assert main(["train", *flags, "--verify", "--out", str(tmp_path / "m.json"),
-                     "--log", str(tmp_path / "t.log")]) == 0
-
-        def records(name):
-            recs = [json.loads(l) for l in (tmp_path / name).read_text().splitlines()]
-            return [{k: v for k, v in rec.items() if k != "seconds"} for rec in recs]
-
-        verify_log = records("v.log")
-        assert [rec.get("phase") for rec in verify_log if "phase" in rec] == [
-            "u_factor", "summary", "train"]
-        assert "verify" in verify_log[-1]
-        assert verify_log == records("t.log")
-
-    @pytest.mark.parametrize("train", [False, True])
-    def test_exact_mode_refused_before_training(self, dataset, tmp_path, capsys, train):
-        log = tmp_path / "v.log"
-        out = tmp_path / "m.json"
-        command = ["train", "--verify", "--out", str(out)] if train else ["verify"]
-        rc = main([*command, "--manifest", str(dataset / "manifest.json"), "--mode", "exact",
+    def test_exact_mode_refused_before_training(self, dataset, tmp_path, capsys):
+        log, out = tmp_path / "v.log", tmp_path / "m.json"
+        rc = main(["train", "--verify", "--out", str(out),
+                   "--manifest", str(dataset / "manifest.json"), "--mode", "exact",
                    "--gates", "4", "--log", str(log)])
         assert rc == 2
         assert "relaxed-mode training only" in capsys.readouterr().err
         assert log.read_text() == ""      # no training record: it never started
         assert not out.exists()
+
+    def test_enumerated_patterns_verify(self, tiny, tmp_path):
+        log = tmp_path / "t.log"
+        rc = main(["train", "--enumerate-gates", "--verify", "--out", str(tmp_path / "m.json"),
+                   "--manifest", str(tiny / "manifest.json"), "--log", str(log),
+                   "--rho", "0.01", "--admm-iters", "2000", "--stop-tol", "1e-10"])
+        assert rc == 0
+        report = json.loads(log.read_text().splitlines()[-1])["verify"]
+        assert "dense" in report["objectives"]
+
+    def test_enumeration_limits_fit_the_oracle_budget(self):
+        # enumeration is not size-checked before training: its n and d limits
+        # must keep n * P * d within the accelerated oracle's budget
+        n, d = _ENUM_MAX_N, _ENUM_MAX_D
+        assert n * _cells_bound(n, d) * d <= _FISTA_VERIFY_GUARD
 
 
 class TestGatesEnum:
@@ -722,3 +750,27 @@ class TestGatesEnum:
         rc = main(["gates-enum", "--features", str(feats)])
         assert rc == 2
         assert "enumeration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["relaxed", "exact"])
+    def test_train_enumerate_gates_uses_these_patterns(self, tiny, tmp_path, mode):
+        out = tmp_path / "enum.json"
+        assert main(["gates-enum", "--features", str(tiny / "x.csv"), "--out", str(out)]) == 0
+        model = tmp_path / "m.json"
+        assert main(["train", "--enumerate-gates", "--mode", mode, "--out", str(model),
+                     "--manifest", str(tiny / "manifest.json"), "--log", str(tmp_path / "t.log"),
+                     "--rho", "0.1", "--admm-iters", "20"]) == 0
+        assert load_model(model).gates.bitstrings() == json.loads(out.read_text())["patterns"]
+
+
+def test_readme_commands_parse():
+    # every `cld` line of the README's bash blocks, backslash continuations joined
+    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("cld ")]
+    assert len(commands) >= 9
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: cld {shlex.join(argv)}")

@@ -146,6 +146,14 @@ class TestObjective:
             bound = lam * objective(prob, A).total + (1 - lam) * objective(prob, B).total
             assert mixed <= bound + 1e-10
 
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -1.0])
+    def test_beta_not_finite_and_nonnegative_refused(self, beta):
+        # a NaN or inf beta would make every objective and oracle return nan
+        prob = random_problem(seed=1)
+        with pytest.raises(ValueError, match=f"beta must be finite and >= 0, got {beta}"):
+            ConvexProblem(prob.op, prob.Y, beta)
+        assert ConvexProblem(prob.op, prob.Y, 0.0).beta == 0.0
+
     def test_total_decomposition(self):
         prob = random_problem(beta=0.2, seed=6)
         S = np.random.default_rng(6).standard_normal(prob.op.block_shape)

@@ -309,6 +309,10 @@ INPUT_ERRORS = {
                      LabelError, "non-empty 1-D"),
     "labels-map-gap": (lambda tmp: LabelSet(np.array([0, 1]), {"a": 0, "b": 2}),
                        LabelError, "exactly 0..K-1"),
+    "labels-map-bool": (lambda tmp: LabelSet(np.array([0, 1, 0, 1]), {"a": False, "b": True}),
+                        LabelError, r"integer class indices, not \{'a': False, 'b': True\}"),
+    "labels-map-float": (lambda tmp: LabelSet(np.array([0, 1]), {"a": 0, "b": 1.0}),
+                         LabelError, r"integer class indices, not \{'b': 1.0\}"),
     "labels-id-out-of-range": (lambda tmp: LabelSet(np.array([0, 2]), {"a": 0, "b": 1}),
                                LabelError, r"out of range \[0, 2\)"),
     "labels-ids-length": (lambda tmp: LabelSet(np.array([0, 1]), {"a": 0, "b": 1}, ("x",)),
