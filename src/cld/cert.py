@@ -121,8 +121,8 @@ def certify_batch(head: "_head.TrainedHead", H: np.ndarray, class_ids: np.ndarra
     ``L_E`` is supplied, the conservative audio-space radius radius / L_E is
     reported as well; it is never estimated here.
     """
-    if L_E is not None and not L_E > 0:
-        raise ValueError("L_E must be positive")
+    if L_E is not None and not 0 < L_E < np.inf:
+        raise ValueError(f"L_E must be positive and finite, got {L_E}")
     logits = _head.predict_batch(head, H, inference="relu")
     mar = _head.margin(logits, class_ids)
     certified = mar > 0.0

@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from .cvxprog import MODES, PENALTY_KINDS, ConvexProblem, objective
 from .dataio import (
     DataFormatError,
     LabelSet,
+    atomic_write,
     load_manifest,
     pool_masked_mean,
     read_features,
@@ -55,16 +57,9 @@ class VerificationFailure(RuntimeError):
 
 # --- small helpers ---------------------------------------------------------
 
-def _atomic_write(path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _write_csv(path, header, rows) -> None:
     """Write the header and then each row, both sequences of cells, as CSV lines."""
-    _atomic_write(path, "".join(",".join(map(str, line)) + "\n" for line in [header, *rows]))
+    atomic_write(path, "".join(",".join(map(str, line)) + "\n" for line in [header, *rows]))
 
 
 def _fmt(x) -> str:
@@ -209,10 +204,13 @@ def cmd_synth(args, log) -> int:
 def cmd_train(args, log) -> int:
     """Train on --manifest, logging every phase; --verify cross-checks before saving.
 
-    Verification covers relaxed-mode training only. Exact mode, and sampled
-    gates whose n * count * d bound is over the oracle's budget, are refused
-    before training; enumeration's own limits keep n * P * d within it.
+    Verification covers relaxed-mode training only. Exact mode, sampled gates
+    whose n * count * d bound is over the oracle's budget, and a --verify-tol
+    that is not a finite number >= 0 are refused before training;
+    enumeration's own limits keep n * P * d within the budget.
     """
+    if not 0 <= args.verify_tol < float("inf"):
+        raise ValueError(f"--verify-tol must be a finite number >= 0, got {args.verify_tol}")
     X, labels = load_manifest(args.manifest)
     gate_cfg, cfg = _solver_configs(args, labels.K)
     if args.verify and cfg.mode != "relaxed":
@@ -298,7 +296,7 @@ def cmd_certify(args, log) -> int:
                  "inference, which may differ from gated training predictions off "
                  "the training set" if head.mode == "relaxed" else None),
     }
-    _atomic_write(args.summary, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    atomic_write(args.summary, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"certificates for {labels.n} examples written to {args.out}")
     return 0
 
@@ -325,7 +323,7 @@ def cmd_eval(args, log) -> int:
     report = evaluate(logits.argmax(axis=1), labels, accents=accents)
     text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
-        _atomic_write(args.out, text)
+        atomic_write(args.out, text)
     else:
         sys.stdout.write(text)
     if args.confusion_csv:
@@ -369,7 +367,7 @@ def cmd_bench(args, log) -> int:
     for size in sizes:
         n_train = min(size, order.size)
         if size > order.size:
-            print(f"warning: size {size} exceeds the {order.size} available training rows; "
+            print(f"cld: warning: size {size} exceeds the {order.size} available training rows; "
                   f"capping to {n_train}", file=sys.stderr)
         sub = order[:n_train]
         sub_labels = LabelSet(data.labels.class_ids[sub], data.labels.label_map)
@@ -387,12 +385,12 @@ def cmd_bench(args, log) -> int:
         log({"size": size, "phase": "certify", "seconds": time.perf_counter() - t0})
         radii = certs.radius_feature
         certified = float(np.mean(certs.certified))
-        _atomic_write(out / f"metrics_{size}.json",
-                      json.dumps({**report.to_json_dict(),
-                                  "certified_fraction": certified,
-                                  "mean_radius": float(radii.mean()),
-                                  "n_train": int(n_train)},
-                                 indent=2, sort_keys=True) + "\n")
+        atomic_write(out / f"metrics_{size}.json",
+                     json.dumps({**report.to_json_dict(),
+                                 "certified_fraction": certified,
+                                 "mean_radius": float(radii.mean()),
+                                 "n_train": int(n_train)},
+                                indent=2, sort_keys=True) + "\n")
         _write_csv(out / f"per_accent_{size}.csv", ["accent_id", "label", "n", "accuracy"],
                    ((a, accent_langs[a], int(np.sum(accents_test == a)), _fmt(acc))
                     for a, acc in sorted(report.per_accent.items())))
@@ -415,7 +413,7 @@ def cmd_gates_enum(args, log) -> int:
             "patterns": gates.bitstrings(),
             "witnesses": gates.generators.tolist(),
         }
-        _atomic_write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        atomic_write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -503,19 +501,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("CLD_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"cld: CLD_THREADS must be a positive integer, got {threads!r}", file=sys.stderr)
-            return 2
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; every diagnostic goes to stderr as one ``cld:`` line."""
     try:
-        with _log_sink(getattr(args, "log", None)) as log:   # stderr without --log
-            return args.func(args, log)
+        with warnings.catch_warnings():   # the format changes, the filters stay
+            warnings.showwarning = lambda message, *_: print(f"cld: warning: {message}",
+                                                             file=sys.stderr)
+            threads = os.environ.get("CLD_THREADS", "1")
+            try:
+                if int(threads) < 1:
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"CLD_THREADS must be a positive integer, got {threads!r}") from None
+            args = build_parser().parse_args(argv)
+            with _log_sink(getattr(args, "log", None)) as log:   # stderr without --log
+                return args.func(args, log)
     except VerificationFailure as exc:
         print(f"cld: verification failed: {exc}", file=sys.stderr)
         return 3

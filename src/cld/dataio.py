@@ -18,6 +18,7 @@ resolved relative to the manifest file.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -159,6 +160,18 @@ def pool_masked_mean(seq: SequenceFeature) -> np.ndarray:
     return seq.frames[seq.mask].sum(axis=0) / count
 
 
+def atomic_write(path, data: bytes | str) -> None:
+    """Replace ``path`` by ``data`` (bytes, or a str as UTF-8) whole, or leave it as it was."""
+    tmp = Path(f"{path}.tmp.{os.getpid()}")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _f32_payload(path, values: np.ndarray) -> bytes:
     """The <f4 bytes of a finite 2-D array; an entry beyond float32's range is refused."""
     with np.errstate(over="ignore"):
@@ -173,10 +186,8 @@ def write_features(path, matrix) -> None:
     """Write a feature matrix in the CLDF binary format (f32 payload)."""
     values = (matrix if isinstance(matrix, FeatureMatrix) else FeatureMatrix(matrix)).values
     n, d = values.shape
-    payload = _f32_payload(path, values)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(FEATURE_MAGIC, FORMAT_VERSION, n, d))
-        fh.write(payload)
+    atomic_write(path, _HEADER.pack(FEATURE_MAGIC, FORMAT_VERSION, n, d)
+                 + _f32_payload(path, values))
 
 
 def _read_feature_csv(path) -> FeatureMatrix:
@@ -250,11 +261,8 @@ def read_features(path) -> FeatureMatrix:
 
 def write_sequence(path, seq: SequenceFeature) -> None:
     """Write a frame sequence in the CLDS binary format."""
-    payload = _f32_payload(path, seq.frames)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(SEQUENCE_MAGIC, FORMAT_VERSION, seq.T, seq.d))
-        fh.write(payload)
-        fh.write(seq.mask.astype(np.uint8).tobytes())
+    atomic_write(path, _HEADER.pack(SEQUENCE_MAGIC, FORMAT_VERSION, seq.T, seq.d)
+                 + _f32_payload(path, seq.frames) + seq.mask.astype(np.uint8).tobytes())
 
 
 def read_sequence(path) -> SequenceFeature:
@@ -286,16 +294,13 @@ def read_labels(path, label_map: dict[str, int]) -> LabelSet:
 
 def write_labels(path, labels: LabelSet) -> None:
     names = labels.names
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex_id, cid in zip(labels.ids, labels.class_ids):
-            fh.write(f"{ex_id},{names[cid]}\n")
+    atomic_write(path, "".join(f"{ex_id},{names[cid]}\n"
+                               for ex_id, cid in zip(labels.ids, labels.class_ids)))
 
 
 def write_manifest(path, features_path, labels_path, label_map: dict[str, int]) -> None:
     doc = {"features": str(features_path), "labels": str(labels_path), "label_map": label_map}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_manifest(path) -> tuple[FeatureMatrix, LabelSet]:

@@ -21,7 +21,6 @@ computed from the weights at the same time.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,6 +28,7 @@ import numpy as np
 
 from .cert import CertificateBundle, bundle_from_weights, bundle_to_dict
 from .cvxprog import MODES, PENALTY_KINDS
+from .dataio import atomic_write
 from .gates import GateSet
 
 MODEL_VERSION = 1
@@ -240,12 +240,7 @@ def head_to_dict(head: TrainedHead) -> dict:
 
 def save_model(head: TrainedHead, path) -> None:
     """Write the head as JSON; float payloads are hex-encoded and lossless."""
-    doc = head_to_dict(head)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(head_to_dict(head), indent=1, sort_keys=True) + "\n")
 
 
 def _decode_pattern(bits: str, path) -> np.ndarray:

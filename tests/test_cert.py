@@ -121,6 +121,13 @@ class TestCertifyExample:
         with pytest.raises(ValueError):
             certify_batch(head, X[:1], [0], L_E=0.0)
 
+    @pytest.mark.parametrize("L_E", [np.inf, np.nan])
+    def test_nonfinite_le_refused(self, trained, L_E):
+        # an infinite L_E would certify every row with audio radius 0
+        head, X, labels = trained
+        with pytest.raises(ValueError, match="L_E must be positive and finite"):
+            certify_batch(head, X[:1], [0], L_E=L_E)
+
 
 class TestCertifyBatch:
     def test_row_label_count_mismatch_rejected(self, trained):

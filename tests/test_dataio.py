@@ -13,6 +13,7 @@ from cld.dataio import (
     LabelError,
     LabelSet,
     SequenceFeature,
+    atomic_write,
     load_manifest,
     pool_masked_mean,
     read_features,
@@ -130,6 +131,23 @@ class TestFeatureFiles:
     def test_empty_matrix_rejected(self):
         with pytest.raises(DataFormatError):
             FeatureMatrix(np.zeros((0, 3)))
+
+
+class TestAtomicWrite:
+    def test_text_is_utf8_and_replaces(self, tmp_path):
+        p = tmp_path / "t.txt"
+        atomic_write(p, b"old")
+        atomic_write(p, "zh \u4e2d\n")
+        assert p.read_bytes() == "zh \u4e2d\n".encode("utf-8")
+        assert [q.name for q in tmp_path.iterdir()] == ["t.txt"]
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path):
+        target = tmp_path / "out"
+        target.mkdir()
+        with pytest.raises(OSError):
+            write_features(target, np.ones((2, 2)))
+        assert target.is_dir() and list(target.iterdir()) == []
+        assert [q.name for q in tmp_path.iterdir()] == ["out"]
 
 
 class TestSequences:
@@ -269,6 +287,14 @@ class TestLabelsAndManifest:
         back = read_labels(tmp_path / "l.csv", labels.label_map)
         np.testing.assert_array_equal(back.class_ids, labels.class_ids)
         assert back.ids == labels.ids
+
+    def test_failed_manifest_write_keeps_old_manifest(self, tmp_path):
+        manifest = _write_dataset(tmp_path)
+        before = manifest.read_bytes()
+        with pytest.raises(TypeError):
+            write_manifest(manifest, "f.cldf", "l.csv", {"en": np.int64(0), "zh": 1})
+        assert manifest.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.cldf", "l.csv", "m.json"]
 
     def test_one_hot(self):
         labels = LabelSet(np.array([0, 1, 2, 1]), {"a": 0, "b": 1, "c": 2})

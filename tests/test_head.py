@@ -271,6 +271,18 @@ class TestModelIO:
         np.testing.assert_array_equal(back.V, head.V)
         assert back.label_map == head.label_map
 
+    def test_failed_save_keeps_old_model(self, trained, tmp_path):
+        head, _, _ = trained
+        path = tmp_path / "m.json"
+        save_model(head, path)
+        before = path.read_bytes()
+        bad = TrainedHead(head.gates, head.V, head.W, head.penalty_kind, head.mode,
+                          head.label_map, train_meta={"when": object()})
+        with pytest.raises(TypeError):
+            save_model(bad, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
     def test_corrupted_weight_detected(self, trained, tmp_path):
         head, _, _ = trained
         path = tmp_path / "model.json"
