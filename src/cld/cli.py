@@ -62,6 +62,14 @@ def _write_csv(path, header, rows) -> None:
     atomic_write(path, "".join(",".join(map(str, line)) + "\n" for line in [header, *rows]))
 
 
+def _check_out_dirs(*paths) -> None:
+    """Refuse, before any work, an output path (None: not given) whose directory is missing."""
+    for path in filter(None, paths):
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"cannot write {path}: directory {Path(path).parent} "
+                                    "does not exist")
+
+
 def _fmt(x) -> str:
     return "" if x is None else repr(float(x))
 
@@ -204,11 +212,13 @@ def cmd_synth(args, log) -> int:
 def cmd_train(args, log) -> int:
     """Train on --manifest, logging every phase; --verify cross-checks before saving.
 
-    Verification covers relaxed-mode training only. Exact mode, sampled gates
+    A missing directory for --out is refused first. Verification covers
+    relaxed-mode training only. Exact mode, sampled gates
     whose n * count * d bound is over the oracle's budget, and a --verify-tol
     that is not a finite number >= 0 are refused before training;
     enumeration's own limits keep n * P * d within the budget.
     """
+    _check_out_dirs(args.out)
     if not 0 <= args.verify_tol < float("inf"):
         raise ValueError(f"--verify-tol must be a finite number >= 0, got {args.verify_tol}")
     X, labels = load_manifest(args.manifest)
@@ -240,6 +250,7 @@ def _pooled_inputs(path):
 
 
 def cmd_predict(args, log) -> int:
+    _check_out_dirs(args.out)
     head = load_model(args.model)
     if args.pool:
         ids, H = _pooled_inputs(args.features)
@@ -269,6 +280,7 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def cmd_certify(args, log) -> int:
+    _check_out_dirs(args.out, args.summary)
     eps = _parse_grid(args.eps_grid)   # before anything is read or written
     head = load_model(args.model)
     X, labels = load_manifest(args.manifest)
@@ -302,6 +314,7 @@ def cmd_certify(args, log) -> int:
 
 
 def cmd_eval(args, log) -> int:
+    _check_out_dirs(args.out, args.confusion_csv)
     head = load_model(args.model)
     X, labels = load_manifest(args.manifest)
     labels = labels.relabel(head.label_map)
@@ -402,6 +415,7 @@ def cmd_bench(args, log) -> int:
 
 
 def cmd_gates_enum(args, log) -> int:
+    _check_out_dirs(args.out)
     fm = read_features(args.features)
     gates = enumerate_patterns(fm.values)
     print(f"{gates.P} activation patterns over {fm.n} rows")

@@ -21,6 +21,7 @@ import json
 import os
 import struct
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -160,15 +161,22 @@ def pool_masked_mean(seq: SequenceFeature) -> np.ndarray:
     return seq.frames[seq.mask].sum(axis=0) / count
 
 
-def atomic_write(path, data: bytes | str) -> None:
-    """Replace ``path`` by ``data`` (bytes, or a str as UTF-8) whole, or leave it as it was."""
+def atomic_write(path, data: bytes | str | Iterable[str]) -> None:
+    """Replace ``path`` by ``data`` whole, or leave it as it was.
+
+    ``data`` is bytes, a str or an iterable of str chunks, written as they
+    come (text as UTF-8). An OSError names ``path``, not the temporary file.
+    """
     tmp = Path(f"{path}.tmp.{os.getpid()}")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+            for chunk in [data] if isinstance(data, (bytes, str)) else data:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            exc.filename, exc.filename2 = str(path), None
         raise
 
 

@@ -20,6 +20,7 @@ computed from the weights at the same time.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -61,7 +62,8 @@ class ReluNetwork:
     def apply(self, H: np.ndarray) -> np.ndarray:
         """Logits for a batch of embeddings (rows of H)."""
         H = np.atleast_2d(np.asarray(H, dtype=np.float64))
-        return np.maximum(H @ self.hidden.T, 0.0) @ self.output
+        Z = H @ self.hidden.T
+        return np.maximum(Z, 0.0, out=Z) @ self.output
 
 
 @dataclass(frozen=True)
@@ -239,8 +241,9 @@ def head_to_dict(head: TrainedHead) -> dict:
 
 
 def save_model(head: TrainedHead, path) -> None:
-    """Write the head as JSON; float payloads are hex-encoded and lossless."""
-    atomic_write(path, json.dumps(head_to_dict(head), indent=1, sort_keys=True) + "\n")
+    """Write the head as JSON, streamed; float payloads are hex-encoded and lossless."""
+    chunks = json.JSONEncoder(indent=1, sort_keys=True).iterencode(head_to_dict(head))
+    atomic_write(path, itertools.chain(chunks, ["\n"]))
 
 
 def _decode_pattern(bits: str, path) -> np.ndarray:

@@ -14,9 +14,11 @@ lemma (e.g. d=768 encoders with few rows). Every step is then solved exactly.
 Because the masks are 0/1, F^T F is summed from the d x d Grams of classes
 of rows that share their bits on a few gates, never from the rows of F.
 The factor is a blocked Cholesky built from numpy GEMMs (``_cholesky_solver``),
-so training in relaxed mode loads no scipy module. It overwrites the Gram in
-place and takes 8 * min(n, B*d)^2 bytes; an input whose smaller Gram does
-not fit in memory fails with MemoryError. With L L^T = F^T F + sigma I the
+so training in relaxed mode loads no scipy module. Only the lower block rows
+of the Gram are stored, in one flat buffer, and the factor overwrites them in
+place: about 4 m^2 + 4 * 128 * m bytes for m = min(n, B*d), 260 MB at
+m = 8,000; an input whose packed Gram does not fit in memory fails with
+MemoryError. With L L^T = F^T F + sigma I the
 primal side's fit is 1/2 (||L^T S||^2 - sigma ||S||^2) - <S, F^T Y> + 1/2 ||Y||^2,
 one pass over L and no operator apply (3.6 ms against 8-12 ms at n = 9,600,
 B*d = 2,048, K = 5, one BLAS thread); the kernel side forms it by the apply,
@@ -32,7 +34,6 @@ import numpy as np
 
 from .gates import GateSet
 
-_GRAM_CHUNK_ROWS = 512
 _CHOLESKY_BLOCK = 128
 
 
@@ -107,9 +108,10 @@ class GatedOperator:
             raise ValueError(f"expected residual of shape {(self.n, self.K)}, got {R.shape}")
         if self._dense is not None:
             return (self._dense.T @ R).reshape(self.block_shape)
-        RB = self._weights[:, :, None] * R[:, None, :]  # (n, B, K)
-        out = self.X.T @ RB.reshape(self.n, self.B * self.K)
-        return out.reshape(self.d, self.B, self.K).transpose(1, 0, 2)
+        out = np.empty((self.K, self.d, self.B))
+        for k in range(self.K):   # one n x B temporary at a time, never (n, B, K)
+            np.matmul(self.X.T, self._weights * R[:, k, None], out=out[k])
+        return out.transpose(2, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -127,27 +129,40 @@ def gram_side(op: GatedOperator) -> str:
     return "primal" if op.B * op.d <= op.n else "kernel"
 
 
-def fit_gram(op: GatedOperator) -> np.ndarray:
-    """Lower triangle of the smaller Gram of F, as a C-order array.
+def _block_rows(m: int) -> list[np.ndarray]:
+    """Block row i of an m x m lower triangle, the (e - k, e) slab [k:e, :e] with
+    k = i * ``_CHOLESKY_BLOCK``, e = min(k + block, m), as views of one zeroed buffer."""
+    spans = [(k, min(k + _CHOLESKY_BLOCK, m)) for k in range(0, m, _CHOLESKY_BLOCK)]
+    flat = np.zeros(sum((e - k) * e for k, e in spans))
+    starts = np.cumsum([0] + [(e - k) * e for k, e in spans])
+    return [flat[o:o + (e - k) * e].reshape(e - k, e) for o, (k, e) in zip(starts, spans)]
+
+
+def _span(row: np.ndarray) -> tuple[int, int]:
+    """The rows k:e of the Gram that a block row of shape (e - k, e) holds."""
+    return row.shape[1] - len(row), row.shape[1]
+
+
+def fit_gram(op: GatedOperator) -> list[np.ndarray]:
+    """Lower block rows of the smaller Gram of F (``_block_rows``).
 
     Column b*d + j of F is sign_b mask_b * X[:, j]. When B*d <= n this is the
     (B*d) x (B*d) F^T F, built from class sums (``_primal_gram``). When
     B*d > n it is the n x n kernel F F^T = (X X^T) o (W W^T) with
-    W = ``op._weights``, formed one block of rows at a time: rows lo:hi get
-    (X_r X_c^T) o (W_r W_c^T) over columns 0:hi. Only the lower triangle
-    is defined and the pages above it are never written; the Cholesky
-    factor in ``gram_solver`` reads nothing else.
+    W = ``op._weights``, formed one block row at a time: rows k:e get
+    (X_r X_c^T) o (W_r W_c^T) over columns 0:e. Nothing above the diagonal
+    block of a row is stored; the Cholesky factor in ``gram_solver`` reads
+    only the lower triangle.
     """
     if gram_side(op) == "primal":
         return _primal_gram(op)
-    X, W, n = op.X, op._weights, op.n
-    gram = np.empty((n, n))
-    for lo in range(0, n, _GRAM_CHUNK_ROWS):
-        hi = min(lo + _GRAM_CHUNK_ROWS, n)
-        rows = gram[lo:hi, :hi]
-        np.matmul(X[lo:hi], X[:hi].T, out=rows)
-        rows *= W[lo:hi] @ W[:hi].T
-    return gram
+    X, W = op.X, op._weights
+    rows = _block_rows(op.n)
+    for row in rows:
+        k, e = _span(row)
+        np.matmul(X[k:e], X[:e].T, out=row)
+        row *= W[k:e] @ W[:e].T
+    return rows
 
 
 def _group_size(n: int, d: int, B: int) -> int:
@@ -157,12 +172,12 @@ def _group_size(n: int, d: int, B: int) -> int:
     4^g class Grams (4^g d^2 floats) within 512 rows of F (512 B d floats).
     """
     g = 1
-    while g < B and 4 ** (g + 1) <= min(n / 32, _GRAM_CHUNK_ROWS * B / d):
+    while g < B and 4 ** (g + 1) <= min(n / 32, 512 * B / d):
         g += 1
     return g
 
 
-def _primal_gram(op: GatedOperator) -> np.ndarray:
+def _primal_gram(op: GatedOperator) -> list[np.ndarray]:
     """F^T F summed over classes of rows that share their gate bits.
 
     Block (b, b') of F^T F is s_b s_b' sum_i m_b(i) m_b'(i) x_i x_i^T. The
@@ -173,6 +188,7 @@ def _primal_gram(op: GatedOperator) -> np.ndarray:
     of C_c over the classes where both bits are set: one GEMM of a signed
     0/1 selection matrix with the stacked C. That is about n d^2 multiply-adds
     per group pair instead of n (B d)^2 / 2 for a syrk over the rows of F.
+    Each pair's tile is then copied into the block rows it crosses.
     """
     X, n, d, B = op.X, op.n, op.d, op.B
     g = _group_size(n, d, B)
@@ -182,7 +198,7 @@ def _primal_gram(op: GatedOperator) -> np.ndarray:
     for b in range(B):
         group_sig[b // g] |= (op.masks[b] != 0).astype(sig_type) << (b % g)
     C = np.empty((4 ** g, d, d))
-    gram = np.zeros((B * d, B * d))
+    rows = _block_rows(B * d)
     for ia, a0 in enumerate(starts):
         ga = min(g, B - a0)
         for ib, b0 in enumerate(starts[:ia + 1]):
@@ -197,66 +213,70 @@ def _primal_gram(op: GatedOperator) -> np.ndarray:
             order = np.argsort(sig, kind="stable")
             ends = np.cumsum(counts)
             for j, c in enumerate(used):
-                rows = X[order[ends[c] - counts[c]:ends[c]]]
-                np.matmul(rows.T, rows, out=C[j])
+                class_rows = X[order[ends[c] - counts[c]:ends[c]]]
+                np.matmul(class_rows.T, class_rows, out=C[j])
             blocks = select[used].T @ C[:len(used)].reshape(len(used), d * d)
-            # splitting both axes of the block view never copies, so this writes into gram
-            gram[a0 * d:(a0 + ga) * d, b0 * d:(b0 + gb) * d].reshape(ga, d, gb, d)[...] = \
-                blocks.reshape(ga, gb, d, d).transpose(0, 2, 1, 3)
-    return gram
+            tile = blocks.reshape(ga, gb, d, d).transpose(0, 2, 1, 3).reshape(ga * d, gb * d)
+            top, left = a0 * d, b0 * d
+            for row in rows[top // _CHOLESKY_BLOCK:(top + ga * d - 1) // _CHOLESKY_BLOCK + 1]:
+                k, e = _span(row)
+                lo, hi = max(top, k), min(top + ga * d, e)
+                width = min(gb * d, e - left)   # a group paired with itself ends at column e
+                row[lo - k:hi - k, left:left + width] = tile[lo - top:hi - top, :width]
+    return rows
 
 
-def _cholesky_solver(gram: np.ndarray):
-    """Factor the SPD ``gram`` = L L^T in place; return ``solve`` and ``sq_norm``, b (m, K).
+def _cholesky_solver(rows: list[np.ndarray]):
+    """Factor the SPD Gram held in ``rows`` as L L^T in place; return ``solve``
+    and ``sq_norm``, b (m, K).
 
     ``solve(b)`` is x with gram x = b, ``sq_norm(b)`` is ||L^T b||^2.
-    Right-looking blocked Cholesky on blocks of ``_CHOLESKY_BLOCK``: each
+    Right-looking blocked Cholesky on the block rows of ``_block_rows``: each
     diagonal block is factored by ``np.linalg.cholesky`` and inverted, the
     panel below it is multiplied by that inverse, and the trailing update
-    runs over the lower block columns only. Only the lower triangle of
-    ``gram`` is read, and L overwrites it; the inverses of the diagonal
-    blocks are kept beside. A solve is a blocked forward and back
-    substitution on the transposed right-hand side, all GEMMs; ``sq_norm``
-    is one pass over the block rows of L.
+    runs over the lower block columns only. Only the lower triangle of the
+    Gram is read, and L overwrites it; the inverses of the diagonal blocks
+    are kept beside. A solve is a blocked forward and back substitution on
+    the transposed right-hand side, all GEMMs; ``sq_norm`` is one pass over
+    the block rows of L.
     """
-    m, nb = gram.shape[0], _CHOLESKY_BLOCK
+    spans = [_span(row) for row in rows]
     inverses = []
-    for k in range(0, m, nb):
-        e = min(k + nb, m)
-        gram[k:e, k:e] = np.linalg.cholesky(gram[k:e, k:e])
-        inverse = np.linalg.inv(gram[k:e, k:e])
+    for i, (row, (k, e)) in enumerate(zip(rows, spans)):
+        row[:, k:] = np.linalg.cholesky(row[:, k:])
+        inverse = np.linalg.inv(row[:, k:])
         inverses.append(inverse)
-        if e < m:
-            panel = gram[e:, k:e] @ inverse.T
-            gram[e:, k:e] = panel
-            for j in range(e, m, nb):
-                gram[j:j + nb, e:j + nb] -= panel[j - e:j - e + nb] @ panel[:j + nb - e].T
+        if i + 1 < len(rows):
+            panel = np.concatenate([low[:, k:e] for low in rows[i + 1:]]) @ inverse.T
+            for low, (lk, le) in zip(rows[i + 1:], spans[i + 1:]):
+                low[:, k:e] = panel[lk - e:le - e]
+                low[:, e:] -= panel[lk - e:le - e] @ panel[:le - e].T
 
     def solve(b):
         y = np.array(b.T, order="C")
-        for i, k in enumerate(range(0, m, nb)):      # L y = b
-            y[:, k:k + nb] = (y[:, k:k + nb] - y[:, :k] @ gram[k:k + nb, :k].T) @ inverses[i].T
-        for i in reversed(range(len(inverses))):     # L^T x = y
-            k = i * nb
-            y[:, k:k + nb] = y[:, k:k + nb] @ inverses[i]
-            y[:, :k] -= y[:, k:k + nb] @ gram[k:k + nb, :k]
+        for row, (k, e), inverse in zip(rows, spans, inverses):      # L y = b
+            y[:, k:e] = (y[:, k:e] - y[:, :k] @ row[:, :k].T) @ inverse.T
+        for row, (k, e), inverse in zip(rows[::-1], spans[::-1], inverses[::-1]):   # L^T x = y
+            y[:, k:e] = y[:, k:e] @ inverse
+            y[:, :k] -= y[:, k:e] @ row[:, :k]
         return y.T
 
     def sq_norm(b):
         bt = np.array(b.T, order="C")
         y = np.zeros_like(bt)                        # (L^T b)^T, one block row of L at a time
-        for k in range(0, m, nb):
-            y[:, :k + nb] += bt[:, k:k + nb] @ gram[k:k + nb, :k + nb]
+        for row, (k, e) in zip(rows, spans):
+            y[:, :e] += bt[:, k:e] @ row
         return float(np.vdot(y, y))
 
     return solve, sq_norm
 
 
 def gram_solver(op: GatedOperator, sigma: float):
-    """``(solve, fit)`` for (F^T F + sigma I) u = rhs on (B, d, K) blocks.
+    """``(solve, fit, nbytes)`` for (F^T F + sigma I) u = rhs on (B, d, K) blocks.
 
-    ``solve(rhs)`` is the exact u and ``fit(S, Y, fty)`` is 1/2 ||F S - Y||^2
-    with ``fty`` = F^T Y. The shifted smaller Gram (``fit_gram``) is
+    ``solve(rhs)`` is the exact u, ``fit(S, Y, fty)`` is 1/2 ||F S - Y||^2
+    with ``fty`` = F^T Y, and ``nbytes`` the size of the factor's packed
+    block rows. The shifted smaller Gram (``fit_gram``) is
     Cholesky-factored here, once. With B*d <= n every solve is two
     triangular solves on F^T F + sigma I, and the fit is read off the factor.
     With B*d > n it uses the matrix-inversion lemma on the n x n kernel:
@@ -264,22 +284,24 @@ def gram_solver(op: GatedOperator, sigma: float):
     apply, one pair of triangular solves and one adjoint; the fit is one apply.
     """
     B, d, K = op.block_shape
-    gram = fit_gram(op)
-    gram[np.diag_indices(gram.shape[0])] += sigma
-    solve, sq_norm = _cholesky_solver(gram)
+    rows = fit_gram(op)
+    for row in rows:
+        np.einsum("ii->i", row[:, -len(row):])[...] += sigma   # a writable view of the diagonal
+    solve, sq_norm = _cholesky_solver(rows)
+    nbytes = sum(row.nbytes for row in rows)
     if gram_side(op) == "primal":
         def fit(S, Y, fty):
             S = S.reshape(B * d, K)
             quad = sq_norm(S) - sigma * float(np.vdot(S, S))   # <S, F^T F S>
             return 0.5 * quad - float(np.vdot(S, fty)) + 0.5 * float(np.vdot(Y, Y))
 
-        return lambda rhs: solve(rhs.reshape(B * d, K)).reshape(B, d, K), fit
+        return lambda rhs: solve(rhs.reshape(B * d, K)).reshape(B, d, K), fit, nbytes
 
     def fit(S, Y, fty):
         diff = op.apply(S) - Y
         return 0.5 * float(np.vdot(diff, diff))
 
-    return lambda rhs: (rhs - op.adjoint(solve(op.apply(rhs)))) / sigma, fit
+    return lambda rhs: (rhs - op.adjoint(solve(op.apply(rhs)))) / sigma, fit, nbytes
 
 
 def power_iteration(matvec, dim: int, iters: int = 100, seed: int = 0, shape=None) -> float:

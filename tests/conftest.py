@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,17 @@ def cluster_data(n=100, d=8, K=2, separation=4.0, seed=0):
     y = np.concatenate(ids)
     label_map = {f"lang{k}": k for k in range(K)}
     return X, LabelSet(y, label_map), centers
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes traced while it ran, above what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -307,9 +307,10 @@ class TestTrain:
         head = train(X, labels, GateConfig(count=4, seed=14),
                      AdmmConfig(rho=0.1, admm_iters=7), log=records.append)
         factor, iters, summary = records[0], records[1:-1], records[-1]
-        # 4 gates on d=4 give B*d = 16 <= n = 30: the primal Gram is factored
-        assert {k: factor[k] for k in ("phase", "side", "size")} == \
-            {"phase": "u_factor", "side": "primal", "size": 16}
+        # 4 gates on d=4 give B*d = 16 <= n = 30: the primal Gram is factored,
+        # kept as one 16 x 16 block row
+        assert {k: factor[k] for k in ("phase", "side", "size", "bytes")} == \
+            {"phase": "u_factor", "side": "primal", "size": 16, "bytes": 8 * 16 * 16}
         assert factor["seconds"] >= 0.0
         assert [rec["iter"] for rec in iters] == list(range(7))
         fields = ("objective", "fit", "penalty", "cone_violation",

@@ -16,6 +16,7 @@ from cld.head import ModelFormatError, load_model, predict_batch
 from test_dataio import MALFORMED_MANIFESTS
 from test_gates import _cells_bound
 from test_head import MALFORMED_DOCS
+from test_linops import lower_block_rows
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -107,6 +108,7 @@ class TestTrain:
         factor = [rec for rec in parsed if rec.get("phase") == "u_factor"]
         assert len(factor) == 1 and factor[0]["side"] in ("primal", "kernel")
         assert factor[0]["size"] > 0 and factor[0]["seconds"] >= 0.0
+        assert factor[0]["bytes"] == 8 * sum(r * e for r, e in lower_block_rows(factor[0]["size"]))
         summary = [rec for rec in parsed if rec.get("phase") == "summary"]
         assert len(summary) == 1 and summary[0]["stopped"] in ("tol", "cap")
         assert summary[0]["iters"] == len([rec for rec in parsed if "iter" in rec])
@@ -746,6 +748,36 @@ class TestVerifyCommand:
         # must keep n * P * d within the accelerated oracle's budget
         n, d = _ENUM_MAX_N, _ENUM_MAX_D
         assert n * _cells_bound(n, d) * d <= _FISTA_VERIFY_GUARD
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--out"), ("predict", "--out"), ("certify", "--out"), ("certify", "--summary"),
+        ("eval", "--out"), ("eval", "--confusion-csv"), ("gates-enum", "--out")])
+    def test_missing_directory_refused_before_any_work(self, dataset, model, tmp_path, capsys,
+                                                       command, flag):
+        manifest, features = str(dataset / "manifest.json"), str(dataset / "features.cldf")
+        log, out, extra = str(tmp_path / "t.log"), str(tmp_path / "o.out"), str(tmp_path / "e.out")
+        argv = {
+            "train": ["--manifest", manifest, "--out", out, "--log", log, *FAST_TRAIN],
+            "predict": ["--model", str(model), "--features", features, "--out", out,
+                        "--log", log],
+            "certify": ["--model", str(model), "--manifest", manifest, "--out", out,
+                        "--summary", extra],
+            "eval": ["--model", str(model), "--manifest", manifest, "--out", out,
+                     "--confusion-csv", extra],
+            "gates-enum": ["--features", features, "--out", out],
+        }[command]
+        missing = tmp_path / "nodir" / "x.out"
+        argv[argv.index(flag) + 1] = str(missing)
+        assert main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err == f"cld: error: cannot write {missing}: directory {missing.parent} " \
+                      "does not exist\n"
+        # no output written and, where there is a log, nothing computed
+        assert [p.name for p in tmp_path.iterdir()] in ([], ["t.log"])
+        if (tmp_path / "t.log").exists():
+            assert (tmp_path / "t.log").read_text() == ""
 
 
 class TestGatesEnum:

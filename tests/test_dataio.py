@@ -141,6 +141,21 @@ class TestAtomicWrite:
         assert p.read_bytes() == "zh \u4e2d\n".encode("utf-8")
         assert [q.name for q in tmp_path.iterdir()] == ["t.txt"]
 
+    def test_chunks_are_written_in_order(self, tmp_path):
+        p = tmp_path / "t.txt"
+        atomic_write(p, iter(["zh ", "\u4e2d", "\n"]))
+        assert p.read_bytes() == "zh \u4e2d\n".encode("utf-8")
+
+    @pytest.mark.parametrize("make", ["missing-dir", "directory"])
+    def test_error_names_the_given_path(self, tmp_path, make):
+        target = tmp_path / "nodir" / "t.txt" if make == "missing-dir" else tmp_path / "t"
+        if make == "directory":
+            target.mkdir()
+        with pytest.raises(OSError) as info:
+            atomic_write(target, "x")
+        assert info.value.filename == str(target) and info.value.filename2 is None
+        assert ".tmp." not in str(info.value)
+
     def test_failed_write_leaves_no_temporary_file(self, tmp_path):
         target = tmp_path / "out"
         target.mkdir()

@@ -15,6 +15,7 @@ from cld.head import (
     ModelVersionError,
     ReluNetwork,
     TrainedHead,
+    head_to_dict,
     load_model,
     margin,
     predict,
@@ -23,7 +24,7 @@ from cld.head import (
     to_relu,
 )
 
-from conftest import cluster_data
+from conftest import cluster_data, traced_peak
 from reference import nonconvex_objective
 
 
@@ -85,6 +86,17 @@ def reference_to_relu(head):
 
 
 class TestToRelu:
+    def test_apply_holds_one_hidden_array(self):
+        # the max is taken in place: one (N, m) array and the (N, K) output,
+        # plus numpy's ufunc buffers, never a second (N, m) array
+        rng = np.random.default_rng(8)
+        net = ReluNetwork(rng.standard_normal((100, 8)), rng.standard_normal((100, 3)))
+        H = rng.standard_normal((2000, 8))
+        out, peak = traced_peak(net.apply, H)
+        np.testing.assert_allclose(out, np.maximum(H @ net.hidden.T, 0.0) @ net.output)
+        assert peak <= 8 * (2000 * 100 + 2000 * 3) + 256 * 1024
+        assert peak < 2 * 8 * 2000 * 100
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5),
            st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
@@ -270,6 +282,19 @@ class TestModelIO:
                                           predict_batch(back, H, mode))
         np.testing.assert_array_equal(back.V, head.V)
         assert back.label_map == head.label_map
+
+    def test_save_streams_the_same_bytes(self, tmp_path):
+        # an oracle_small-shaped head: n = 200, d = 16, K = 3, 32 gates and 250
+        # logged iterations. The file is byte for byte the one-shot document;
+        # writing it holds little beyond the dict it is encoded from
+        X, labels, _ = cluster_data(n=200, d=16, K=3, seed=3)
+        head = train(X, labels, GateConfig(count=32, seed=3), AdmmConfig(rho=0.1, admm_iters=250))
+        path = tmp_path / "m.json"
+        _, dict_peak = traced_peak(head_to_dict, head)
+        _, save_peak = traced_peak(save_model, head, path)
+        data = path.read_bytes()
+        assert data == (json.dumps(head_to_dict(head), indent=1, sort_keys=True) + "\n").encode()
+        assert save_peak - dict_peak <= len(data) / 4
 
     def test_failed_save_keeps_old_model(self, trained, tmp_path):
         head, _, _ = trained

@@ -9,7 +9,7 @@ from cld.gates import GateSet, enumerate_patterns, sample_gates
 import cld.linops
 from cld.linops import GatedOperator, gram_solver, power_iteration
 
-from conftest import random_problem
+from conftest import random_problem, traced_peak
 
 
 def all_on_gates(n, d, count=1):
@@ -99,6 +99,18 @@ class TestGatedOperator:
         np.testing.assert_allclose(free.apply(S), cached.apply(S), atol=1e-12)
         np.testing.assert_allclose(free.adjoint(R), cached.adjoint(R), atol=1e-12)
 
+    def test_matrix_free_adjoint_allocates_no_n_b_k_array(self):
+        # n x B x K = 3.2 MB; the adjoint may hold one n x B column and its
+        # result, plus numpy's ufunc buffers (64 KiB each)
+        rng = np.random.default_rng(13)
+        X = rng.standard_normal((4000, 16))
+        op = GatedOperator.relaxed(X, sample_gates(X, 20, seed=13), K=5)
+        assert op._dense is None
+        out, peak = traced_peak(op.adjoint, rng.standard_normal((op.n, op.K)))
+        assert out.shape == op.block_shape
+        assert peak <= 8 * (op.n * op.B + op.B * op.d * op.K) + 256 * 1024
+        assert peak < 8 * op.n * op.B * op.K
+
 
 def _matrix_free_relaxed():
     X = np.random.default_rng(30).standard_normal((2000, 16))
@@ -130,6 +142,26 @@ _SIZED = [(side, build, m) for side, build in (("primal", _primal_sized), ("kern
           for m in (_NB - 1, _NB, _NB + 1, 2 * _NB + 1)]
 
 
+def lower_block_rows(m):
+    """The shapes of the Gram's block rows [k:e, :e], k = 0, block, 2 block, ..."""
+    return [(min(k + _NB, m) - k, min(k + _NB, m)) for k in range(0, m, _NB)]
+
+
+def nan_above_diagonal(fit_gram, shapes, op):
+    """``fit_gram(op)``, its block-row shapes appended to ``shapes``.
+
+    The rows must share one flat buffer. Nothing above the diagonal is
+    stored except in each row's diagonal block, and that part is made NaN,
+    since the factor may not read it.
+    """
+    rows = fit_gram(op)
+    shapes.append([row.shape for row in rows])
+    assert all(row.base is rows[0].base for row in rows)
+    for row in rows:
+        row[:, -len(row):][np.triu_indices(len(row), 1)] = np.nan
+    return rows
+
+
 class TestGramSolver:
     @pytest.mark.parametrize(
         "build, dense, side",
@@ -139,24 +171,18 @@ class TestGramSolver:
         ids=["matrix-free", "dense-cached", "split"] + [f"{side}-{m}" for side, _, m in _SIZED])
     def test_factored_solve_residual(self, build, dense, side, monkeypatch):
         # the factored u-solve, checked against the operator's own apply/adjoint;
-        # B*d <= n factors the (B*d)^2 primal Gram, B*d > n the n x n kernel.
-        # Only the Gram's lower triangle is defined, so its upper one is made NaN.
+        # B*d <= n factors the (B*d)^2 primal Gram, B*d > n the n x n kernel,
+        # each stored as exactly its lower block rows
         op, copies = build()
         assert (op._dense is not None) == dense
-        shapes, fit_gram = [], cld.linops.fit_gram
-
-        def recording_fit_gram(op):
-            gram = fit_gram(op)
-            shapes.append(gram.shape)
-            gram[np.triu_indices(len(gram), 1)] = np.nan
-            return gram
-
-        monkeypatch.setattr(cld.linops, "fit_gram", recording_fit_gram)
+        shapes = []
+        monkeypatch.setattr(cld.linops, "fit_gram",
+                            partial(nan_above_diagonal, cld.linops.fit_gram, shapes))
         sigma = copies * 0.1
         rhs = np.random.default_rng(33).standard_normal(op.block_shape)
         u = gram_solver(op, sigma)[0](rhs)
         size = op.B * op.d if side == "primal" else op.n
-        assert shapes == [(size, size)]
+        assert shapes == [lower_block_rows(size)]
         residual = op.adjoint(op.apply(u)) + sigma * u - rhs
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
 
@@ -164,25 +190,40 @@ class TestGramSolver:
                              + [(True, m) for m in (_NB - 2, _NB, _NB + 2, 2 * _NB + 2)])
     @pytest.mark.parametrize("sigma", [1e-4, 1.0, 100.0])
     def test_factor_fit_matches_apply(self, split, m, sigma, monkeypatch):
-        # on the primal side the fit is read off the factor, whose upper
-        # triangle is made NaN as above; split stacks have an even B*d, so
-        # they take the even sizes around the block
+        # on the primal side the fit is read off the factor, whose block rows
+        # are checked as above; split stacks have an even B*d, so they take
+        # the even sizes around the block
         op = masked_operator(m + 40, m // 2 if split else m, 1, split, "random", seed=m)
         assert op.B * op.d == m and cld.linops.gram_side(op) == "primal"
-        fit_gram = cld.linops.fit_gram
-
-        def upper_nan_fit_gram(op):
-            gram = fit_gram(op)
-            gram[np.triu_indices(len(gram), 1)] = np.nan
-            return gram
-
-        monkeypatch.setattr(cld.linops, "fit_gram", upper_nan_fit_gram)
+        shapes = []
+        monkeypatch.setattr(cld.linops, "fit_gram",
+                            partial(nan_above_diagonal, cld.linops.fit_gram, shapes))
         rng = np.random.default_rng(m)
         Y, z = rng.standard_normal((op.n, op.K)), rng.standard_normal(op.block_shape)
         fty = op.adjoint(Y)
         diff = op.apply(z) - Y
         bound = 1e-12 * (0.5 * np.vdot(Y, Y) + 0.5 * sigma * np.vdot(z, z) + abs(np.vdot(z, fty)))
         assert abs(gram_solver(op, sigma)[1](z, Y, fty) - 0.5 * np.vdot(diff, diff)) <= bound
+        assert shapes == [lower_block_rows(m)]
+
+    def test_factor_reports_its_packed_bytes(self):
+        op, _ = _primal_sized(2 * _NB + 1)
+        assert gram_solver(op, 1.0)[2] == 8 * sum(r * e for r, e in lower_block_rows(2 * _NB + 1))
+
+    def test_primal_factor_allocates_no_square(self):
+        # m = 2,048: the square Gram alone (32 MiB) would exceed the bound,
+        # the packed rows (about 17 MiB) plus the class Grams plus a few
+        # block columns of temporaries (the panel and its product, the
+        # trailing update, the diagonal inverses) fit under it
+        X = np.random.default_rng(38).standard_normal((4000, 32))
+        op = GatedOperator.relaxed(X, sample_gates(X, 64, seed=38), K=2)
+        m = op.B * op.d
+        assert m == 2048 and op._dense is None and cld.linops.gram_side(op) == "primal"
+        packed = 8 * sum(r * e for r, e in lower_block_rows(m))
+        classes = 8 * 4 ** cld.linops._group_size(op.n, op.d, op.B) * op.d ** 2
+        _, peak = traced_peak(gram_solver, op, 1.0)
+        assert peak <= packed + classes + 4 * 8 * _NB * m
+        assert peak < 8 * m * m
 
     def test_wide_u_solve_is_exact(self):
         # B*d = 5,120 > n = 300, the encoder-width regime: the u-system is
@@ -214,11 +255,17 @@ def masked_operator(n, d, P, split, kind, seed):
 
 
 def assert_primal_gram_exact(op):
-    assert op.B * op.d <= op.n
-    gram = cld.linops.fit_gram(op)
+    m = op.B * op.d
+    assert m <= op.n
+    rows = cld.linops.fit_gram(op)
+    assert [row.shape for row in rows] == lower_block_rows(m)
+    gram = np.full((m, m), np.nan)
+    for row in rows:
+        r, e = row.shape
+        gram[e - r:e, :e] = row
     dense = dense_blocks(op)
     expected = dense.T @ dense
-    lower = np.tril_indices(op.B * op.d)
+    lower = np.tril_indices(m)
     error = np.abs(gram[lower] - expected[lower]).max()
     assert error <= 1e-13 * np.abs(expected).max()
 
