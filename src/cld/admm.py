@@ -122,12 +122,12 @@ def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmResult:
 
     The config must state the problem's mode, beta and penalty kind. ``log``
     gets one ``u_factor`` record (the Gram's side and size, the bytes its
-    factor keeps, and the seconds taken to build the u-update), then one
-    record per iteration, then one ``summary`` record: why the run stopped
-    (``tol`` or ``cap``), the iterations run, the last iteration's numbers,
-    the l21 norm of z (``B_l21``, the head's certificate bound), the number
-    of nonzero penalty groups in z, whether z is all zero, and in split mode
-    the cone projection's misses summed over the run.
+    factor keeps, the seconds spent forming and factoring it and building
+    the whole u-update), then one record per iteration, then one ``summary``
+    record: why the run stopped (``tol`` or ``cap``), the iterations run, the
+    last iteration's numbers, z's l21 norm (``B_l21``, the head's certificate
+    bound), the number of nonzero penalty groups in z, whether z is all zero,
+    and in split mode the cone projection's misses summed over the run.
     """
     problem = (prob.mode, prob.beta, prob.penalty_kind)
     config = (cfg.mode, cfg.beta, cfg.penalty_kind)
@@ -135,11 +135,11 @@ def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmResult:
         raise ValueError(f"problem (mode, beta, penalty_kind) {problem} != config {config}")
     op, r, exact = prob.op, cfg.r, prob.mode == "exact"
     tick = time.perf_counter()
-    solve, fit, nbytes = gram_solver(op, r)
+    solve, fit, stats = gram_solver(op, r)
     fty = op.adjoint(prob.Y)
     if log is not None:
         log({"phase": "u_factor", "side": gram_side(op), "size": min(op.n, op.B * op.d),
-             "bytes": nbytes, "seconds": time.perf_counter() - tick})
+             **stats, "seconds": time.perf_counter() - tick})
     z, lam = np.zeros(op.block_shape), np.zeros(op.block_shape)
     faces = np.zeros((op.B, op.K, op.n), dtype=bool) if exact else None
     history, fallbacks = [], 0

@@ -13,21 +13,20 @@ B*d <= n, else the n x n kernel F F^T, used through the matrix-inversion
 lemma (e.g. d=768 encoders with few rows). Every step is then solved exactly.
 Because the masks are 0/1, F^T F is summed from the d x d Grams of classes
 of rows that share their bits on a few gates, never from the rows of F.
-The factor is a blocked Cholesky built from numpy GEMMs (``_cholesky_solver``),
-so training in relaxed mode loads no scipy module. Only the lower block rows
-of the Gram are stored, in one flat buffer, and the factor overwrites them in
-place: about 4 m^2 + 4 * 128 * m bytes for m = min(n, B*d), 260 MB at
-m = 8,000; an input whose packed Gram does not fit in memory fails with
-MemoryError. With L L^T = F^T F + sigma I the
-primal side's fit is 1/2 (||L^T S||^2 - sigma ||S||^2) - <S, F^T Y> + 1/2 ||Y||^2,
-one pass over L and no operator apply (3.6 ms against 8-12 ms at n = 9,600,
-B*d = 2,048, K = 5, one BLAS thread); the kernel side forms it by the apply,
-there the cheaper product. Also provided: power iteration for
-largest-eigenvalue estimates (used by the FISTA oracle).
+The factor is a left-looking blocked Cholesky of numpy GEMMs that write in
+place (``_cholesky_solver``), so training in relaxed mode loads no scipy
+module. Only the lower block rows of the Gram are stored, in one flat buffer,
+and the factor overwrites them: about 4 m^2 + 4 * 128 * m bytes for
+m = min(n, B*d), 260 MB at m = 8,000; an input whose packed Gram does not
+fit in memory fails with MemoryError. With L L^T = F^T F + sigma I the
+primal side's fit is 1/2 (||L^T S||^2 - sigma ||S||^2) - <S, F^T Y> +
+1/2 ||Y||^2, one pass over L; the kernel side forms it by the apply. Also
+provided: power iteration for largest-eigenvalue estimates (FISTA oracle).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,7 @@ class GatedOperator:
     """Stacked gated linear map between weight blocks (B,d,K) and logits (n,K)."""
 
     X: np.ndarray
-    masks: np.ndarray          # (B, n) float 0/1
+    masks: np.ndarray          # (B, n) bool
     signs: np.ndarray          # (B,)
     K: int
 
@@ -64,13 +63,13 @@ class GatedOperator:
     @classmethod
     def relaxed(cls, X: np.ndarray, gates: GateSet, K: int) -> "GatedOperator":
         X = np.asarray(X, dtype=np.float64)
-        return cls(X, gates.active.astype(np.float64), np.ones(gates.P), K)
+        return cls(X, gates.active, np.ones(gates.P), K)
 
     @classmethod
     def split(cls, X: np.ndarray, gates: GateSet, K: int) -> "GatedOperator":
         """Two signed copies of every pattern block: +V stack then -W stack."""
         X = np.asarray(X, dtype=np.float64)
-        masks = np.vstack([gates.active, gates.active]).astype(np.float64)
+        masks = np.vstack([gates.active, gates.active])
         signs = np.concatenate([np.ones(gates.P), -np.ones(gates.P)])
         return cls(X, masks, signs, K)
 
@@ -108,10 +107,10 @@ class GatedOperator:
             raise ValueError(f"expected residual of shape {(self.n, self.K)}, got {R.shape}")
         if self._dense is not None:
             return (self._dense.T @ R).reshape(self.block_shape)
-        out = np.empty((self.K, self.d, self.B))
-        for k in range(self.K):   # one n x B temporary at a time, never (n, B, K)
-            np.matmul(self.X.T, self._weights * R[:, k, None], out=out[k])
-        return out.transpose(2, 1, 0)
+        step = max(1, self.n // self.K)   # one GEMM per n / K rows: n x B floats, never (n, B, K)
+        out = sum(self.X[a:a + step].T @ (self._weights[a:a + step, :, None] * R[a:a + step, None])
+                  .reshape(-1, self.B * self.K) for a in range(0, self.n, step))
+        return out.reshape(self.d, self.B, self.K).transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)
@@ -166,13 +165,13 @@ def fit_gram(op: GatedOperator) -> list[np.ndarray]:
 
 
 def _group_size(n: int, d: int, B: int) -> int:
-    """Largest g in 1..B with 4^g <= min(n / 32, 512 B / d).
+    """Largest g in 1..B with 4^g <= min(n / 32, 512 B / d, 2^18 / d^2).
 
-    That leaves about 32 rows per class of a group pair, and keeps the
-    4^g class Grams (4^g d^2 floats) within 512 rows of F (512 B d floats).
+    That leaves about 32 rows per class of a group pair, and keeps the 4^g
+    class Grams (4^g d^2 floats) within 512 rows of F and, past g = 1, 2 MiB.
     """
     g = 1
-    while g < B and 4 ** (g + 1) <= min(n / 32, 512 * B / d):
+    while g < B and 4 ** (g + 1) <= min(n / 32, 512 * B / d, 2 ** 18 / d ** 2):
         g += 1
     return g
 
@@ -196,7 +195,7 @@ def _primal_gram(op: GatedOperator) -> list[np.ndarray]:
     sig_type = np.min_scalar_type(4 ** g - 1)   # the bits of two groups
     group_sig = np.zeros((len(starts), n), dtype=sig_type)
     for b in range(B):
-        group_sig[b // g] |= (op.masks[b] != 0).astype(sig_type) << (b % g)
+        group_sig[b // g] |= op.masks[b].astype(sig_type) << (b % g)
     C = np.empty((4 ** g, d, d))
     rows = _block_rows(B * d)
     for ia, a0 in enumerate(starts):
@@ -231,26 +230,24 @@ def _cholesky_solver(rows: list[np.ndarray]):
     and ``sq_norm``, b (m, K).
 
     ``solve(b)`` is x with gram x = b, ``sq_norm(b)`` is ||L^T b||^2.
-    Right-looking blocked Cholesky on the block rows of ``_block_rows``: each
-    diagonal block is factored by ``np.linalg.cholesky`` and inverted, the
-    panel below it is multiplied by that inverse, and the trailing update
-    runs over the lower block columns only. Only the lower triangle of the
-    Gram is read, and L overwrites it; the inverses of the diagonal blocks
-    are kept beside. A solve is a blocked forward and back substitution on
-    the transposed right-hand side, all GEMMs; ``sq_norm`` is one pass over
-    the block rows of L.
+    Left-looking blocked Cholesky (Golub and Van Loan, ch. 4) on the block
+    rows of ``_block_rows``: block row j subtracts, one block column c < j at
+    a time, its product with row c of L and multiplies by c's diagonal
+    inverse, then updates, factors (``np.linalg.cholesky``) and inverts its
+    diagonal block. Each GEMM writes one block in place, so no panel is
+    copied; only the lower triangle is read and L overwrites it. A solve is a
+    blocked forward and back substitution on the transposed right-hand side,
+    all GEMMs; ``sq_norm`` is one pass over the block rows of L.
     """
     spans = [_span(row) for row in rows]
     inverses = []
-    for i, (row, (k, e)) in enumerate(zip(rows, spans)):
+    for row, (k, _) in zip(rows, spans):
+        for done, (kc, ec), inverse in zip(rows, spans, inverses):
+            row[:, kc:ec] -= row[:, :kc] @ done[:, :kc].T
+            row[:, kc:ec] = row[:, kc:ec] @ inverse.T
+        row[:, k:] -= row[:, :k] @ row[:, :k].T
         row[:, k:] = np.linalg.cholesky(row[:, k:])
-        inverse = np.linalg.inv(row[:, k:])
-        inverses.append(inverse)
-        if i + 1 < len(rows):
-            panel = np.concatenate([low[:, k:e] for low in rows[i + 1:]]) @ inverse.T
-            for low, (lk, le) in zip(rows[i + 1:], spans[i + 1:]):
-                low[:, k:e] = panel[lk - e:le - e]
-                low[:, e:] -= panel[lk - e:le - e] @ panel[:le - e].T
+        inverses.append(np.linalg.inv(row[:, k:]))
 
     def solve(b):
         y = np.array(b.T, order="C")
@@ -272,36 +269,39 @@ def _cholesky_solver(rows: list[np.ndarray]):
 
 
 def gram_solver(op: GatedOperator, sigma: float):
-    """``(solve, fit, nbytes)`` for (F^T F + sigma I) u = rhs on (B, d, K) blocks.
+    """``(solve, fit, stats)`` for (F^T F + sigma I) u = rhs on (B, d, K) blocks.
 
     ``solve(rhs)`` is the exact u, ``fit(S, Y, fty)`` is 1/2 ||F S - Y||^2
-    with ``fty`` = F^T Y, and ``nbytes`` the size of the factor's packed
-    block rows. The shifted smaller Gram (``fit_gram``) is
-    Cholesky-factored here, once. With B*d <= n every solve is two
-    triangular solves on F^T F + sigma I, and the fit is read off the factor.
+    with ``fty`` = F^T Y; ``stats`` has the ``bytes`` of the packed block rows
+    and the ``gram_seconds`` and ``factor_seconds`` spent forming and
+    factoring, once, the shifted smaller Gram (``fit_gram``). With B*d <= n
+    every solve is two triangular solves and the fit is read off the factor.
     With B*d > n it uses the matrix-inversion lemma on the n x n kernel:
     z = (sigma I + F F^T)^-1 F rhs, then u = (rhs - F^T z) / sigma, i.e. one
     apply, one pair of triangular solves and one adjoint; the fit is one apply.
     """
     B, d, K = op.block_shape
+    tick = time.perf_counter()
     rows = fit_gram(op)
     for row in rows:
         np.einsum("ii->i", row[:, -len(row):])[...] += sigma   # a writable view of the diagonal
+    formed = time.perf_counter()
     solve, sq_norm = _cholesky_solver(rows)
-    nbytes = sum(row.nbytes for row in rows)
+    stats = {"bytes": sum(row.nbytes for row in rows), "gram_seconds": formed - tick,
+             "factor_seconds": time.perf_counter() - formed}
     if gram_side(op) == "primal":
         def fit(S, Y, fty):
             S = S.reshape(B * d, K)
             quad = sq_norm(S) - sigma * float(np.vdot(S, S))   # <S, F^T F S>
             return 0.5 * quad - float(np.vdot(S, fty)) + 0.5 * float(np.vdot(Y, Y))
 
-        return lambda rhs: solve(rhs.reshape(B * d, K)).reshape(B, d, K), fit, nbytes
+        return lambda rhs: solve(rhs.reshape(B * d, K)).reshape(B, d, K), fit, stats
 
     def fit(S, Y, fty):
         diff = op.apply(S) - Y
         return 0.5 * float(np.vdot(diff, diff))
 
-    return lambda rhs: (rhs - op.adjoint(solve(op.apply(rhs)))) / sigma, fit, nbytes
+    return lambda rhs: (rhs - op.adjoint(solve(op.apply(rhs)))) / sigma, fit, stats
 
 
 def power_iteration(matvec, dim: int, iters: int = 100, seed: int = 0, shape=None) -> float:

@@ -312,6 +312,9 @@ class TestTrain:
         assert {k: factor[k] for k in ("phase", "side", "size", "bytes")} == \
             {"phase": "u_factor", "side": "primal", "size": 16, "bytes": 8 * 16 * 16}
         assert factor["seconds"] >= 0.0
+        # the seconds spent forming the Gram and factoring it, within the whole build
+        assert min(factor["gram_seconds"], factor["factor_seconds"]) >= 0.0
+        assert factor["gram_seconds"] + factor["factor_seconds"] <= factor["seconds"]
         assert [rec["iter"] for rec in iters] == list(range(7))
         fields = ("objective", "fit", "penalty", "cone_violation",
                   "primal_residual", "dual_residual")

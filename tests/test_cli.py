@@ -108,12 +108,16 @@ class TestTrain:
         factor = [rec for rec in parsed if rec.get("phase") == "u_factor"]
         assert len(factor) == 1 and factor[0]["side"] in ("primal", "kernel")
         assert factor[0]["size"] > 0 and factor[0]["seconds"] >= 0.0
+        # the u-update's build time split into forming the Gram and factoring it
+        assert 0.0 <= factor[0]["gram_seconds"] + factor[0]["factor_seconds"] <= factor[0]["seconds"]
+        assert min(factor[0]["gram_seconds"], factor[0]["factor_seconds"]) >= 0.0
         assert factor[0]["bytes"] == 8 * sum(r * e for r, e in lower_block_rows(factor[0]["size"]))
         summary = [rec for rec in parsed if rec.get("phase") == "summary"]
         assert len(summary) == 1 and summary[0]["stopped"] in ("tol", "cap")
         assert summary[0]["iters"] == len([rec for rec in parsed if "iter" in rec])
         # the log holds the wall-clock and the summary; the model file stays free of them
         assert "u_factor" not in model.read_text()
+        assert "seconds" not in model.read_text()
         assert "stopped" not in model.read_text()
 
     def test_missing_labels_file_exits_2(self, dataset, tmp_path, capsys):
@@ -626,6 +630,7 @@ class TestBench:
         assert all(len([r for r in iters if r["size"] == s]) == 3 for s in (12, 24))
         factors = [rec for rec in records if rec.get("phase") == "u_factor"]
         assert sorted(rec["size"] for rec in factors) == [12, 24]
+        assert all(rec["gram_seconds"] + rec["factor_seconds"] <= rec["seconds"] for rec in factors)
         summaries = [rec for rec in records if rec.get("phase") == "summary"]
         assert sorted((rec["size"], rec["iters"]) for rec in summaries) == [(12, 3), (24, 3)]
 

@@ -99,6 +99,20 @@ class TestGatedOperator:
         np.testing.assert_allclose(free.apply(S), cached.apply(S), atol=1e-12)
         np.testing.assert_allclose(free.adjoint(R), cached.adjoint(R), atol=1e-12)
 
+    @pytest.mark.parametrize("n, K", [(23, 5), (3, 5)], ids=["ragged-chunk", "n<K"])
+    def test_matrix_free_adjoint_chunks_match_cached_dense(self, n, K, monkeypatch):
+        # the matrix-free adjoint sums one GEMM per n // K rows: 23 rows make
+        # chunks of 4 with 3 left over, 3 rows with K = 5 one row per chunk
+        rng = np.random.default_rng(14)
+        X = rng.standard_normal((n, 4))
+        gates = GateSet(rng.random((6, n)) < 0.5, np.ones((6, 4)))
+        cached = GatedOperator.relaxed(X, gates, K=K)
+        monkeypatch.setattr(GatedOperator, "_DENSE_CACHE_LIMIT", 0)
+        free = GatedOperator.relaxed(X, gates, K=K)
+        assert free._dense is None and cached._dense is not None
+        R = rng.standard_normal((n, K))
+        np.testing.assert_allclose(free.adjoint(R), cached.adjoint(R), rtol=1e-13, atol=1e-13)
+
     def test_matrix_free_adjoint_allocates_no_n_b_k_array(self):
         # n x B x K = 3.2 MB; the adjoint may hold one n x B column and its
         # result, plus numpy's ufunc buffers (64 KiB each)
@@ -208,13 +222,43 @@ class TestGramSolver:
 
     def test_factor_reports_its_packed_bytes(self):
         op, _ = _primal_sized(2 * _NB + 1)
-        assert gram_solver(op, 1.0)[2] == 8 * sum(r * e for r, e in lower_block_rows(2 * _NB + 1))
+        stats = gram_solver(op, 1.0)[2]
+        assert stats["bytes"] == 8 * sum(r * e for r, e in lower_block_rows(2 * _NB + 1))
+
+    def test_factor_copies_no_panel(self):
+        # m = 1,024 is 8 block rows; besides the kept inverses of the 8
+        # diagonal blocks the factor may hold a few 128 x 128 blocks, never
+        # a panel of the rows below a diagonal block (3 (m - 128) 128 floats)
+        m = 8 * _NB
+        rng = np.random.default_rng(39)
+        A = rng.standard_normal((m + 10, m))
+        gram = A.T @ A + np.eye(m)
+        rows = cld.linops._block_rows(m)
+        for row in rows:
+            r, e = row.shape
+            row[:] = gram[e - r:e, :e]
+        (solve, _), peak = traced_peak(cld.linops._cholesky_solver, rows)
+        assert peak <= 8 * _NB * _NB * (len(rows) + 4)
+        b = rng.standard_normal((m, 3))
+        assert np.linalg.norm(gram @ solve(b) - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_class_gram_table_is_capped(self):
+        # d = 64 and 32 gates at n = 8,200 would allow 4^4 classes by the row
+        # rules (an 8 MiB table); the 2 MiB cap keeps g = 3. Beside the packed
+        # Gram the build holds that table and gathered class rows (at most X)
+        rng = np.random.default_rng(40)
+        n, d, P = 8200, 64, 32
+        X = rng.standard_normal((n, d))
+        op = GatedOperator.relaxed(X, GateSet(rng.random((P, n)) < 0.5, np.ones((P, d))), K=2)
+        assert cld.linops._group_size(op.n, op.d, op.B) == 3
+        packed = 8 * sum(r * e for r, e in lower_block_rows(op.B * op.d))
+        _, peak = traced_peak(cld.linops.fit_gram, op)
+        assert peak <= packed + 8 * 2 ** 18 + X.nbytes
 
     def test_primal_factor_allocates_no_square(self):
         # m = 2,048: the square Gram alone (32 MiB) would exceed the bound,
-        # the packed rows (about 17 MiB) plus the class Grams plus a few
-        # block columns of temporaries (the panel and its product, the
-        # trailing update, the diagonal inverses) fit under it
+        # the packed rows (about 17 MiB) plus the class Grams plus the
+        # diagonal blocks' inverses and a few blocks of temporaries fit under it
         X = np.random.default_rng(38).standard_normal((4000, 32))
         op = GatedOperator.relaxed(X, sample_gates(X, 64, seed=38), K=2)
         m = op.B * op.d
@@ -236,6 +280,19 @@ class TestGramSolver:
         u = gram_solver(op, 1.0)[0](rhs)
         residual = op.adjoint(op.apply(u)) + u - rhs
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("sigma, bound", [(1.0, 3e-11), (1e-2, 3e-9), (1e-4, 3e-7)])
+    def test_kernel_solve_accuracy_scales_with_one_over_sigma(self, sigma, bound):
+        # u = (rhs - F^T z) / sigma scales z's roundoff by ||F||^2 / sigma:
+        # residuals of about 3e-12, 3e-10 and 3e-8 here, bounded at 10 times
+        rng = np.random.default_rng(41)
+        X = rng.standard_normal((1000, 64))
+        op = GatedOperator.relaxed(X, sample_gates(X, 32, seed=41), K=5)
+        assert op.B * op.d == 2048 and cld.linops.gram_side(op) == "kernel"
+        rhs = rng.standard_normal(op.block_shape)
+        u = gram_solver(op, sigma)[0](rhs)
+        residual = op.adjoint(op.apply(u)) + sigma * u - rhs
+        assert np.linalg.norm(residual) <= bound * np.linalg.norm(rhs)
 
 
 def masked_operator(n, d, P, split, kind, seed):
