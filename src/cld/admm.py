@@ -176,7 +176,7 @@ def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmResult:
 def train(X, labels: LabelSet, gate_cfg: GateConfig, cfg: AdmmConfig,
           log=None) -> "_head.TrainedHead":
     """Train a head end to end: gates, ADMM, weight extraction, certificates."""
-    X = X.values if isinstance(X, FeatureMatrix) else np.asarray(X, dtype=np.float64)
+    X = (X if isinstance(X, FeatureMatrix) else FeatureMatrix(X)).values
     n, d = X.shape
     K = labels.K
     if labels.n != n:

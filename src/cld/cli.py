@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -29,18 +30,9 @@ from . import __version__
 from .admm import AdmmConfig, GateConfig, train
 from .cert import certify_batch, certified_accuracy
 from .cvxprog import MODES, PENALTY_KINDS, ConvexProblem, objective
-from .dataio import (
-    DataFormatError,
-    LabelSet,
-    atomic_write,
-    load_manifest,
-    pool_masked_mean,
-    read_features,
-    read_sequence,
-    write_features,
-    write_labels,
-    write_manifest,
-)
+from .dataio import (DataFormatError, LabelSet, atomic_write, csv_rows, load_manifest,
+                     pool_masked_mean, read_document, read_features, read_sequence,
+                     write_features, write_labels, write_manifest)
 from .gates import enumerate_patterns
 from .head import INFERENCE_MODES, load_model, predict_batch, save_model
 from .linops import GatedOperator
@@ -97,15 +89,12 @@ def _settings(args) -> dict:
     settings = {}
     if args.config is not None:
         path = Path(args.config)
-        text = path.read_text(encoding="utf-8")
+        parse = json.loads
         if path.suffix.lower() == ".toml":
             import tomllib
 
-            settings = tomllib.loads(text)
-        else:
-            settings = json.loads(text)
-        if not isinstance(settings, dict):
-            raise ValueError(f"config file {path} must hold one object of settings")
+            parse = tomllib.loads
+        settings = read_document(path, "config file", parse)
         unknown = sorted(set(settings) - set(_SETTINGS))
         if unknown:
             raise ValueError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
@@ -183,7 +172,7 @@ def _synth_spec(args, seed: int) -> SynthSpec:
     """The dataset that the synth flags of ``synth`` and ``bench`` describe."""
     return SynthSpec(
         languages=args.languages,
-        accents_per_language=tuple(int(x) for x in args.accents.split(",")),
+        accents_per_language=tuple(_comma_list("--accents", args.accents, int, 1)),
         dim=args.dim,
         language_separation=args.separation,
         accent_spread=args.spread,
@@ -268,20 +257,22 @@ def cmd_predict(args, log) -> int:
     return 0
 
 
-def _parse_grid(text: str) -> np.ndarray:
-    """The --eps-grid radii: a non-empty comma list of finite numbers >= 0."""
-    try:
-        values = np.array([float(x) for x in text.split(",") if x.strip() != ""])
-        if values.size and np.all(np.isfinite(values) & (values >= 0)):
-            return values
-    except ValueError:
-        pass
-    raise ValueError(f"--eps-grid must be a comma list of finite numbers >= 0, got {text!r}")
+def _comma_list(flag: str, text: str, kind, low) -> list:
+    """A comma-list flag's items, each a finite ``kind`` >= ``low``; a bad item names the flag."""
+    items = [item.strip() for item in text.split(",")]
+    for item in items:
+        with contextlib.suppress(ValueError):   # an item that does not parse is refused
+            if low <= kind(item) < float("inf"):   # nan and inf fail too
+                continue
+        raise ValueError(f"{flag} must be a comma list of "
+                         f"{'integers' if kind is int else 'finite numbers'} >= {low}, "
+                         f"got {item or repr(item)} in {text!r}")
+    return [kind(item) for item in items]
 
 
 def cmd_certify(args, log) -> int:
     _check_out_dirs(args.out, args.summary)
-    eps = _parse_grid(args.eps_grid)   # before anything is read or written
+    eps = _comma_list("--eps-grid", args.eps_grid, float, 0)   # before anything is read or written
     head = load_model(args.model)
     X, labels = load_manifest(args.manifest)
     labels = labels.relabel(head.label_map)
@@ -302,7 +293,7 @@ def cmd_certify(args, log) -> int:
         "mean_radius": float(certs.radius_feature.mean()),
         "median_radius": float(np.median(certs.radius_feature)),
         "L_E": args.L_E,
-        "certified_accuracy": {"eps": eps.tolist(), "accuracy": curve.tolist()},
+        "certified_accuracy": {"eps": eps, "accuracy": curve.tolist()},
         "inference_mode": "relu",
         "note": ("head trained in relaxed mode: certificates describe relu-mode "
                  "inference, which may differ from gated training predictions off "
@@ -321,14 +312,13 @@ def cmd_eval(args, log) -> int:
     logits = predict_batch(head, X.values, args.inference)
     accents = None
     if args.accents:
-        rows = Path(args.accents).read_text(encoding="utf-8").strip().splitlines()[1:]
         by_id = {}   # accent_id by example id, the first column
-        for line, row in enumerate(rows, start=2):
+        for lineno, cells in itertools.islice(csv_rows(args.accents), 1, None):   # past the header
             try:
-                by_id[row.split(",")[0].strip()] = int(row.split(",")[1])
+                by_id[cells[0]] = int(cells[1])
             except (IndexError, ValueError):
-                raise DataFormatError(
-                    f"{args.accents}: line {line} has no integer accent_id: {row!r}") from None
+                raise DataFormatError(f"{args.accents}: line {lineno + 1} has no integer "
+                                      f"accent_id: {','.join(cells)!r}") from None
         missing = [ex_id for ex_id in labels.ids if ex_id not in by_id]
         if missing:
             raise DataFormatError(f"{args.accents}: no row for example id {missing[0]!r}")
@@ -362,9 +352,7 @@ def _stratified_order(group_ids: np.ndarray, pool: np.ndarray) -> np.ndarray:
 
 
 def cmd_bench(args, log) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    if min(sizes) < 1:
-        raise ValueError(f"--sizes must be positive, got {min(sizes)}")
+    sizes = _comma_list("--sizes", args.sizes, int, 1)
     gate_cfg, cfg = _solver_configs(args, args.languages)
     data = generate(_synth_spec(args, cfg.seed))
     train_idx, test_idx, _val_idx = split(data.labels.class_ids, seed=cfg.seed)

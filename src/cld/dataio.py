@@ -13,15 +13,20 @@ precision. CSV is accepted as a secondary feature format for hand-written
 fixtures. Labels are a two-column CSV ``id,label``; a manifest is a JSON
 object ``{"features": ..., "labels": ..., "label_map": {...}}`` with paths
 resolved relative to the manifest file.
+
+Every file cld reads or writes goes through this module: in through
+``read_text`` (UTF-8), ``read_document`` (one JSON or TOML object) and
+``csv_rows``, which name the file in every error, and out through ``atomic_write``.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import struct
 import warnings
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -198,29 +203,49 @@ def write_features(path, matrix) -> None:
                  + _f32_payload(path, values))
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of ``path``; an OSError or a bad byte raises DataFormatError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def read_document(path, what: str, parse=json.loads) -> dict:
+    """The object ``parse`` reads from ``path``; a syntax error or a non-object names the file."""
+    text = read_text(path)
+    try:
+        doc = parse(text)
+    except ValueError as exc:     # JSONDecodeError and TOMLDecodeError alike
+        raise DataFormatError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path}: a {what} is a JSON object, not {type(doc).__name__}")
+    return doc
+
+
+def csv_rows(path) -> Iterator[tuple[int, list[str]]]:
+    """(0-based line number, stripped cells) of each non-blank line, made one at a time."""
+    for lineno, line in enumerate(io.StringIO(read_text(path))):
+        if line.strip():
+            yield lineno, [cell.strip() for cell in line.split(",")]
+
+
 def _read_feature_csv(path) -> FeatureMatrix:
     rows = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise DataFormatError(f"{path}: row {lineno} has {len(cells)} columns, expected {width}")
-            parsed = []
-            for col, cell in enumerate(cells):
-                try:
-                    x = float(cell)
-                except ValueError:
-                    raise DataFormatError(f"{path}: unparseable value at (row {lineno}, col {col})") from None
-                if not np.isfinite(x):
-                    raise DataFormatError(f"{path}: non-finite value at (row {lineno}, col {col})")
-                parsed.append(x)
-            rows.append(parsed)
+    for lineno, cells in csv_rows(path):
+        if rows and len(cells) != len(rows[0]):
+            raise DataFormatError(
+                f"{path}: row {lineno} has {len(cells)} columns, expected {len(rows[0])}")
+        parsed = []
+        for col, cell in enumerate(cells):
+            try:
+                x = float(cell)
+            except ValueError:
+                raise DataFormatError(f"{path}: unparseable value at (row {lineno}, col {col})") from None
+            if not np.isfinite(x):
+                raise DataFormatError(f"{path}: non-finite value at (row {lineno}, col {col})")
+            parsed.append(x)
+        rows.append(parsed)
     if not rows:
         raise DataFormatError(f"{path}: empty feature file")
     return FeatureMatrix(np.array(rows, dtype=np.float64))
@@ -282,19 +307,14 @@ def read_sequence(path) -> SequenceFeature:
 def read_labels(path, label_map: dict[str, int]) -> LabelSet:
     """Read an ``id,label`` CSV against a fixed label map."""
     ids, class_ids = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise LabelError(f"{path}: row {lineno} is not 'id,label'")
-            ex_id, name = parts[0].strip(), parts[1].strip()
-            if name not in label_map:
-                raise LabelError(f"{path}: unknown class string {name!r} at row {lineno}")
-            ids.append(ex_id)
-            class_ids.append(label_map[name])
+    for lineno, cells in csv_rows(path):
+        if len(cells) != 2:
+            raise LabelError(f"{path}: row {lineno} is not 'id,label'")
+        ex_id, name = cells
+        if name not in label_map:
+            raise LabelError(f"{path}: unknown class string {name!r} at row {lineno}")
+        ids.append(ex_id)
+        class_ids.append(label_map[name])
     if not ids:
         raise LabelError(f"{path}: empty label file")
     return LabelSet(np.array(class_ids), dict(label_map), tuple(ids))
@@ -314,12 +334,7 @@ def write_manifest(path, features_path, labels_path, label_map: dict[str, int]) 
 def load_manifest(path) -> tuple[FeatureMatrix, LabelSet]:
     """Load an aligned (features, labels) pair from a manifest JSON."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:     # ValueError: bad JSON or bad UTF-8
-        raise DataFormatError(f"cannot read manifest {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataFormatError(f"{path}: a manifest is a JSON object, not {type(doc).__name__}")
+    doc = read_document(path, "manifest")
     for key, kind in (("features", str), ("labels", str), ("label_map", dict)):
         if key not in doc:
             raise DataFormatError(f"{path}: manifest missing {key!r}")

@@ -23,13 +23,12 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .cert import CertificateBundle, bundle_from_weights, bundle_to_dict
 from .cvxprog import MODES, PENALTY_KINDS
-from .dataio import atomic_write
+from .dataio import DataFormatError, atomic_write, read_document
 from .gates import GateSet
 
 MODEL_VERSION = 1
@@ -262,7 +261,8 @@ def _decode_pattern(bits: str, path) -> np.ndarray:
 def load_model(path) -> TrainedHead:
     """Read a model file, recomputing and checking its certificate bundle.
 
-    A document that is not a JSON object, a missing key, a field of the wrong
+    A file that cannot be read or decoded as UTF-8, a syntax error, a
+    document that is not a JSON object, a missing key, a field of the wrong
     JSON type, a mode or penalty kind the trainer does not know, a label map
     whose values are not exactly 0..K-1, no gates (P < 1), gate patterns that
     are not equal-length strings of 0 and 1, pattern or generator counts other
@@ -272,11 +272,9 @@ def load_model(path) -> TrainedHead:
     ``"cert": null`` skips the check.
     """
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelFormatError(f"cannot read model {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ModelFormatError(f"{path}: a model is a JSON object, not {type(doc).__name__}")
+        doc = read_document(path, "model")
+    except DataFormatError as exc:
+        raise ModelFormatError(str(exc)) from exc
     version = doc.get("version")
     if version != MODEL_VERSION:
         raise ModelVersionError(f"{path}: unknown model version {version!r}")

@@ -214,6 +214,7 @@ def _primal_gram(op: GatedOperator) -> list[np.ndarray]:
             for j, c in enumerate(used):
                 class_rows = X[order[ends[c] - counts[c]:ends[c]]]
                 np.matmul(class_rows.T, class_rows, out=C[j])
+                del class_rows   # freed before the next class is gathered
             blocks = select[used].T @ C[:len(used)].reshape(len(used), d * d)
             tile = blocks.reshape(ga, gb, d, d).transpose(0, 2, 1, 3).reshape(ga * d, gb * d)
             top, left = a0 * d, b0 * d

@@ -5,7 +5,7 @@ import pytest
 
 from cld.admm import AdmmConfig, GateConfig, TrainingError, admm_solve, train
 from cld.cvxprog import ConvexProblem, group_prox, objective
-from cld.dataio import LabelSet
+from cld.dataio import DataFormatError, LabelSet
 from cld.gates import enumerate_patterns, sample_gates
 from cld.head import predict_batch
 from cld.linops import GatedOperator, gram_side, gram_solver
@@ -275,6 +275,15 @@ class TestTrain:
         labels = LabelSet(np.array(class_ids), {name: k for k, name in enumerate(names)})
         with pytest.raises(TrainingError, match=message):
             train(X, labels, GateConfig(count=2), AdmmConfig())
+
+    def test_non_finite_array_refused_before_any_gate_is_drawn(self, monkeypatch):
+        # a raw array gets FeatureMatrix's check, as a read file does
+        X = np.random.default_rng(12).standard_normal((60, 4))
+        X[3, 1] = np.nan
+        labels = LabelSet(np.arange(60) % 2, {"a": 0, "b": 1})
+        monkeypatch.setattr("cld.admm.sample_gates", lambda *a, **k: pytest.fail("drew gates"))
+        with pytest.raises(DataFormatError, match=r"non-finite feature entry at \(row 3, col 1\)"):
+            train(X, labels, GateConfig(count=4), AdmmConfig(rho=0.1, admm_iters=5))
 
     def test_thin_class_warns_but_trains(self):
         X = np.random.default_rng(11).standard_normal((7, 2))

@@ -192,6 +192,12 @@ class TestCertifiedAccuracy:
         curve = certified_accuracy(certify_batch(head, X, labels.class_ids), labels.class_ids, eps)
         assert np.all(np.diff(curve) <= 1e-12)
 
+    def test_certificates_for_another_row_count_rejected(self, trained):
+        head, X, labels = trained
+        certs = certify_batch(head, X, labels.class_ids)
+        with pytest.raises(ValueError, match=f"{labels.n} certificates for {labels.n - 1}"):
+            certified_accuracy(certs, labels.class_ids[1:], np.array([0.0]))
+
     def test_empty_set_rejected(self, trained):
         head, _, _ = trained
         empty = np.zeros(0, dtype=int)

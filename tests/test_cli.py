@@ -75,6 +75,38 @@ def _unknown_label_manifest(dataset, tmp_path):
     return _manifest_copy(dataset, tmp_path, renamed, rename={name: "xx"})
 
 
+def _labels_manifest(dataset, tmp_path, labels):
+    """A manifest over the dataset's features and map, with the labels file ``labels``."""
+    label_map = json.loads((dataset / "manifest.json").read_text())["label_map"]
+    write_manifest(tmp_path / "labels_manifest.json", dataset / "features.cldf", labels, label_map)
+    return tmp_path / "labels_manifest.json"
+
+
+# input files that a command must refuse, naming the file: (name, bytes, argv for the
+# command given the file, the dataset, the model and a scratch directory)
+BAD_INPUT_FILES = {
+    "feature-csv-not-utf8": ("f.csv", b"1,2\n3,\xff\n", lambda bad, data, model, tmp: [
+        "predict", "--model", str(model), "--features", bad, "--out", str(tmp / "p.csv")]),
+    "label-csv-not-utf8": ("l.csv", b"0,\xff\n", lambda bad, data, model, tmp: [
+        "train", "--manifest", str(_labels_manifest(data, tmp, bad)),
+        "--out", str(tmp / "m.json")]),
+    "model-not-utf8": ("model.json", b'{"version": "\xff"}', lambda bad, data, model, tmp: [
+        "predict", "--model", bad, "--features", str(data / "features.cldf"),
+        "--out", str(tmp / "p.csv")]),
+    "accents-not-utf8": ("accents.csv", b"id,accent_id,label\n0,\xff,en\n",
+                         lambda bad, data, model, tmp: [
+        "eval", "--model", str(model), "--manifest", str(data / "manifest.json"),
+        "--accents", bad, "--out", str(tmp / "r.json")]),
+    **{f"config-{suffix}-{fault}": (f"cfg.{suffix}", content, lambda bad, data, model, tmp: [
+        "train", "--manifest", str(data / "manifest.json"), "--config", bad,
+        "--out", str(tmp / "m.json")])
+       for suffix, fault, content in [("json", "not-utf8", b'{"mode": "\xff"}'),
+                                      ("toml", "not-utf8", b'mode = "\xff"'),
+                                      ("json", "syntax", b'{"rho": }'),
+                                      ("toml", "syntax", b"rho = 0.1.2\n")]},
+}
+
+
 def _reordered_label_map(dataset):
     label_map = json.loads((dataset / "manifest.json").read_text())["label_map"]
     names = sorted(label_map, key=label_map.get)
@@ -318,6 +350,14 @@ class TestPredict:
         np.testing.assert_allclose(got, expected, rtol=1e-15)
         assert line[0] == "utt0"
 
+    def test_pool_of_directory_without_sequences_exits_2(self, model, tmp_path, capsys):
+        (tmp_path / "empty").mkdir()
+        rc = main(["predict", "--model", str(model), "--features", str(tmp_path / "empty"),
+                   "--pool", "--out", str(tmp_path / "p.csv")])
+        assert rc == 2
+        assert "no .clds sequence files under" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
     def test_dimension_mismatch_exits_2(self, model, tmp_path):
         feats = tmp_path / "bad.csv"
         feats.write_text("1,2,3\n")
@@ -466,6 +506,33 @@ class TestCertify:
                 assert cells[6] == "false"
 
 
+class TestInputFiles:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUT_FILES))
+    def test_bad_input_file_exits_2_naming_it(self, dataset, model, tmp_path, capsys, case):
+        name, content, argv = BAD_INPUT_FILES[case]
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        argv = argv(str(bad), dataset, model, tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cld: error: ") and err.count("\n") == 1
+        assert str(bad) in err
+        assert not Path(argv[argv.index("--out") + 1]).exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["synth", "--accents", "5,x"], "--accents"),
+        (["bench", "--sizes", "abc"], "--sizes"),
+        (["bench", "--sizes", "10,"], "--sizes"),
+    ])
+    def test_bad_comma_list_exits_2_naming_the_flag(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cld: error: {flag} must be a comma list of integers >= 1, got ")
+        assert err.rstrip().endswith(f" in {argv[-1]!r}") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestCertifySeparated:
     def test_fully_certified_on_well_separated_data(self, tmp_path):
         # cone-constrained training keeps relu-mode inference aligned with the
@@ -520,6 +587,25 @@ class TestEvalCommand:
         assert 0.0 <= doc["accuracy"] <= 1.0
         assert doc["per_accent"] is not None
         assert conf.read_text().startswith("true\\pred,")
+
+    def test_report_goes_to_stdout_without_out(self, dataset, model, tmp_path, capsys):
+        argv = ["eval", "--model", str(model), "--manifest", str(dataset / "manifest.json")]
+        assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (tmp_path / "report.json").read_text()
+
+    def test_blank_accent_lines_are_skipped(self, dataset, model, tmp_path):
+        header, *rows = (dataset / "accents.csv").read_text().splitlines()
+        blanks = tmp_path / "blanks.csv"
+        blanks.write_text("\n".join(["", header, rows[0], "", *rows[1:], "  "]) + "\n")
+        reports = []
+        for accents in (dataset / "accents.csv", blanks):
+            out = tmp_path / f"{accents.stem}.json"
+            assert main(["eval", "--model", str(model), "--manifest", str(dataset / "manifest.json"),
+                         "--accents", str(accents), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_reordered_label_map_gives_same_report(self, dataset, model, tmp_path):
         manifest = _manifest_copy(dataset, tmp_path, _reordered_label_map(dataset))
@@ -643,6 +729,14 @@ class TestBench:
         assert "cld: warning: size 999 exceeds" in capsys.readouterr().err
         rows = (tmp_path / "r" / "accuracy_vs_size.csv").read_text().strip().splitlines()
         assert rows[1].startswith("999,16,")
+
+    def test_size_beyond_int64_is_capped(self, tmp_path, capsys):
+        size = 2 ** 64
+        assert main(["bench", "--languages", "2", "--accents", "1,1", "--dim", "4",
+                     "--samples-per-accent", "10", "--sizes", str(size),
+                     "--out", str(tmp_path / "r"), "--log", str(tmp_path / "b.log"),
+                     "--admm-iters", "3", "--rho", "0.1"]) == 0
+        assert f"cld: warning: size {size} exceeds" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sizes", ["0", "-5", "24,-5"])
     def test_size_below_one_exits_2(self, tmp_path, capsys, sizes):

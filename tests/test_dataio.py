@@ -14,6 +14,7 @@ from cld.dataio import (
     LabelSet,
     SequenceFeature,
     atomic_write,
+    csv_rows,
     load_manifest,
     pool_masked_mean,
     read_features,
@@ -318,6 +319,11 @@ class TestLabelsAndManifest:
         np.testing.assert_array_equal(Y.sum(axis=1), np.ones(4))
         np.testing.assert_array_equal(Y.argmax(axis=1), labels.class_ids)
 
+    def test_csv_rows_skip_blank_lines_and_strip_cells(self, tmp_path):
+        # lines are numbered from 0 in the file, blank ones included
+        (tmp_path / "r.csv").write_bytes(b"a, b\r\n\n  \n c ,d,\n")
+        assert list(csv_rows(tmp_path / "r.csv")) == [(0, ["a", "b"]), (3, ["c", "d", ""])]
+
     def test_label_set_needs_two_classes(self):
         with pytest.raises(LabelError):
             LabelSet(np.array([0, 0]), {"en": 0})
@@ -366,6 +372,8 @@ INPUT_ERRORS = {
                            DataFormatError, "non-finite frame entry"),
     "csv-unparseable": (_read_written("f.csv", "1,2\n3,x\n", read_features),
                         DataFormatError, r"f.csv: unparseable value at \(row 1, col 1\)"),
+    "csv-not-utf8": (_read_written("f.csv", b"1,2\n3,\xff\n", read_features),
+                     DataFormatError, "cannot read .*f.csv: 'utf-8' codec can't decode"),
     "csv-empty": (_read_written("f.csv", "\n\n", read_features),
                   DataFormatError, "f.csv: empty feature file"),
     "cldf-truncated-header": (_read_written("f.cldf", b"CLDF" + bytes(6), read_features),
@@ -377,6 +385,11 @@ INPUT_ERRORS = {
                             DataFormatError, "f.cldf: declared shape 0x2 is empty"),
     "labels-row-not-id-label": (_load_written("l.csv", "0,en\n1,zh,extra\n2,en\n"),
                                 LabelError, "l.csv: row 1 is not 'id,label'"),
+    "labels-not-utf8": (_read_written("l.csv", b"0,en\n1,\xff\n",
+                                      lambda p: read_labels(p, {"en": 0, "zh": 1})),
+                        DataFormatError, "cannot read .*l.csv: 'utf-8' codec can't decode"),
+    "manifest-not-utf8": (_read_written("m.json", b'{"features": "\xff"}', load_manifest),
+                          DataFormatError, "cannot read .*m.json: 'utf-8' codec can't decode"),
     "manifest-unreadable": (_load_written("m.json", "{not json"),
                             DataFormatError, "cannot read manifest .*m.json"),
     "manifest-missing-key": (_load_written("m.json", json.dumps(

@@ -42,6 +42,7 @@ MALFORMED_DOCS = {
     "string-dedup": lambda doc: {**doc, "gates": {**doc["gates"], "dedup": "yes"}},
     "list-seed": lambda doc: {**doc, "gates": {**doc["gates"], "seed": [1, 2]}},
     "list-train-meta": lambda doc: {**doc, "train_meta": [3]},
+    "negative-shape": lambda doc: {**doc, "V": {**doc["V"], "shape": [-1, *doc["V"]["shape"][1:]]}},
     "no-gates": lambda doc: {
         **doc, "P": 0, "cert": None,
         "gates": {**doc["gates"], "patterns": [], "generators": []},

@@ -242,18 +242,33 @@ class TestGramSolver:
         b = rng.standard_normal((m, 3))
         assert np.linalg.norm(gram @ solve(b) - b) <= 1e-10 * np.linalg.norm(b)
 
-    def test_class_gram_table_is_capped(self):
-        # d = 64 and 32 gates at n = 8,200 would allow 4^4 classes by the row
-        # rules (an 8 MiB table); the 2 MiB cap keeps g = 3. Beside the packed
-        # Gram the build holds that table and gathered class rows (at most X)
+    @staticmethod
+    def _wide_class_operator():
+        """n = 8,200 rows, d = 64, 32 random gates; and its packed Gram's bytes."""
         rng = np.random.default_rng(40)
         n, d, P = 8200, 64, 32
         X = rng.standard_normal((n, d))
         op = GatedOperator.relaxed(X, GateSet(rng.random((P, n)) < 0.5, np.ones((P, d))), K=2)
+        return op, 8 * sum(r * e for r, e in lower_block_rows(op.B * op.d))
+
+    def test_class_gram_table_is_capped(self):
+        # d = 64 and 32 gates at n = 8,200 would allow 4^4 classes by the row
+        # rules (an 8 MiB table); the 2 MiB cap keeps g = 3. Beside the packed
+        # Gram the build holds that table and gathered class rows (at most X)
+        op, packed = self._wide_class_operator()
         assert cld.linops._group_size(op.n, op.d, op.B) == 3
-        packed = 8 * sum(r * e for r, e in lower_block_rows(op.B * op.d))
         _, peak = traced_peak(cld.linops.fit_gram, op)
-        assert peak <= packed + 8 * 2 ** 18 + X.nbytes
+        assert peak <= packed + 8 * 2 ** 18 + op.X.nbytes
+
+    def test_gram_build_holds_one_class_of_rows_at_a_time(self):
+        # the last group of 3 holds gates 30 and 31, so paired with itself it
+        # sorts the rows into 4 classes of about n / 4 rows (1 MiB). Holding
+        # one class's gathered rows while the next is gathered would cross
+        # the bound; signatures, sort order and tiles stay well under a class
+        op, packed = self._wide_class_operator()
+        largest = 8 * op.d * np.bincount(op.masks[30] + 2 * op.masks[31].astype(int)).max()
+        _, peak = traced_peak(cld.linops.fit_gram, op)
+        assert peak < packed + 8 * 4 ** 3 * op.d ** 2 + 2 * largest
 
     def test_primal_factor_allocates_no_square(self):
         # m = 2,048: the square Gram alone (32 MiB) would exceed the bound,
@@ -377,6 +392,9 @@ class TestPowerIteration:
         est = power_iteration(lambda x: A @ x, 20, iters=500, seed=3)
         true = np.linalg.eigvalsh(A).max()
         assert abs(est - true) / true < 0.01
+
+    def test_zero_operator(self):
+        assert power_iteration(lambda x: 0.0 * x, 4, iters=10, seed=0) == 0.0
 
     def test_iters_validation(self):
         with pytest.raises(ValueError):

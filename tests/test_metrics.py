@@ -59,6 +59,10 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(np.zeros(3, dtype=int), np.zeros(4, dtype=int))
 
+    def test_accents_not_aligned_with_labels_rejected(self):
+        with pytest.raises(ValueError, match="accent ids must align with labels"):
+            evaluate(np.array([0, 1]), np.array([0, 1]), accents=np.array([5, 5, 9]))
+
     def test_json_dict_reserves_transcription_fields(self):
         report = evaluate(np.array([0, 1]), np.array([0, 1]))
         doc = report.to_json_dict()

@@ -67,6 +67,15 @@ class TestGenerate:
         with pytest.raises(ValueError):
             SynthSpec(accents_per_language=(5, 5))
 
+    @pytest.mark.parametrize("change, message", [
+        ({"accents_per_language": (5, 0, 5, 5, 4)}, "at least one accent"),
+        ({"dim": 0}, "dim and samples_per_accent must be positive"),
+        ({"accent_spread": -1.0}, "geometry scales must be nonnegative"),
+    ])
+    def test_spec_refuses_empty_or_negative_settings(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            SynthSpec(**change)
+
 
 class TestSplit:
     def test_balanced_two_class_80_10_10(self):

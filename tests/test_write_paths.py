@@ -1,7 +1,9 @@
-"""Every file cld writes goes through ``dataio.atomic_write``.
+"""Every file cld writes goes through ``dataio.atomic_write``, and every
+file it reads through ``dataio``.
 
-The one other writer is the log sink, which appends to ``--log``. A source
-scan finds each call that can write a file and the function it sits in.
+The one other writer, and the one other function that opens a file, is the
+log sink, which appends to ``--log``. A source scan finds each call that can
+write or read a file and the function it sits in.
 """
 
 import ast
@@ -12,6 +14,9 @@ import cld
 SRC = Path(cld.__file__).resolve().parent
 ALLOWED = {("dataio.py", "atomic_write"), ("cli.py", "_log_sink")}
 WRITER_ATTRS = {"write_text", "write_bytes", "tofile", "savetxt", "savez"}
+READER_ATTRS = {"read_text", "read_bytes"}
+READER_CALLS = {("np", "load"), ("np", "fromfile"), ("np", "loadtxt"), ("np", "genfromtxt"),
+                ("json", "load"), ("tomllib", "load")}
 
 
 def _opens_for_writing(call: ast.Call) -> bool:
@@ -42,14 +47,26 @@ def _writes(call: ast.Call) -> bool:
     return _opens_for_writing(call)
 
 
-def writing_functions(source: str) -> set[str]:
-    """Names of the innermost functions that hold a file-writing call."""
+def _reads(call: ast.Call) -> bool:
+    """Any ``open``, or a call that reads a file whole."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id == "open"
+    if not isinstance(func, ast.Attribute):
+        return False
+    if func.attr == "open" or func.attr in READER_ATTRS:
+        return True
+    return isinstance(func.value, ast.Name) and (func.value.id, func.attr) in READER_CALLS
+
+
+def functions_calling(source: str, matches) -> set[str]:
+    """Names of the innermost functions that hold a call for which ``matches`` holds."""
     found = set()
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = node.name
-        if isinstance(node, ast.Call) and _writes(node):
+        if isinstance(node, ast.Call) and matches(node):
             found.add(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -73,10 +90,39 @@ def texts(p):
 def chosen(p, mode):
     open(p, mode)
 """
-    assert writing_functions(source) == {"writes", "appends", "replaces", "texts", "chosen"}
+    assert functions_calling(source, _writes) == {"writes", "appends", "replaces", "texts",
+                                                  "chosen"}
 
 
 def test_only_the_atomic_writer_and_the_log_sink_write_files():
     found = {(path.name, name) for path in sorted(SRC.glob("*.py"))
-             for name in writing_functions(path.read_text(encoding="utf-8"))}
+             for name in functions_calling(path.read_text(encoding="utf-8"), _writes)}
     assert found == ALLOWED
+
+
+def test_scan_finds_reads_and_passes_parsing():
+    source = """
+def opens(p):
+    open(p, "rb")
+def path_opens(p):
+    p.open()
+def texts(p):
+    p.read_text(encoding="utf-8")
+def raw(p):
+    p.read_bytes()
+def arrays(p):
+    np.load(p)
+def documents(fh):
+    json.load(fh)
+def parses(text):
+    return json.loads(text), tomllib.loads(text), read_document(text, "x", json.loads)
+"""
+    assert functions_calling(source, _reads) == {"opens", "path_opens", "texts", "raw",
+                                                 "arrays", "documents"}
+
+
+def test_only_dataio_and_the_log_sink_read_files():
+    found = {(path.name, name) for path in sorted(SRC.glob("*.py"))
+             for name in functions_calling(path.read_text(encoding="utf-8"), _reads)}
+    assert {entry for entry in found if entry[0] != "dataio.py"} == {("cli.py", "_log_sink")}
+    assert ("dataio.py", "read_text") in found
