@@ -59,11 +59,15 @@ from .linops import GatedOperator, PcgConfig, gram_side, gram_solver
 
 @dataclass(frozen=True)
 class GateConfig:
-    """How to obtain the activation patterns for training."""
+    """How to obtain the activation patterns for training; ``cld`` takes its defaults."""
 
-    count: int = 32
+    count: int | None = None   # None: 10 patterns for two classes, 32 otherwise
     seed: int = 0
     enumerate_all: bool = False
+
+    def count_for(self, K: int) -> int:
+        """The number of patterns to sample for K classes."""
+        return (10 if K == 2 else 32) if self.count is None else self.count
 
 
 @dataclass(frozen=True)
@@ -192,7 +196,7 @@ def train(X, labels: LabelSet, gate_cfg: GateConfig, cfg: AdmmConfig,
         warnings.warn(f"classes with fewer than 2 examples: {thin}", stacklevel=2)
 
     gates = (enumerate_patterns(X) if gate_cfg.enumerate_all
-             else sample_gates(X, gate_cfg.count, seed=gate_cfg.seed))
+             else sample_gates(X, gate_cfg.count_for(K), seed=gate_cfg.seed))
     if cfg.mode == "exact":
         op, cones = GatedOperator.split(X, gates, K), gates.active
     else:
@@ -209,7 +213,7 @@ def train(X, labels: LabelSet, gate_cfg: GateConfig, cfg: AdmmConfig,
             "mode": cfg.mode, "penalty_kind": cfg.penalty_kind, "seed": cfg.seed,
             "stop_tol": cfg.stop_tol,
         },
-        "gates": {"count": gate_cfg.count, "seed": gate_cfg.seed,
+        "gates": {"count": gate_cfg.count_for(K), "seed": gate_cfg.seed,
                   "enumerate_all": gate_cfg.enumerate_all, "shortfall": gates.shortfall},
         "history": [r.fields() for r in result.history],
         "n_train": n,

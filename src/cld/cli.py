@@ -1,15 +1,15 @@
 """Command-line surface: train, predict, certify, eval, synth, bench, gates-enum.
 
 Exit codes: 0 success, 2 usage or I/O failure, 3 verification failure.
-Settings resolve once: flags > config file (--config, JSON or TOML) > the
-library's defaults (``AdmmConfig``'s fields). Every command takes --seed and
-is fully deterministic for fixed seeds and flags; for training the seed
-draws the gates and starts the power iteration of the FISTA verification
-oracle (the ADMM u-solve is exact and has no settings). Wall-clock
-measurements go to the log sink (stderr or --log), never into result files.
-The CLD_THREADS environment variable is only validated (a value that is not
-a positive integer exits 2): block loops run sequentially in a fixed order,
-and BLAS threads follow OPENBLAS_NUM_THREADS.
+Settings resolve once: flags > config file (--config, JSON or TOML, held to the
+flags' types and choices) > the library's defaults (``AdmmConfig``,
+``GateConfig`` and ``SynthSpec`` fields). Every command takes --seed and is
+fully deterministic for fixed seeds and flags; for training the seed draws the
+gates and starts the power iteration of the FISTA verification oracle (the ADMM
+u-solve is exact and has no settings). Wall-clock measurements go to the log
+sink (stderr or --log), never into result files. CLD_THREADS is only validated
+(a value that is not a positive integer exits 2): block loops run sequentially
+in a fixed order, and BLAS threads follow OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -74,17 +74,27 @@ def _log_sink(path):
         yield lambda rec: print(json.dumps(rec, sort_keys=True), file=fh, flush=True)
 
 
-# every setting a --config file may set, by its flag's dest, with the flag's type
-_SETTINGS = {"seed": int, "stop_tol": float, "rho": float, "beta": float, "admm_iters": int,
-             "mode": str, "penalty": str, "gates": int}
+# each solver flag, by its dest: (type, choices, help); --config may set each one
+_SETTINGS = {
+    "beta": (float, None, f"group-penalty weight (default {AdmmConfig.beta:g})"),
+    "rho": (float, None, f"consensus penalty (default {AdmmConfig.rho:g})"),
+    "admm_iters": (int, None, f"outer iterations (default {AdmmConfig.admm_iters})"),
+    "gates": (int, None, "activation patterns to sample (default 10 binary / 32 multiclass)"),
+    "mode": (str, MODES, f"training mode (default {AdmmConfig.mode})"),
+    "penalty": (str, PENALTY_KINDS, f"penalty kind (default {AdmmConfig.penalty_kind})"),
+    "stop_tol": (float, None, "stop early once both residuals fall below this"),
+    "seed": (int, None, "seed for the gates, for the power iteration of the FISTA oracle "
+                        "that verification runs, and for bench's data and split "
+                        f"(default {AdmmConfig.seed})"),
+}
 
 
 def _settings(args) -> dict:
     """The solver settings given by flags, then by the --config file (JSON or TOML).
 
-    A config value must have its flag's type; an int stands for a float. A
-    setting given in neither place is left out, so the library's own
-    default applies.
+    A config value must have its flag's type, and one of its choices if it
+    has them; an int stands for a float. A setting given in neither place is
+    left out, so the library's own default applies.
     """
     settings = {}
     if args.config is not None:
@@ -99,20 +109,20 @@ def _settings(args) -> dict:
         if unknown:
             raise ValueError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
         for key, value in settings.items():
-            kind = _SETTINGS[key]
+            kind, choices, _ = _SETTINGS[key]
             if kind is float and type(value) is int:
-                settings[key] = float(value)
-            elif type(value) is not kind:
-                raise ValueError(f"config file {path}: {key} must be a {kind.__name__}, "
-                                 f"got {value!r}")
+                settings[key] = value = float(value)
+            if type(value) is not kind or (choices and value not in choices):
+                rule = f"one of {', '.join(choices)}" if choices else f"a {kind.__name__}"
+                raise ValueError(f"config file {path}: {key} must be {rule}, got {value!r}")
     settings.update((key, getattr(args, key)) for key in _SETTINGS
                     if getattr(args, key) is not None)
     return settings
 
 
-def _solver_configs(args, K: int) -> tuple[GateConfig, AdmmConfig]:
+def _solver_configs(args) -> tuple[GateConfig, AdmmConfig]:
     settings = _settings(args)
-    count = settings.pop("gates", 10 if K == 2 else 32)
+    count = settings.pop("gates", None)
     if "penalty" in settings:
         settings["penalty_kind"] = settings.pop("penalty")
     cfg = AdmmConfig(**settings)
@@ -121,24 +131,10 @@ def _solver_configs(args, K: int) -> tuple[GateConfig, AdmmConfig]:
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON or TOML file with default-overriding settings")
-    p.add_argument("--beta", type=float, help=f"group-penalty weight (default {AdmmConfig.beta:g})")
-    p.add_argument("--rho", type=float, help=f"consensus penalty (default {AdmmConfig.rho:g})")
-    p.add_argument("--admm-iters", dest="admm_iters", type=int,
-                   help=f"outer iterations (default {AdmmConfig.admm_iters})")
-    p.add_argument("--gates", type=int,
-                   help="activation patterns to sample (default 10 binary / 32 multiclass)")
     p.add_argument("--enumerate-gates", dest="enumerate_gates", action="store_true",
                    help="enumerate the complete pattern set (tiny instances only)")
-    p.add_argument("--mode", choices=MODES,
-                   help=f"training mode (default {AdmmConfig.mode})")
-    p.add_argument("--penalty", choices=PENALTY_KINDS,
-                   help=f"penalty kind (default {AdmmConfig.penalty_kind})")
-    p.add_argument("--stop-tol", dest="stop_tol", type=float,
-                   help="stop early once both residuals fall below this")
-    p.add_argument("--seed", type=int,
-                   help="seed for the gates, for the power iteration of the FISTA oracle "
-                        "that verification runs, and for bench's data and split "
-                        f"(default {AdmmConfig.seed})")
+    for dest, (kind, choices, text) in _SETTINGS.items():
+        p.add_argument("--" + dest.replace("_", "-"), type=kind, choices=choices, help=text)
 
 
 _FISTA_VERIFY_GUARD = 1_000_000   # n * P * d budget for the accelerated oracle
@@ -201,21 +197,21 @@ def cmd_synth(args, log) -> int:
 def cmd_train(args, log) -> int:
     """Train on --manifest, logging every phase; --verify cross-checks before saving.
 
-    A missing directory for --out is refused first. Verification covers
-    relaxed-mode training only. Exact mode, sampled gates
-    whose n * count * d bound is over the oracle's budget, and a --verify-tol
-    that is not a finite number >= 0 are refused before training;
-    enumeration's own limits keep n * P * d within the budget.
+    A missing --out directory, a --verify-tol that is not a finite number
+    >= 0, a bad setting and exact mode under --verify (which covers relaxed
+    mode only) are refused before the manifest is read; sampled gates whose
+    n * count * d bound is over the oracle's budget, before training.
+    Enumeration's own limits keep n * P * d within the budget.
     """
     _check_out_dirs(args.out)
     if not 0 <= args.verify_tol < float("inf"):
         raise ValueError(f"--verify-tol must be a finite number >= 0, got {args.verify_tol}")
-    X, labels = load_manifest(args.manifest)
-    gate_cfg, cfg = _solver_configs(args, labels.K)
+    gate_cfg, cfg = _solver_configs(args)
     if args.verify and cfg.mode != "relaxed":
         raise ValueError("oracle verification covers relaxed-mode training only")
+    X, labels = load_manifest(args.manifest)
     if args.verify and not gate_cfg.enumerate_all:
-        size = X.n * gate_cfg.count * X.d   # sampling gives P <= count
+        size = X.n * gate_cfg.count_for(labels.K) * X.d   # sampling gives P <= count
         if size > _FISTA_VERIFY_GUARD:
             raise ValueError(f"instance too large to verify (n*P*d = {size} > "
                              f"{_FISTA_VERIFY_GUARD}); verify a subsample instead")
@@ -229,22 +225,37 @@ def cmd_train(args, log) -> int:
     return 0
 
 
-def _pooled_inputs(path):
-    """Pool one CLDS file or a directory of them into embedding rows."""
+def _check_width(source, d: int, head) -> None:
+    """Refuse rows of width ``d``, read from ``source``, that the head cannot take."""
+    if d != head.d:
+        raise DataFormatError(f"{source}: embeddings have dimension {d}, head expects {head.d}")
+
+
+def _pooled_inputs(path, head):
+    """Pool one CLDS file or a directory of them into embedding rows; a bad file is named."""
     path = Path(path)
     files = sorted(path.glob("*.clds")) if path.is_dir() else [path]
     if not files:
         raise DataFormatError(f"no .clds sequence files under {path}")
-    return [f.stem for f in files], np.vstack([pool_masked_mean(read_sequence(f)) for f in files])
+    rows = []
+    for f in files:
+        seq = read_sequence(f)
+        _check_width(f, seq.frames.shape[1], head)
+        try:
+            rows.append(pool_masked_mean(seq))
+        except DataFormatError as exc:
+            raise DataFormatError(f"{f}: {exc}") from None
+    return [f.stem for f in files], np.vstack(rows)
 
 
 def cmd_predict(args, log) -> int:
     _check_out_dirs(args.out)
     head = load_model(args.model)
     if args.pool:
-        ids, H = _pooled_inputs(args.features)
+        ids, H = _pooled_inputs(args.features, head)
     else:
         fm = read_features(args.features)
+        _check_width(args.features, fm.d, head)
         ids, H = [str(i) for i in range(fm.n)], fm.values
     t0 = time.perf_counter()
     logits = predict_batch(head, H, args.inference)
@@ -275,6 +286,7 @@ def cmd_certify(args, log) -> int:
     eps = _comma_list("--eps-grid", args.eps_grid, float, 0)   # before anything is read or written
     head = load_model(args.model)
     X, labels = load_manifest(args.manifest)
+    _check_width(args.manifest, X.d, head)
     labels = labels.relabel(head.label_map)
     certs = certify_batch(head, X.values, labels.class_ids, L_E=args.L_E)
     audio = certs.radius_audio if certs.radius_audio is not None else [None] * labels.n
@@ -308,6 +320,7 @@ def cmd_eval(args, log) -> int:
     _check_out_dirs(args.out, args.confusion_csv)
     head = load_model(args.model)
     X, labels = load_manifest(args.manifest)
+    _check_width(args.manifest, X.d, head)
     labels = labels.relabel(head.label_map)
     logits = predict_batch(head, X.values, args.inference)
     accents = None
@@ -353,7 +366,7 @@ def _stratified_order(group_ids: np.ndarray, pool: np.ndarray) -> np.ndarray:
 
 def cmd_bench(args, log) -> int:
     sizes = _comma_list("--sizes", args.sizes, int, 1)
-    gate_cfg, cfg = _solver_configs(args, args.languages)
+    gate_cfg, cfg = _solver_configs(args)
     data = generate(_synth_spec(args, cfg.seed))
     train_idx, test_idx, _val_idx = split(data.labels.class_ids, seed=cfg.seed)
     out = Path(args.out)
@@ -430,21 +443,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_synth_flags(p):
-        p.add_argument("--languages", type=int, default=5)
-        p.add_argument("--accents", default="5,5,5,5,4",
+        p.add_argument("--languages", type=int, default=SynthSpec.languages)
+        p.add_argument("--accents", default=",".join(map(str, SynthSpec.accents_per_language)),
                        help="comma list: accents per language")
-        p.add_argument("--dim", type=int, default=64)
-        p.add_argument("--separation", type=float, default=6.0,
+        p.add_argument("--dim", type=int, default=SynthSpec.dim)
+        p.add_argument("--separation", type=float, default=SynthSpec.language_separation,
                        help="floor on the distance between the two nearest language "
                             "centers: centers drawn closer are scaled up, farther ones "
                             "are left as drawn (at --dim 64 they are about 10 apart)")
-        p.add_argument("--spread", type=float, default=1.0)
-        p.add_argument("--sigma", type=float, default=1.0)
-        p.add_argument("--samples-per-accent", dest="samples_per_accent", type=int, default=500)
+        p.add_argument("--spread", type=float, default=SynthSpec.accent_spread)
+        p.add_argument("--sigma", type=float, default=SynthSpec.noise_sigma)
+        p.add_argument("--samples-per-accent", type=int, default=SynthSpec.samples_per_accent)
 
     p = sub.add_parser("synth", help="generate a synthetic embedding dataset")
     add_synth_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SynthSpec.seed)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 

@@ -189,10 +189,13 @@ def _enc_array(a: np.ndarray) -> dict:
 
 def _dec_floats(values, name: str, path) -> np.ndarray:
     try:
-        return np.array([float.fromhex(x) for x in values], dtype=np.float64)
+        floats = np.array([float.fromhex(x) for x in values], dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(
             f"{path}: {name} holds a value that is not a hex float: {exc}") from exc
+    if not np.isfinite(floats).all():   # fromhex reads inf and nan
+        raise ModelFormatError(f"{path}: {name} holds a non-finite value")
+    return floats
 
 
 def _field(doc: dict, key: str, kinds: tuple, path, where: str = ""):
@@ -266,9 +269,9 @@ def load_model(path) -> TrainedHead:
     JSON type, a mode or penalty kind the trainer does not know, a label map
     whose values are not exactly 0..K-1, no gates (P < 1), gate patterns that
     are not equal-length strings of 0 and 1, pattern or generator counts other
-    than P, generators not of length d, floats not stored as hex strings, or
-    arrays that disagree with their stated shapes raises ModelFormatError
-    naming the file;
+    than P, generators not of length d, floats not stored as hex strings or
+    not finite, or arrays that disagree with their stated shapes raises
+    ModelFormatError naming the file;
     ``"cert": null`` skips the check.
     """
     try:

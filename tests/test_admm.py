@@ -302,6 +302,14 @@ class TestTrain:
                      AdmmConfig(rho=0.1, admm_iters=5))
         assert np.all(np.isfinite(head.V))
 
+    @pytest.mark.parametrize("K, count", [(2, 10), (3, 32)])
+    def test_default_gate_count_follows_the_class_count(self, K, count):
+        # GateConfig() samples 10 patterns for two classes and 32 otherwise,
+        # as cld train does, and records the count it resolved
+        X, labels, _ = cluster_data(n=120, d=8, K=K, seed=15)
+        head = train(X, labels, GateConfig(seed=15), AdmmConfig(rho=0.1, admm_iters=3))
+        assert head.train_meta["gates"]["count"] == head.P == count
+
     def test_deterministic_per_seed(self):
         X, labels, _ = cluster_data(n=40, d=5, K=2, seed=13)
         cfg = AdmmConfig(rho=0.1, admm_iters=20)

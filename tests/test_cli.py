@@ -82,6 +82,18 @@ def _labels_manifest(dataset, tmp_path, labels):
     return tmp_path / "labels_manifest.json"
 
 
+WIDE_MANIFEST = (b'{"features": "wide.csv", "labels": "wide.labels.csv", '
+                 b'"label_map": {"en": 0, "zh": 1}}')
+
+
+def _wide_manifest(path):
+    """Write the 4 x 7 features and the labels that the manifest at ``path`` names."""
+    base = Path(path).parent
+    np.savetxt(base / "wide.csv", np.ones((4, 7)), delimiter=",")
+    write_labels(base / "wide.labels.csv", LabelSet(np.arange(4) % 2, {"en": 0, "zh": 1}))
+    return path
+
+
 # input files that a command must refuse, naming the file: (name, bytes, argv for the
 # command given the file, the dataset, the model and a scratch directory)
 BAD_INPUT_FILES = {
@@ -97,6 +109,16 @@ BAD_INPUT_FILES = {
                          lambda bad, data, model, tmp: [
         "eval", "--model", str(model), "--manifest", str(data / "manifest.json"),
         "--accents", bad, "--out", str(tmp / "r.json")]),
+    # rows 7 wide against the model's 8: predict names the features file, certify
+    # and eval the manifest, whose features and labels _wide_manifest writes beside it
+    "predict-wide-features": ("wide.csv", b"1,2,3,4,5,6,7\n", lambda bad, data, model, tmp: [
+        "predict", "--model", str(model), "--features", bad, "--out", str(tmp / "p.csv")]),
+    "certify-wide-manifest": ("wide.json", WIDE_MANIFEST, lambda bad, data, model, tmp: [
+        "certify", "--model", str(model), "--manifest", _wide_manifest(bad),
+        "--out", str(tmp / "c.csv"), "--summary", str(tmp / "s.json")]),
+    "eval-wide-manifest": ("wide.json", WIDE_MANIFEST, lambda bad, data, model, tmp: [
+        "eval", "--model", str(model), "--manifest", _wide_manifest(bad),
+        "--out", str(tmp / "r.json")]),
     **{f"config-{suffix}-{fault}": (f"cfg.{suffix}", content, lambda bad, data, model, tmp: [
         "train", "--manifest", str(data / "manifest.json"), "--config", bad,
         "--out", str(tmp / "m.json")])
@@ -233,9 +255,11 @@ class TestTrain:
         assert not path.exists()
 
     @pytest.mark.parametrize("key, value", [("admm_iters", 2.9), ("gates", True),
-                                            ("rho", "1e-1"), ("seed", 1.5)])
+                                            ("rho", "1e-1"), ("seed", 1.5),
+                                            ("mode", "exactly"), ("penalty", "l1")])
     def test_mistyped_config_value_exits_2(self, dataset, tmp_path, capsys, key, value):
-        # a value of another type than its flag's is refused, not coerced
+        # a value of another type than its flag's, or not one of its choices, is
+        # refused, not coerced
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"rho": 0.1, key: value}))
         path = tmp_path / "m.json"
@@ -263,6 +287,19 @@ class TestTrain:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
         assert not path.exists()
+
+    @pytest.mark.parametrize("given, key", [
+        (["--rho", "-1"], "rho"), ({"penalty": "l1"}, "penalty"), ({"mode": "exactly"}, "mode"),
+        ({"rho": "1e-1"}, "rho")], ids=["flag", "config-choice", "config-mode", "config-type"])
+    def test_bad_setting_refused_before_the_manifest_is_read(self, tmp_path, capsys, given, key):
+        if isinstance(given, dict):
+            (tmp_path / "cfg.json").write_text(json.dumps(given))
+            given = ["--config", str(tmp_path / "cfg.json")]
+        rc = main(["train", "--manifest", str(tmp_path / "missing.json"),
+                   "--out", str(tmp_path / "m.json"), *given])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cld: error: ") and key in err and "missing.json" not in err
 
     @pytest.mark.parametrize("suffix", [".json", ".toml"])
     def test_every_config_key_matches_its_flag(self, dataset, tmp_path, suffix):
@@ -356,6 +393,22 @@ class TestPredict:
                    "--pool", "--out", str(tmp_path / "p.csv")])
         assert rc == 2
         assert "no .clds sequence files under" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("frames, mask", [(np.ones((3, 8)), np.zeros(3, dtype=bool)),
+                                              (np.ones((3, 9)), np.ones(3, dtype=bool))],
+                             ids=["all-masked", "wider"])
+    def test_pool_names_the_sequence_file_at_fault(self, model, tmp_path, capsys, frames, mask):
+        seqdir = tmp_path / "seqs"
+        seqdir.mkdir()
+        write_sequence(seqdir / "a.clds", SequenceFeature(np.ones((2, 8)), np.ones(2, bool)))
+        write_sequence(seqdir / "b.clds", SequenceFeature(frames, mask))
+        write_sequence(seqdir / "c.clds", SequenceFeature(np.ones((2, 8)), np.ones(2, bool)))
+        rc = main(["predict", "--model", str(model), "--features", str(seqdir), "--pool",
+                   "--out", str(tmp_path / "p.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cld: error: {seqdir / 'b.clds'}: ") and err.count("\n") == 1
         assert not (tmp_path / "p.csv").exists()
 
     def test_dimension_mismatch_exits_2(self, model, tmp_path):

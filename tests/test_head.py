@@ -43,6 +43,14 @@ MALFORMED_DOCS = {
     "list-seed": lambda doc: {**doc, "gates": {**doc["gates"], "seed": [1, 2]}},
     "list-train-meta": lambda doc: {**doc, "train_meta": [3]},
     "negative-shape": lambda doc: {**doc, "V": {**doc["V"], "shape": [-1, *doc["V"]["shape"][1:]]}},
+    # float.fromhex reads "inf" and "nan"; without the bundle nothing else catches them
+    "inf-V": lambda doc: {**doc, "cert": None,
+                          "V": {**doc["V"], "data": ["inf", *doc["V"]["data"][1:]]}},
+    "nan-W": lambda doc: {**doc, "cert": None,
+                          "W": {**doc["W"], "data": ["nan", *doc["W"]["data"][1:]]}},
+    "nan-generator": lambda doc: {**doc, "cert": None, "gates": {
+        **doc["gates"], "generators": [["nan", *doc["gates"]["generators"][0][1:]],
+                                       *doc["gates"]["generators"][1:]]}},
     "no-gates": lambda doc: {
         **doc, "P": 0, "cert": None,
         "gates": {**doc["gates"], "patterns": [], "generators": []},
