@@ -65,6 +65,12 @@ class GateConfig:
     seed: int = 0
     enumerate_all: bool = False
 
+    def __post_init__(self):
+        if self.count is not None and self.count < 1:
+            raise ValueError(f"count of gates must be >= 1, got {self.count}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
     def count_for(self, K: int) -> int:
         """The number of patterns to sample for K classes."""
         return (10 if K == 2 else 32) if self.count is None else self.count
@@ -88,6 +94,8 @@ class AdmmConfig:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         if self.stop_tol is not None and not (np.isfinite(self.stop_tol) and self.stop_tol >= 0):
             raise ValueError(f"stop_tol must be finite and >= 0, got {self.stop_tol}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.admm_iters < 1:
             raise ValueError("admm_iters must be >= 1")
 

@@ -356,12 +356,7 @@ def _stratified_order(group_ids: np.ndarray, pool: np.ndarray) -> np.ndarray:
     accents equally, the same protocol the evaluation set follows.
     """
     by_group = [pool[group_ids[pool] == g] for g in np.unique(group_ids[pool])]
-    order = []
-    for i in range(max(len(b) for b in by_group)):
-        for b in by_group:
-            if i < len(b):
-                order.append(b[i])
-    return np.array(order)
+    return np.array([i for row in itertools.zip_longest(*by_group) for i in row if i is not None])
 
 
 def cmd_bench(args, log) -> int:

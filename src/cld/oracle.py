@@ -7,8 +7,10 @@ optimality. Two references are provided:
 * ``fista_solve``: accelerated proximal gradient on the matrix-free operator.
   Its prox deliberately reuses ``cvxprog.group_prox`` (a shared prox bug
   would sink both solvers identically), which is why
-* ``dense_solve_smallest`` materialises the dense block matrix and runs its
-  own proximal loop with the shrinkage arithmetic re-implemented inline.
+* ``dense_solve_smallest`` materialises the dense block matrix A and runs its
+  own proximal loop with the shrinkage arithmetic re-implemented inline. The
+  loop works with products with A alone, never the (B*d) x (B*d) Gram, so
+  its memory and per-step work are O(n*B*d), the size its guard bounds.
 
 These ship in the library, not the test suite, so the command line can
 cross-check any small training run on demand.
@@ -136,8 +138,11 @@ def dense_solve_smallest(prob: ConvexProblem, max_iters: int = 100_000) -> Dense
 
     beta = 0 reduces to a least-squares solve; beta > 0 runs an accelerated
     proximal loop with inline group shrinkage, stopping once the relative
-    objective decrease stays below ``_DENSE_REL_OBJ_TOL``. Guarded to small
-    instances.
+    objective decrease stays below ``_DENSE_REL_OBJ_TOL``. Each step costs one
+    product with A and one with A^T: the forward products of the iterate and
+    the momentum point are carried by linearity, the fit is read off
+    0.5 ||A S||^2 - <S, A^T Y> + 0.5 ||Y||^2, and the step size comes from the
+    smaller of A A^T and A^T A. Memory is O(n*B*d), which the guard bounds.
     """
     op = prob.op
     B, d, K = op.block_shape
@@ -150,9 +155,9 @@ def dense_solve_smallest(prob: ConvexProblem, max_iters: int = 100_000) -> Dense
         S = S_mat.reshape(B, d, K)
         return DenseResult(S, loss(A @ S_mat, Y), 0)
 
-    gram = A.T @ A
-    L = float(np.linalg.eigvalsh(gram).max())
-    L = max(L, np.finfo(np.float64).tiny)
+    # lambda_max(A^T A) read off the smaller of the two Grams, at most n*B*d entries
+    small = A @ A.T if op.n <= B * d else A.T @ A
+    L = max(float(np.linalg.eigvalsh(small).max()), np.finfo(np.float64).tiny)
     AtY = A.T @ Y
     const = 0.5 * float(np.vdot(Y, Y))
     thresh = prob.beta / L
@@ -174,34 +179,35 @@ def dense_solve_smallest(prob: ConvexProblem, max_iters: int = 100_000) -> Dense
             return float(np.sqrt(np.sum(blocks * blocks, axis=1)).sum())
         return float(np.sqrt(np.sum(blocks * blocks, axis=(1, 2))).sum())
 
-    def quad_obj(M: np.ndarray, GM: np.ndarray) -> float:
-        # fit via the Gram quadratic form; one dense product per iteration
-        fit = 0.5 * float(np.vdot(M, GM)) - float(np.vdot(M, AtY)) + const
+    def quad_obj(M: np.ndarray, AM: np.ndarray) -> float:
+        # fit from the forward product: 0.5 ||A M||^2 - <M, A^T Y> + 0.5 ||Y||^2
+        fit = 0.5 * float(np.vdot(AM, AM)) - float(np.vdot(M, AtY)) + const
         return fit + prob.beta * inline_penalty(M)
 
     S_mat = np.zeros((B * d, K))
-    GS = np.zeros_like(S_mat)
-    mom, Gmom = S_mat.copy(), GS.copy()
+    AS = np.zeros_like(Y)
+    mom, Amom = S_mat.copy(), AS.copy()
     t = 1.0
-    obj = quad_obj(S_mat, GS)
+    obj = quad_obj(S_mat, AS)
     best_obj, best_S = obj, S_mat
     flat_streak = 0
     it = 0
     for it in range(1, max_iters + 1):
-        cand = shrink(mom - (Gmom - AtY) / L)
-        Gcand = gram @ cand
-        cand_obj = quad_obj(cand, Gcand)
+        cand = shrink(mom - (A.T @ Amom - AtY) / L)
+        Acand = A @ cand
+        cand_obj = quad_obj(cand, Acand)
         if cand_obj > obj:
-            cand = shrink(S_mat - (GS - AtY) / L)
-            Gcand = gram @ cand
-            cand_obj = quad_obj(cand, Gcand)
+            cand = shrink(S_mat - (A.T @ AS - AtY) / L)
+            Acand = A @ cand
+            cand_obj = quad_obj(cand, Acand)
             t = 1.0
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
         gamma = (t - 1.0) / t_next
         mom = cand + gamma * (cand - S_mat)
-        Gmom = (1.0 + gamma) * Gcand - gamma * GS
+        # forward product of the momentum point comes for free by linearity
+        Amom = (1.0 + gamma) * Acand - gamma * AS
         drop = obj - cand_obj
-        S_mat, GS, t, obj = cand, Gcand, t_next, cand_obj
+        S_mat, AS, t, obj = cand, Acand, t_next, cand_obj
         if obj < best_obj:
             best_obj, best_S = obj, S_mat
         flat_streak = flat_streak + 1 if drop <= _DENSE_REL_OBJ_TOL * max(abs(obj), 1e-300) else 0

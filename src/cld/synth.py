@@ -100,7 +100,7 @@ def generate(spec: SynthSpec) -> SynthData:
     y = np.concatenate(labels)
     accent_ids = np.concatenate(accents)
     label_map = {name: i for i, name in enumerate(spec.language_names())}
-    dists = np.linalg.norm(X[:, None, :] - centers[None, :, :], axis=2)
+    dists = np.column_stack([np.linalg.norm(X - c, axis=1) for c in centers])
     nearest_acc = float(np.mean(dists.argmin(axis=1) == y))
     return SynthData(
         features=FeatureMatrix(X),

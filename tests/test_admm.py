@@ -67,12 +67,19 @@ class TestAdmmConfig:
     @pytest.mark.parametrize("key, value", [
         ("rho", float("nan")), ("rho", float("inf")), ("rho", 0.0),
         ("beta", float("nan")), ("beta", float("inf")), ("beta", -1e-3),
-        ("stop_tol", float("nan")), ("stop_tol", float("inf")), ("stop_tol", -1.0)])
+        ("stop_tol", float("nan")), ("stop_tol", float("inf")), ("stop_tol", -1.0),
+        ("seed", -1)])
     def test_value_that_gives_garbage_refused(self, key, value):
-        # a NaN rho gives NaN weights, a NaN beta an all-zero head, and a NaN
-        # or negative stop_tol a run that can never stop early
+        # a NaN rho gives NaN weights, a NaN beta an all-zero head, a NaN or
+        # negative stop_tol a run that can never stop early, and a negative
+        # seed numpy's error, which names no setting
         with pytest.raises(ValueError, match=key):
             AdmmConfig(**{key: value})
+
+    @pytest.mark.parametrize("key, value", [("count", 0), ("count", -3), ("seed", -1)])
+    def test_gate_setting_refused(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            GateConfig(**{key: value})
 
     def test_boundary_values_accepted(self):
         AdmmConfig(beta=0.0, stop_tol=0.0)

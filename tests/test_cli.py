@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cld.cli import _FISTA_VERIFY_GUARD, build_parser, main
+from cld.cli import _FISTA_VERIFY_GUARD, _stratified_order, build_parser, main
 from cld.dataio import (LabelSet, SequenceFeature, read_features, write_features, write_labels,
                         write_manifest, write_sequence)
 from cld.gates import _ENUM_MAX_D, _ENUM_MAX_N
@@ -290,7 +290,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("given, key", [
         (["--rho", "-1"], "rho"), ({"penalty": "l1"}, "penalty"), ({"mode": "exactly"}, "mode"),
-        ({"rho": "1e-1"}, "rho")], ids=["flag", "config-choice", "config-mode", "config-type"])
+        ({"rho": "1e-1"}, "rho"), (["--seed", "-1"], "seed"), (["--gates", "0"], "gates"),
+        ({"gates": -2}, "gates")],
+        ids=["flag", "config-choice", "config-mode", "config-type", "seed", "gates", "config-gates"])
     def test_bad_setting_refused_before_the_manifest_is_read(self, tmp_path, capsys, given, key):
         if isinstance(given, dict):
             (tmp_path / "cfg.json").write_text(json.dumps(given))
@@ -801,6 +803,19 @@ class TestBench:
         assert f"got {sizes.split(',')[-1]}" in capsys.readouterr().err
         assert log.read_text() == ""      # refused before any training
         assert not (tmp_path / "r").exists()
+
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys):
+        rc = main(["bench", "--sizes", "24", "--seed", "-1", "--out", str(tmp_path / "r")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cld: error: ") and "seed" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_stratified_order_takes_groups_in_turn(self):
+        # pool rows by group: 0 -> [6, 0, 2, 5], 1 -> [1], 2 -> [3]
+        groups = np.array([0, 1, 0, 2, 1, 0, 0])
+        order = _stratified_order(groups, np.array([6, 0, 1, 2, 3, 5]))
+        np.testing.assert_array_equal(order, [6, 1, 3, 0, 2, 5])
 
     def test_config_seed_draws_data_split_and_gates(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

@@ -9,7 +9,7 @@ from cld.oracle import (
     fista_solve,
 )
 
-from conftest import random_problem
+from conftest import random_problem, traced_peak
 from reference import fd_gradcheck, fit_value_and_grad
 
 
@@ -136,3 +136,19 @@ class TestDenseOracle:
         dense = dense_solve_smallest(prob)
         rel = abs(fista.objective - dense.objective) / max(abs(dense.objective), 1e-12)
         assert rel <= 1e-8
+
+    # wide: 16 rows, B*d = 1,280 columns; the (B*d)^2 Gram alone would take 12.5 MiB
+    WIDE = dict(n=16, d=128, K=2, P=10, beta=0.1, seed=0)
+
+    def test_wide_instance_needs_no_gram(self):
+        prob = random_problem(**self.WIDE)
+        assert prob.op.block_shape == (10, 128, 2)
+        _, peak = traced_peak(dense_solve_smallest, prob, 50)
+        assert peak < 2 * 2**20
+
+    def test_wide_instance_agrees_with_fista(self):
+        prob = random_problem(**self.WIDE)
+        fista = fista_solve(prob, FistaConfig(max_iters=20000, rel_obj_tol=1e-14))
+        dense = dense_solve_smallest(prob)
+        rel = abs(fista.objective - dense.objective) / max(abs(dense.objective), 1e-12)
+        assert rel <= 1e-4

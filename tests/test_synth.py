@@ -3,6 +3,8 @@ import pytest
 
 from cld.synth import SynthSpec, generate, split
 
+from conftest import traced_peak
+
 
 class TestGenerate:
     def test_zero_noise_samples_sit_on_accent_centers(self):
@@ -31,6 +33,12 @@ class TestGenerate:
         other = dataclasses.replace(spec, seed=1)
         assert not np.array_equal(generate(spec).features.values,
                                   generate(other).features.values)
+
+    def test_default_spec_traced_peak(self):
+        # the 12,000 x 64 rows take 5.9 MiB; a (rows, languages, dim) distance
+        # temporary would add 29 MiB, and its square as much again
+        _, peak = traced_peak(generate, SynthSpec(seed=1))
+        assert peak < 40 * 2**20
 
     def test_default_spec_nearest_center_separability(self):
         data = generate(SynthSpec(samples_per_accent=50, seed=0))
