@@ -9,7 +9,8 @@ Two binary containers are defined, both little-endian:
 
 Payloads are stored as 32-bit floats (encoder outputs are 32-bit); every
 reader promotes to float64 so that all downstream solver math runs in double
-precision. CSV is accepted as a secondary feature format for hand-written
+precision, decoded ``linops.row_blocks`` at a time straight into the result.
+CSV is accepted as a secondary feature format for hand-written
 fixtures. Labels are a two-column CSV ``id,label``; a manifest is a JSON
 object ``{"features": ..., "labels": ..., "label_map": {...}}`` with paths
 resolved relative to the manifest file.
@@ -31,6 +32,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .linops import row_blocks
 
 FEATURE_MAGIC = b"CLDF"
 SEQUENCE_MAGIC = b"CLDS"
@@ -84,10 +87,7 @@ class LabelSet:
     ids: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        cid = np.asarray(self.class_ids, dtype=np.int64)
-        if cid.ndim != 1 or cid.size < 1:
-            raise LabelError("class_ids must be a non-empty 1-D sequence")
-        K = len(self.label_map)
+        K = len(self.label_map)   # checked first: an id beyond int64 fails the conversion
         if K < 2:
             raise LabelError(f"need at least 2 classes, label_map has {K}")
         bad = {k: v for k, v in self.label_map.items() if type(v) is not int}
@@ -95,6 +95,9 @@ class LabelSet:
             raise LabelError(f"label_map values must be integer class indices, not {bad}")
         if sorted(self.label_map.values()) != list(range(K)):
             raise LabelError("label_map values must be exactly 0..K-1")
+        cid = np.asarray(self.class_ids, dtype=np.int64)
+        if cid.ndim != 1 or cid.size < 1:
+            raise LabelError("class_ids must be a non-empty 1-D sequence")
         if cid.min() < 0 or cid.max() >= K:
             raise LabelError(f"class id out of range [0, {K}) in class_ids")
         object.__setattr__(self, "class_ids", cid)
@@ -257,24 +260,31 @@ def _read_container(path: Path, magic: bytes, trailer_per_row: int):
     A CLDS file follows its frames with one mask byte per frame
     (``trailer_per_row`` = 1); a CLDF file ends with its payload.
     """
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
-        raise DataFormatError(f"{path}: truncated header at byte {len(raw)}")
-    found, version, rows, d = _HEADER.unpack_from(raw)
-    if found != magic:
-        raise DataFormatError(f"{path}: bad magic {found!r}")
-    if version != FORMAT_VERSION:
-        raise DataFormatError(f"{path}: unsupported format version {version}")
-    end = _HEADER.size + 4 * rows * d
-    expected = end + trailer_per_row * rows
-    if len(raw) != expected:
-        raise DataFormatError(f"{path}: payload truncated at byte {len(raw)}, expected {expected} bytes")
-    values = np.frombuffer(raw, dtype="<f4", count=rows * d, offset=_HEADER.size)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        offset = _HEADER.size + 4 * int(bad[0])
-        raise DataFormatError(f"{path}: non-finite entry at byte offset {offset} (row {bad[0] // d})")
-    return values.astype(np.float64).reshape(rows, d), raw[end:]
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise DataFormatError(f"{path}: truncated header at byte {len(header)}")
+        found, version, rows, d = _HEADER.unpack(header)
+        if found != magic:
+            raise DataFormatError(f"{path}: bad magic {found!r}")
+        if version != FORMAT_VERSION:
+            raise DataFormatError(f"{path}: unsupported format version {version}")
+        size = os.fstat(fh.fileno()).st_size
+        expected = _HEADER.size + (4 * d + trailer_per_row) * rows
+        if size != expected:
+            raise DataFormatError(
+                f"{path}: payload truncated at byte {size}, expected {expected} bytes")
+        values = np.empty((rows, d))
+        for block in row_blocks(rows, 4 * d):
+            chunk = np.frombuffer(fh.read(4 * d * (block.stop - block.start)), dtype="<f4")
+            bad = np.flatnonzero(~np.isfinite(chunk))
+            if bad.size:
+                at = block.start * d + int(bad[0])   # the entry's index in the payload
+                offset = _HEADER.size + 4 * at
+                raise DataFormatError(f"{path}: non-finite entry at byte offset {offset} (row {at // d})")
+            values[block] = chunk.reshape(block.stop - block.start, d)
+            del chunk   # freed before the next block is read
+        return values, fh.read()
 
 
 def read_features(path) -> FeatureMatrix:
@@ -350,6 +360,9 @@ def load_manifest(path) -> tuple[FeatureMatrix, LabelSet]:
                               f"not {bad}")
     if len(label_map) < 2:
         raise LabelError(f"{path}: label_map needs at least 2 classes")
+    if sorted(label_map.values()) != list(range(len(label_map))):
+        raise LabelError(f"{path}: label_map values must be exactly 0..K-1 "
+                         f"for its K = {len(label_map)} classes")
     labels = read_labels(base / doc["labels"], label_map)
     if labels.n != features.n:
         raise AlignmentError(

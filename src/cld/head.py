@@ -14,7 +14,9 @@ For heads trained in split (cone-constrained) mode the two coincide on the
 training set; for relaxed heads they may differ away from it. Relaxed heads
 default to gated inference, split-mode heads to relu.
 Both forms are built once, when the head is constructed, so every prediction
-and certificate is one batched forward pass. The certificate bundle is
+and certificate is one batched forward pass, taken ``linops.row_blocks`` at a
+time: beside its inputs and logits a batch holds one block of hidden units
+(or gate products), never a (rows x units) array. The certificate bundle is
 computed from the weights at the same time.
 """
 
@@ -30,6 +32,7 @@ from .cert import CertificateBundle, bundle_from_weights, bundle_to_dict
 from .cvxprog import MODES, PENALTY_KINDS
 from .dataio import DataFormatError, atomic_write, read_document
 from .gates import GateSet
+from .linops import row_blocks
 
 MODEL_VERSION = 1
 INFERENCE_MODES = ("gated", "relu")
@@ -61,8 +64,12 @@ class ReluNetwork:
     def apply(self, H: np.ndarray) -> np.ndarray:
         """Logits for a batch of embeddings (rows of H)."""
         H = np.atleast_2d(np.asarray(H, dtype=np.float64))
-        Z = H @ self.hidden.T
-        return np.maximum(Z, 0.0, out=Z) @ self.output
+        out = np.empty((len(H), self.output.shape[1]))
+        for rows in row_blocks(len(H), 8 * self.m):
+            Z = H[rows] @ self.hidden.T
+            out[rows] = np.maximum(Z, 0.0, out=Z) @ self.output
+            del Z   # freed before the next block is formed
+        return out
 
 
 @dataclass(frozen=True)
@@ -151,9 +158,11 @@ def predict_batch(head: TrainedHead, H: np.ndarray, inference: str | None = None
         raise ValueError(f"embeddings have dimension {H.shape[1]}, head expects {head.d}")
     if inference == "relu":
         return head._relu.apply(H)
-    ind = (H @ head.gates.generators.T >= 0.0).astype(np.float64)      # (m, P)
-    T = (H @ head._diff).reshape(H.shape[0], head.P, head.K)           # (m, P, K)
-    return np.einsum("mp,mpk->mk", ind, T)
+    out = np.empty((H.shape[0], head.K))
+    for rows in row_blocks(H.shape[0], 8 * head.P * (head.K + 2)):
+        np.matmul((H[rows] @ head.gates.generators.T >= 0.0).astype(np.float64)[:, None, :],
+                  (H[rows] @ head._diff).reshape(-1, head.P, head.K), out=out[rows, None, :])
+    return out
 
 
 def predict(head: TrainedHead, h: np.ndarray, inference: str | None = None) -> np.ndarray:

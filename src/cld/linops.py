@@ -22,6 +22,12 @@ fit in memory fails with MemoryError. With L L^T = F^T F + sigma I the
 primal side's fit is 1/2 (||L^T S||^2 - sigma ||S||^2) - <S, F^T Y> +
 1/2 ||Y||^2, one pass over L; the kernel side forms it by the apply. Also
 provided: power iteration for largest-eigenvalue estimates (FISTA oracle).
+
+The operator keeps no weight matrix: each pass forms the signed 0/1 weights
+of its rows from the bool masks. Every pass over the rows of X, of a feature
+file or of a served batch goes ``row_blocks`` at a time, each block within
+``ROW_BLOCK_BYTES`` of float64 scratch (a quarter of one block row of the
+factor, 128 m floats, at m = 2,048).
 """
 
 from __future__ import annotations
@@ -34,6 +40,14 @@ import numpy as np
 from .gates import GateSet
 
 _CHOLESKY_BLOCK = 128
+ROW_BLOCK_BYTES = 2 ** 19   # float64 scratch of a pass over rows, per block of rows
+
+
+def row_blocks(n: int, row_bytes: int) -> list[slice]:
+    """Slices covering rows 0:n, each as many rows of ``row_bytes`` as fit
+    ``ROW_BLOCK_BYTES`` (at least one; rows of no bytes all in one block)."""
+    step = max(1, ROW_BLOCK_BYTES // row_bytes) if row_bytes else max(1, n)
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
 @dataclass(frozen=True)
@@ -50,13 +64,11 @@ class GatedOperator:
     _DENSE_CACHE_LIMIT = 1_000_000
 
     def __post_init__(self):
-        weights = np.ascontiguousarray(self.masks.T * self.signs)
-        object.__setattr__(self, "_weights", weights)
         dense = None
         n, d = self.X.shape
         B = self.masks.shape[0]
         if n * B * d <= self._DENSE_CACHE_LIMIT:
-            dense = (weights.T[:, :, None] * self.X[None, :, :]).transpose(1, 0, 2)
+            dense = (self.weights().T[:, :, None] * self.X[None, :, :]).transpose(1, 0, 2)
             dense = np.ascontiguousarray(dense.reshape(n, B * d))
         object.__setattr__(self, "_dense", dense)
 
@@ -97,8 +109,12 @@ class GatedOperator:
         B, d, K = self.block_shape
         if self._dense is not None:
             return self._dense @ S.reshape(B * d, K)
-        XS = (self.X @ S.transpose(1, 0, 2).reshape(d, B * K)).reshape(self.n, B, K)
-        return np.einsum("nb,nbk->nk", self._weights, XS)
+        S = S.transpose(1, 0, 2).reshape(d, B * K)
+        out = np.empty((self.n, K))
+        for rows in row_blocks(self.n, 8 * B * (K + 1)):   # X S is freed with the statement
+            np.matmul(self.weights(rows)[:, None, :], (self.X[rows] @ S).reshape(-1, B, K),
+                      out=out[rows, None, :])
+        return out
 
     def adjoint(self, R: np.ndarray) -> np.ndarray:
         """Adjoint map: block b is sign_b X^T D_b R."""
@@ -107,10 +123,15 @@ class GatedOperator:
             raise ValueError(f"expected residual of shape {(self.n, self.K)}, got {R.shape}")
         if self._dense is not None:
             return (self._dense.T @ R).reshape(self.block_shape)
-        step = max(1, self.n // self.K)   # one GEMM per n / K rows: n x B floats, never (n, B, K)
-        out = sum(self.X[a:a + step].T @ (self._weights[a:a + step, :, None] * R[a:a + step, None])
-                  .reshape(-1, self.B * self.K) for a in range(0, self.n, step))
+        out = np.zeros((self.d, self.B * self.K))
+        for rows in row_blocks(self.n, 8 * self.B * (self.K + 1)):
+            out += self.X[rows].T @ (self.weights(rows)[:, :, None] * R[rows, None]).reshape(
+                -1, self.B * self.K)
         return out.reshape(self.d, self.B, self.K).transpose(1, 0, 2)
+
+    def weights(self, rows=slice(None)) -> np.ndarray:
+        """sign_b mask_b[i] of the given rows, a C-ordered (rows, B) float64 array."""
+        return np.ascontiguousarray(self.masks[:, rows].T) * self.signs
 
 
 @dataclass(frozen=True)
@@ -147,15 +168,15 @@ def fit_gram(op: GatedOperator) -> list[np.ndarray]:
 
     Column b*d + j of F is sign_b mask_b * X[:, j]. When B*d <= n this is the
     (B*d) x (B*d) F^T F, built from class sums (``_primal_gram``). When
-    B*d > n it is the n x n kernel F F^T = (X X^T) o (W W^T) with
-    W = ``op._weights``, formed one block row at a time: rows k:e get
+    B*d > n it is the n x n kernel F F^T = (X X^T) o (W W^T) with W =
+    ``op.weights()``, formed one block row at a time: rows k:e get
     (X_r X_c^T) o (W_r W_c^T) over columns 0:e. Nothing above the diagonal
     block of a row is stored; the Cholesky factor in ``gram_solver`` reads
     only the lower triangle.
     """
     if gram_side(op) == "primal":
         return _primal_gram(op)
-    X, W = op.X, op._weights
+    X, W = op.X, op.weights()
     rows = _block_rows(op.n)
     for row in rows:
         k, e = _span(row)
@@ -183,10 +204,11 @@ def _primal_gram(op: GatedOperator) -> list[np.ndarray]:
     gates are taken in groups of g (``_group_size``). For each pair of
     groups, a group paired with itself included, the rows are sorted by
     their mask bits in the two groups; each nonempty class c gives
-    C_c = X_c^T X_c, and every block of the pair is s_b s_b' times the sum
-    of C_c over the classes where both bits are set: one GEMM of a signed
-    0/1 selection matrix with the stacked C. That is about n d^2 multiply-adds
-    per group pair instead of n (B d)^2 / 2 for a syrk over the rows of F.
+    C_c = X_c^T X_c, gathered one row block at a time, and every block of
+    the pair is s_b s_b' times the sum of C_c over the classes where both
+    bits are set: one GEMM of a signed 0/1 selection matrix with the stacked
+    C. That is about n d^2 multiply-adds per group pair instead of
+    n (B d)^2 / 2 for a syrk over the rows of F.
     Each pair's tile is then copied into the block rows it crosses.
     """
     X, n, d, B = op.X, op.n, op.d, op.B
@@ -197,6 +219,7 @@ def _primal_gram(op: GatedOperator) -> list[np.ndarray]:
     for b in range(B):
         group_sig[b // g] |= op.masks[b].astype(sig_type) << (b % g)
     C = np.empty((4 ** g, d, d))
+    gathers = row_blocks(n, 8 * d)   # a class's rows are gathered one block at a time
     rows = _block_rows(B * d)
     for ia, a0 in enumerate(starts):
         ga = min(g, B - a0)
@@ -212,9 +235,16 @@ def _primal_gram(op: GatedOperator) -> list[np.ndarray]:
             order = np.argsort(sig, kind="stable")
             ends = np.cumsum(counts)
             for j, c in enumerate(used):
-                class_rows = X[order[ends[c] - counts[c]:ends[c]]]
-                np.matmul(class_rows.T, class_rows, out=C[j])
-                del class_rows   # freed before the next class is gathered
+                members = order[ends[c] - counts[c]:ends[c]]
+                for block in gathers:
+                    if block.start >= len(members):
+                        break
+                    part = X[members[block]]   # a slice of members ends with the class
+                    if block.start == 0:
+                        np.matmul(part.T, part, out=C[j])
+                    else:
+                        C[j] += part.T @ part
+                    del part   # freed before the next block is gathered
             blocks = select[used].T @ C[:len(used)].reshape(len(used), d * d)
             tile = blocks.reshape(ga, gb, d, d).transpose(0, 2, 1, 3).reshape(ga * d, gb * d)
             top, left = a0 * d, b0 * d

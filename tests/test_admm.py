@@ -10,8 +10,9 @@ from cld.gates import enumerate_patterns, sample_gates
 from cld.head import predict_batch
 from cld.linops import GatedOperator, gram_side, gram_solver
 from cld.oracle import FistaConfig, dense_solve_smallest, fista_solve
+from cld.synth import SynthSpec, generate, split
 
-from conftest import cluster_data, random_problem
+from conftest import cluster_data, random_problem, traced_peak
 
 CONVERGED = dict(rho=0.1, admm_iters=600, stop_tol=1e-9)
 
@@ -175,6 +176,21 @@ class TestTrain:
         assert np.mean(preds == labels.class_ids) == 1.0
         margins = np.sort(predict_batch(head, X), axis=1)
         assert np.all(margins[:, -1] > margins[:, -2] - 1e-12)
+
+    def test_train_serve_shape_holds_the_factor_and_one_row_block(self):
+        # 9,600 synth rows, d = 64, 32 gates, K = 5: m = B d = 2,048. Beside its
+        # inputs training holds the packed factor (17 MiB), the class-Gram table
+        # or the diagonal inverses (2 MiB each) and one row block of scratch;
+        # an n x B weight matrix or a whole class gathered at once crosses 22 MiB
+        data = generate(SynthSpec(seed=1))
+        rows, _, _ = split(data.labels.class_ids, seed=1)
+        X = data.features.values[rows]
+        labels = LabelSet(data.labels.class_ids[rows], data.labels.label_map)
+        assert X.shape == (9600, 64) and labels.K == 5
+        cfg = AdmmConfig(rho=100.0, admm_iters=2)
+        head, peak = traced_peak(train, X, labels, GateConfig(count=32, seed=1), cfg)
+        assert head.cert.B_l21 > 0.0
+        assert peak < 22 * 2 ** 20
 
     def test_gated_inference_equals_training_fit(self):
         X, labels, _ = cluster_data(n=60, d=6, K=3, seed=8)

@@ -574,6 +574,26 @@ class TestInputFiles:
         assert str(bad) in err
         assert not Path(argv[argv.index("--out") + 1]).exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval", "certify"])
+    def test_huge_label_map_value_exits_2_naming_the_manifest(self, dataset, model, tmp_path,
+                                                               capsys, command):
+        # 10**30 does not fit an int64 class id: the map is refused before any conversion
+        label_map = json.loads((dataset / "manifest.json").read_text())["label_map"]
+        manifest = _manifest_copy(dataset, tmp_path, {name: 10 ** 30 if v else 0
+                                                      for name, v in label_map.items()})
+        out = tmp_path / "out"
+        argv = {"train": ["train", "--manifest", str(manifest), "--out", str(out), *FAST_TRAIN],
+                "eval": ["eval", "--model", str(model), "--manifest", str(manifest),
+                         "--out", str(out)],
+                "certify": ["certify", "--model", str(model), "--manifest", str(manifest),
+                            "--out", str(out), "--summary", str(tmp_path / "summary.json")]
+                }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cld: error: {manifest}: label_map values must be exactly 0..K-1")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, flag", [
         (["synth", "--accents", "5,x"], "--accents"),
         (["bench", "--sizes", "abc"], "--sizes"),

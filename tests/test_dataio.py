@@ -25,6 +25,10 @@ from cld.dataio import (
     write_manifest,
     write_sequence,
 )
+import cld.linops
+from cld.linops import ROW_BLOCK_BYTES
+
+from conftest import traced_peak
 
 
 # one (3, 2) file of each binary container, and its reader
@@ -56,6 +60,19 @@ class TestFeatureFiles:
         write_features(p2, back)
         assert p.read_bytes() == p2.read_bytes()
 
+    def test_binary_read_holds_no_second_copy_of_the_payload(self, tmp_path):
+        # 40,000 x 64 entries: the float64 result is 20 MB and the file's
+        # float32 payload 10 MB. Beside the result the read holds one row
+        # block of the file and FeatureMatrix's finiteness mask (a byte an entry)
+        values = np.random.default_rng(8).standard_normal((40000, 64))
+        values = values.astype(np.float32).astype(np.float64)
+        p = tmp_path / "f.cldf"
+        write_features(p, values)
+        back, peak = traced_peak(read_features, p)
+        np.testing.assert_array_equal(back.values, values)
+        assert peak <= values.nbytes + values.size + ROW_BLOCK_BYTES + 256 * 1024
+        assert peak < values.nbytes + values.nbytes // 2
+
     def test_csv_nan_reports_position(self, tmp_path):
         p = tmp_path / "f.csv"
         p.write_text("1,2\n3,nan\n")
@@ -80,7 +97,10 @@ class TestFeatureFiles:
             read_features(p)
 
     @pytest.mark.parametrize("fmt", sorted(CONTAINERS))
-    def test_binary_nonfinite_reports_offset(self, tmp_path, fmt):
+    def test_binary_nonfinite_reports_offset(self, tmp_path, monkeypatch, fmt):
+        # with 8-byte blocks each 2-float row is decoded alone, so the bad
+        # entry is found in the second block and its offset counts the first
+        monkeypatch.setattr(cld.linops, "ROW_BLOCK_BYTES", 8)
         write, read = CONTAINERS[fmt]
         p = tmp_path / f"f.{fmt}"
         write(p)
@@ -356,6 +376,9 @@ INPUT_ERRORS = {
                      LabelError, "non-empty 1-D"),
     "labels-map-gap": (lambda tmp: LabelSet(np.array([0, 1]), {"a": 0, "b": 2}),
                        LabelError, "exactly 0..K-1"),
+    # ids taken from such a map do not fit int64: the map is refused before they are converted
+    "labels-map-beyond-int64": (lambda tmp: LabelSet([10 ** 30, 0], {"a": 0, "b": 10 ** 30}),
+                                LabelError, "exactly 0..K-1"),
     "labels-map-bool": (lambda tmp: LabelSet(np.array([0, 1, 0, 1]), {"a": False, "b": True}),
                         LabelError, r"integer class indices, not \{'a': False, 'b': True\}"),
     "labels-map-float": (lambda tmp: LabelSet(np.array([0, 1]), {"a": 0, "b": 1.0}),

@@ -6,10 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cld.admm import AdmmConfig, GateConfig, train
-from cld.cert import var_bound_l21
+from cld.cert import certify_batch, var_bound_l21
 from cld.cvxprog import loss, penalty
 from cld.gates import GateSet
 from cld.head import (
+    INFERENCE_MODES,
     CertificateMismatchError,
     ModelFormatError,
     ModelVersionError,
@@ -23,6 +24,7 @@ from cld.head import (
     save_model,
     to_relu,
 )
+from cld.linops import ROW_BLOCK_BYTES
 
 from conftest import cluster_data, traced_peak
 from reference import nonconvex_objective
@@ -96,15 +98,16 @@ def reference_to_relu(head):
 
 class TestToRelu:
     def test_apply_holds_one_hidden_array(self):
-        # the max is taken in place: one (N, m) array and the (N, K) output,
-        # plus numpy's ufunc buffers, never a second (N, m) array
+        # the max is taken in place on one row block of hidden units: beside
+        # the (N, K) output, one block and numpy's ufunc buffers, never an
+        # (N, m) array
         rng = np.random.default_rng(8)
         net = ReluNetwork(rng.standard_normal((100, 8)), rng.standard_normal((100, 3)))
-        H = rng.standard_normal((2000, 8))
+        H = rng.standard_normal((20000, 8))
         out, peak = traced_peak(net.apply, H)
         np.testing.assert_allclose(out, np.maximum(H @ net.hidden.T, 0.0) @ net.output)
-        assert peak <= 8 * (2000 * 100 + 2000 * 3) + 256 * 1024
-        assert peak < 2 * 8 * 2000 * 100
+        assert peak <= ROW_BLOCK_BYTES + 8 * 20000 * 3 + 256 * 1024
+        assert peak < 8 * 20000 * 100
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5),
@@ -217,6 +220,44 @@ def logits_and_class_ids(draw):
     values = draw(st.lists(st.integers(-3, 3), min_size=m * K, max_size=m * K))
     ids = draw(st.lists(st.integers(0, K - 1), min_size=m, max_size=m))
     return np.array(values, dtype=np.float64).reshape(m, K), np.array(ids, dtype=np.intp)
+
+
+class TestBatchMemory:
+    """A 20,000-row batch through a head of 96 units, 15.4 MB as one (rows x units) array."""
+
+    ROWS = 20000
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        rng = np.random.default_rng(9)
+        V = rng.standard_normal((8, 16, 6))
+        head = make_head(V, rng.standard_normal(V.shape), mode="exact", seed=9)
+        assert head._relu.m == 96
+        return head, rng.standard_normal((self.ROWS, 16))
+
+    @pytest.mark.parametrize("inference", INFERENCE_MODES)
+    def test_predict_batch_holds_one_row_block(self, batch, inference):
+        # beside the (rows, K) logits, one row block of hidden units (or of
+        # gate products) and numpy's ufunc buffers
+        head, H = batch
+        logits, peak = traced_peak(predict_batch, head, H, inference)
+        ind = H @ head.gates.generators.T >= 0.0
+        expected = (np.maximum(H @ head._relu.hidden.T, 0.0) @ head._relu.output
+                    if inference == "relu" else
+                    np.einsum("mp,mpk->mk", ind, (H @ head._diff).reshape(-1, head.P, head.K)))
+        np.testing.assert_allclose(logits, expected, rtol=1e-12, atol=1e-12)
+        assert peak <= ROW_BLOCK_BYTES + 8 * self.ROWS * head.K + 256 * 1024
+        assert peak < 8 * self.ROWS * head._relu.m
+
+    def test_certify_batch_holds_one_row_block(self, batch):
+        # the logits, the margins' copy of them and a few per-row columns
+        head, H = batch
+        class_ids = np.arange(self.ROWS) % head.K
+        certs, peak = traced_peak(certify_batch, head, H, class_ids)
+        logits = predict_batch(head, H, "relu")
+        np.testing.assert_array_equal(certs.margin, margin(logits, class_ids))
+        assert peak <= ROW_BLOCK_BYTES + 8 * self.ROWS * (2 * head.K + 4) + 256 * 1024
+        assert peak < 8 * self.ROWS * head._relu.m
 
 
 class TestMargin:

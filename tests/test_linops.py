@@ -99,31 +99,53 @@ class TestGatedOperator:
         np.testing.assert_allclose(free.apply(S), cached.apply(S), atol=1e-12)
         np.testing.assert_allclose(free.adjoint(R), cached.adjoint(R), atol=1e-12)
 
-    @pytest.mark.parametrize("n, K", [(23, 5), (3, 5)], ids=["ragged-chunk", "n<K"])
-    def test_matrix_free_adjoint_chunks_match_cached_dense(self, n, K, monkeypatch):
-        # the matrix-free adjoint sums one GEMM per n // K rows: 23 rows make
-        # chunks of 4 with 3 left over, 3 rows with K = 5 one row per chunk
+    @pytest.mark.parametrize("n, K, rows", [(23, 5, 4), (3, 5, 1)], ids=["ragged-chunk", "n<K"])
+    def test_matrix_free_adjoint_chunks_match_cached_dense(self, n, K, rows, monkeypatch):
+        # the matrix-free passes sum one GEMM per row block of 8 B (K + 1)
+        # bytes a row: 23 rows in blocks of 4 leave 3 over, 3 rows one a block
         rng = np.random.default_rng(14)
         X = rng.standard_normal((n, 4))
         gates = GateSet(rng.random((6, n)) < 0.5, np.ones((6, 4)))
         cached = GatedOperator.relaxed(X, gates, K=K)
         monkeypatch.setattr(GatedOperator, "_DENSE_CACHE_LIMIT", 0)
+        monkeypatch.setattr(cld.linops, "ROW_BLOCK_BYTES", rows * 8 * 6 * (K + 1))
         free = GatedOperator.relaxed(X, gates, K=K)
         assert free._dense is None and cached._dense is not None
         R = rng.standard_normal((n, K))
         np.testing.assert_allclose(free.adjoint(R), cached.adjoint(R), rtol=1e-13, atol=1e-13)
+        S = rng.standard_normal(free.block_shape)
+        np.testing.assert_allclose(free.apply(S), cached.apply(S), rtol=1e-13, atol=1e-13)
 
-    def test_matrix_free_adjoint_allocates_no_n_b_k_array(self):
-        # n x B x K = 3.2 MB; the adjoint may hold one n x B column and its
-        # result, plus numpy's ufunc buffers (64 KiB each)
+    @staticmethod
+    def _tall_operator():
+        """n = 16,000 rows, d = 16, 20 gates, K = 5: n x B x K floats are 12.8 MB."""
         rng = np.random.default_rng(13)
-        X = rng.standard_normal((4000, 16))
+        X = rng.standard_normal((16000, 16))
         op = GatedOperator.relaxed(X, sample_gates(X, 20, seed=13), K=5)
         assert op._dense is None
+        return op, rng
+
+    def test_matrix_free_adjoint_allocates_no_n_b_k_array(self):
+        # one row block of products and weights, the result and one block's
+        # GEMM, plus numpy's ufunc buffers (64 KiB each): less than a whole
+        # n x B weight matrix (2.6 MB), let alone n x B x K
+        op, rng = self._tall_operator()
         out, peak = traced_peak(op.adjoint, rng.standard_normal((op.n, op.K)))
         assert out.shape == op.block_shape
-        assert peak <= 8 * (op.n * op.B + op.B * op.d * op.K) + 256 * 1024
-        assert peak < 8 * op.n * op.B * op.K
+        assert peak <= cld.linops.ROW_BLOCK_BYTES + 2 * 8 * op.B * op.d * op.K + 256 * 1024
+        assert peak < 8 * op.n * op.B
+
+    def test_matrix_free_apply_allocates_no_n_b_k_array(self):
+        # beside its (n, K) result, the apply holds one row block of X S
+        # products and weights and the transposed blocks S
+        op, rng = self._tall_operator()
+        S = rng.standard_normal(op.block_shape)
+        out, peak = traced_peak(op.apply, S)
+        expected = sum(op.signs[b] * op.masks[b][:, None] * (op.X @ S[b]) for b in range(op.B))
+        np.testing.assert_allclose(out, expected, atol=1e-12)
+        assert peak <= (cld.linops.ROW_BLOCK_BYTES + 8 * op.n * op.K + S.nbytes
+                        + 256 * 1024)
+        assert peak < 8 * op.n * op.B
 
 
 def _matrix_free_relaxed():
@@ -270,6 +292,23 @@ class TestGramSolver:
         _, peak = traced_peak(cld.linops.fit_gram, op)
         assert peak < packed + 8 * 4 ** 3 * op.d ** 2 + 2 * largest
 
+    def test_gram_build_gathers_one_row_block_of_a_class(self):
+        # two gates over 40,000 rows make one group of 4 classes of about
+        # 10,000 rows (4.9 MiB gathered whole); beside the packed Gram and
+        # the class table the build holds one row block of a class, the
+        # rows' sort order and their signatures
+        rng = np.random.default_rng(41)
+        n, d = 40000, 64
+        X = rng.standard_normal((n, d))
+        op = GatedOperator.relaxed(X, GateSet(rng.random((2, n)) < 0.5, np.ones((2, d))), K=2)
+        assert cld.linops._group_size(n, d, op.B) == 2
+        largest = 8 * d * np.bincount(op.masks[0] + 2 * op.masks[1].astype(int)).max()
+        packed = 8 * sum(r * e for r, e in lower_block_rows(op.B * d))
+        _, peak = traced_peak(cld.linops.fit_gram, op)
+        assert peak <= (packed + 8 * 4 ** 2 * d ** 2 + cld.linops.ROW_BLOCK_BYTES + 2 * 8 * n
+                        + 256 * 1024)
+        assert peak < largest
+
     def test_primal_factor_allocates_no_square(self):
         # m = 2,048: the square Gram alone (32 MiB) would exceed the bound,
         # the packed rows (about 17 MiB) plus the class Grams plus the
@@ -367,6 +406,13 @@ class TestPrimalGram:
                              ids=["n<32", "B=1,d=1", "split", "all-on", "all-off"])
     def test_named_shapes(self, case):
         assert_primal_gram_exact(masked_operator(*case, seed=34))
+
+    @pytest.mark.parametrize("block_rows", [1, 7])
+    def test_classes_gathered_in_row_blocks(self, block_rows, monkeypatch):
+        # blocks of 1 or 7 rows split every class of the 300 rows, most with
+        # a ragged last block; each block must stop at its class's end
+        monkeypatch.setattr(cld.linops, "ROW_BLOCK_BYTES", block_rows * 8 * 3)
+        assert_primal_gram_exact(masked_operator(300, 3, 10, True, "mixed", seed=36))
 
     @pytest.mark.parametrize("n, d, P, split, g", [(600, 2, 5, False, 2), (2100, 3, 7, True, 3)])
     def test_last_gate_group_smaller_than_g(self, n, d, P, split, g):
