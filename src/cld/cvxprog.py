@@ -114,7 +114,8 @@ def max_cone_violation(prob: ConvexProblem, S: np.ndarray) -> float:
     Zero rows of X give zero slack, as they constrain nothing.
     """
     P = len(prob.cones)
-    slack = prob.signs[np.arange(S.shape[0]) % P][:, :, None] * (prob.op.X @ S)
+    slack = prob.signs[np.arange(S.shape[0]) % P][:, :, None] * (
+        np.asarray(prob.op.X, dtype=np.float64) @ S)
     return float(max(0.0, -slack.min(initial=0.0)))
 
 

@@ -7,13 +7,14 @@ Two binary containers are defined, both little-endian:
 * frame sequence:   magic ``CLDS`` | version u32=1 | T u64 | d u64 | T*d f32
   (row-major) | T mask bytes (0/1)
 
-Payloads are stored as 32-bit floats (encoder outputs are 32-bit); every
-reader promotes to float64 so that all downstream solver math runs in double
-precision, decoded ``linops.row_blocks`` at a time straight into the result.
-CSV is accepted as a secondary feature format for hand-written
-fixtures. Labels are a two-column CSV ``id,label``; a manifest is a JSON
-object ``{"features": ..., "labels": ..., "label_map": {...}}`` with paths
-resolved relative to the manifest file.
+Payloads are stored as 32-bit floats (encoder outputs are 32-bit) and stay
+float32 in memory: a binary read fills one float32 array straight from the
+file and checks it once, ``linops.row_blocks`` at a time. Every pass over
+the rows upcasts one row block to float64 (``linops.feature_array``), so all
+solver math runs in double precision. CSV is accepted as a secondary feature
+format for hand-written fixtures. Labels are a two-column CSV ``id,label``;
+a manifest is a JSON object ``{"features": ..., "labels": ..., "label_map":
+{...}}`` with paths resolved relative to the manifest file.
 
 Every file cld reads or writes goes through this module: in through
 ``read_text`` (UTF-8), ``read_document`` (one JSON or TOML object) and
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linops import row_blocks
+from .linops import feature_array, row_blocks
 
 FEATURE_MAGIC = b"CLDF"
 SEQUENCE_MAGIC = b"CLDS"
@@ -54,19 +55,34 @@ class LabelError(ValueError):
     """Unknown, missing, or malformed labels."""
 
 
+class _NonFiniteEntry(DataFormatError):
+    """A non-finite entry of a feature or frame array, at (row, col) ``at``."""
+
+    def __init__(self, what: str, at: tuple[int, int]):
+        super().__init__(f"non-finite {what} entry at (row {at[0]}, col {at[1]})")
+        self.at = at
+
+
+def _check_finite(values: np.ndarray, what: str) -> None:
+    """Raise _NonFiniteEntry at the first non-finite entry, scanning a row block at a time."""
+    for rows in row_blocks(len(values), values.itemsize * values.shape[1]):
+        finite = np.isfinite(values[rows])
+        if not finite.all():
+            r, c = np.argwhere(~finite)[0]
+            raise _NonFiniteEntry(what, (rows.start + int(r), int(c)))
+
+
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """n x d matrix of pooled utterance embeddings, one row per example."""
+    """n x d matrix of pooled utterance embeddings, one row per example (float32 or float64)."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = feature_array(self.values)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise DataFormatError(f"feature matrix must be 2-D and non-empty, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            r, c = np.argwhere(~np.isfinite(v))[0]
-            raise DataFormatError(f"non-finite feature entry at (row {r}, col {c})")
+        _check_finite(v, "feature")
         object.__setattr__(self, "values", v)
 
     @property
@@ -141,14 +157,13 @@ class SequenceFeature:
     mask: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.frames, dtype=np.float64)
+        f = feature_array(self.frames)
         m = np.asarray(self.mask, dtype=bool)
         if f.ndim != 2:
             raise DataFormatError(f"frames must be 2-D, got shape {f.shape}")
         if m.shape != (f.shape[0],):
             raise DataFormatError("mask length must equal the frame count")
-        if not np.all(np.isfinite(f)):
-            raise DataFormatError("non-finite frame entry")
+        _check_finite(f, "frame")
         object.__setattr__(self, "frames", f)
         object.__setattr__(self, "mask", m)
 
@@ -162,11 +177,11 @@ class SequenceFeature:
 
 
 def pool_masked_mean(seq: SequenceFeature) -> np.ndarray:
-    """Average the masked-in frames into a single length-d embedding."""
+    """Average the masked-in frames into a single length-d float64 embedding."""
     count = int(seq.mask.sum())
     if count == 0:
         raise DataFormatError("cannot pool a sequence whose mask excludes every frame")
-    return seq.frames[seq.mask].sum(axis=0) / count
+    return seq.frames[seq.mask].sum(axis=0, dtype=np.float64) / count
 
 
 def atomic_write(path, data: bytes | str | Iterable[str]) -> None:
@@ -254,11 +269,14 @@ def _read_feature_csv(path) -> FeatureMatrix:
     return FeatureMatrix(np.array(rows, dtype=np.float64))
 
 
-def _read_container(path: Path, magic: bytes, trailer_per_row: int):
-    """Checked (rows, d) float64 payload of a CLDF or CLDS file, and the bytes after it.
+def _read_container(path: Path, magic: bytes, trailer_per_row: int, build):
+    """``build(payload, trailer)`` for a CLDF or CLDS file's (rows, d) float32
+    payload, read straight into one array, and the bytes after it.
 
     A CLDS file follows its frames with one mask byte per frame
-    (``trailer_per_row`` = 1); a CLDF file ends with its payload.
+    (``trailer_per_row`` = 1); a CLDF file ends with its payload. ``build``
+    checks the payload's finiteness (``FeatureMatrix`` or ``SequenceFeature``);
+    a non-finite entry is named by its byte offset in the file.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -274,21 +292,21 @@ def _read_container(path: Path, magic: bytes, trailer_per_row: int):
         if size != expected:
             raise DataFormatError(
                 f"{path}: payload truncated at byte {size}, expected {expected} bytes")
-        values = np.empty((rows, d))
-        for block in row_blocks(rows, 4 * d):
-            chunk = np.frombuffer(fh.read(4 * d * (block.stop - block.start)), dtype="<f4")
-            bad = np.flatnonzero(~np.isfinite(chunk))
-            if bad.size:
-                at = block.start * d + int(bad[0])   # the entry's index in the payload
-                offset = _HEADER.size + 4 * at
-                raise DataFormatError(f"{path}: non-finite entry at byte offset {offset} (row {at // d})")
-            values[block] = chunk.reshape(block.stop - block.start, d)
-            del chunk   # freed before the next block is read
-        return values, fh.read()
+        values = np.empty((rows, d), dtype="<f4")
+        got = fh.readinto(values)
+        if got != values.nbytes:
+            raise DataFormatError(f"{path}: payload truncated at byte {_HEADER.size + got}")
+        trailer = fh.read()
+    try:
+        return build(values, trailer)
+    except _NonFiniteEntry as exc:
+        row, col = exc.at
+        offset = _HEADER.size + 4 * (row * d + col)
+        raise DataFormatError(f"{path}: non-finite entry at byte offset {offset} (row {row})") from None
 
 
 def read_features(path) -> FeatureMatrix:
-    """Read a CLDF binary or CSV feature file into a float64 matrix."""
+    """Read a CLDF binary file into a float32 matrix, or a CSV feature file into a float64 one."""
     path = Path(path)
     if not path.exists():
         raise DataFormatError(f"feature file does not exist: {path}")
@@ -296,10 +314,13 @@ def read_features(path) -> FeatureMatrix:
         head = fh.read(4)
     if head != FEATURE_MAGIC:
         return _read_feature_csv(path)
-    values, _ = _read_container(path, FEATURE_MAGIC, 0)
-    if values.size == 0:
-        raise DataFormatError(f"{path}: declared shape {values.shape[0]}x{values.shape[1]} is empty")
-    return FeatureMatrix(values)
+
+    def build(values, _):
+        if values.size == 0:
+            raise DataFormatError(f"{path}: declared shape {values.shape[0]}x{values.shape[1]} is empty")
+        return FeatureMatrix(values)
+
+    return _read_container(path, FEATURE_MAGIC, 0, build)
 
 
 def write_sequence(path, seq: SequenceFeature) -> None:
@@ -309,9 +330,9 @@ def write_sequence(path, seq: SequenceFeature) -> None:
 
 
 def read_sequence(path) -> SequenceFeature:
-    """Read a CLDS sequence file."""
-    frames, mask_bytes = _read_container(Path(path), SEQUENCE_MAGIC, 1)
-    return SequenceFeature(frames, np.frombuffer(mask_bytes, dtype=np.uint8) != 0)
+    """Read a CLDS sequence file; its frames are float32."""
+    return _read_container(Path(path), SEQUENCE_MAGIC, 1, lambda frames, mask_bytes:
+                           SequenceFeature(frames, np.frombuffer(mask_bytes, dtype=np.uint8) != 0))
 
 
 def read_labels(path, label_map: dict[str, int]) -> LabelSet:

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linops import feature_array, row_blocks
+
 
 @dataclass(frozen=True)
 class GateSet:
@@ -79,27 +81,35 @@ def sample_gates(X: np.ndarray, count: int, seed: int = 0, dedup: bool = True) -
     With ``dedup`` the draws continue until ``count`` distinct patterns are
     found or a budget of ``8 * count`` draws is exhausted; in the latter case
     fewer patterns are returned and a warning reports the shortfall.
+    Each batch of draws (as many as patterns are missing) passes over X once,
+    upcasting one ``linops.row_blocks`` block at a time.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = feature_array(X)
     if count < 1:
         raise ValueError(f"need at least one pattern, got count={count}")
-    d = X.shape[1]
+    n, d = X.shape
     actives: list[np.ndarray] = []
     gens: list[np.ndarray] = []
     seen: set[bytes] = set()
     budget = 8 * count if dedup else count
-    for j in range(budget):
-        g = _draw_rng(seed, j).standard_normal(d)
-        active = pattern_of(X, g)
-        if dedup:
-            key = np.packbits(active).tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-        actives.append(active)
-        gens.append(g)
-        if len(gens) == count:
-            break
+    drawn = 0
+    while len(gens) < count and drawn < budget:
+        batch = [_draw_rng(seed, j).standard_normal(d)
+                 for j in range(drawn, min(budget, drawn + count - len(gens)))]
+        drawn += len(batch)
+        found = np.empty((len(batch), n), dtype=bool)
+        for rows in row_blocks(n, 8 * d):
+            block = np.asarray(X[rows], dtype=np.float64)
+            for active, g in zip(found, batch):
+                active[rows] = pattern_of(block, g)
+        for active, g in zip(found, batch):
+            if dedup:
+                key = np.packbits(active).tobytes()
+                if key in seen:
+                    continue
+                seen.add(key)
+            actives.append(active)
+            gens.append(g)
     shortfall = count - len(gens)
     if shortfall:
         warnings.warn(

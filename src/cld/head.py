@@ -16,8 +16,9 @@ default to gated inference, split-mode heads to relu.
 Both forms are built once, when the head is constructed, so every prediction
 and certificate is one batched forward pass, taken ``linops.row_blocks`` at a
 time: beside its inputs and logits a batch holds one block of hidden units
-(or gate products), never a (rows x units) array. The certificate bundle is
-computed from the weights at the same time.
+(or gate products), never a (rows x units) array, and a float32 batch is
+upcast one block at a time. The certificate bundle is computed from the
+weights at the same time.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .cert import CertificateBundle, bundle_from_weights, bundle_to_dict
 from .cvxprog import MODES, PENALTY_KINDS
 from .dataio import DataFormatError, atomic_write, read_document
 from .gates import GateSet
-from .linops import row_blocks
+from .linops import feature_array, row_blocks
 
 MODEL_VERSION = 1
 INFERENCE_MODES = ("gated", "relu")
@@ -62,11 +63,11 @@ class ReluNetwork:
         return self.hidden.shape[0]
 
     def apply(self, H: np.ndarray) -> np.ndarray:
-        """Logits for a batch of embeddings (rows of H)."""
-        H = np.atleast_2d(np.asarray(H, dtype=np.float64))
+        """Logits for a batch of embeddings (rows of H), each row block upcast to float64."""
+        H = np.atleast_2d(feature_array(H))
         out = np.empty((len(H), self.output.shape[1]))
         for rows in row_blocks(len(H), 8 * self.m):
-            Z = H[rows] @ self.hidden.T
+            Z = np.asarray(H[rows], dtype=np.float64) @ self.hidden.T
             out[rows] = np.maximum(Z, 0.0, out=Z) @ self.output
             del Z   # freed before the next block is formed
         return out
@@ -153,15 +154,16 @@ def predict_batch(head: TrainedHead, H: np.ndarray, inference: str | None = None
     inference = inference or head.default_inference
     if inference not in INFERENCE_MODES:
         raise ValueError(f"inference must be one of {INFERENCE_MODES}")
-    H = np.atleast_2d(np.asarray(H, dtype=np.float64))
+    H = np.atleast_2d(feature_array(H))
     if H.shape[1] != head.d:
         raise ValueError(f"embeddings have dimension {H.shape[1]}, head expects {head.d}")
     if inference == "relu":
         return head._relu.apply(H)
     out = np.empty((H.shape[0], head.K))
     for rows in row_blocks(H.shape[0], 8 * head.P * (head.K + 2)):
-        np.matmul((H[rows] @ head.gates.generators.T >= 0.0).astype(np.float64)[:, None, :],
-                  (H[rows] @ head._diff).reshape(-1, head.P, head.K), out=out[rows, None, :])
+        block = np.asarray(H[rows], dtype=np.float64)
+        np.matmul((block @ head.gates.generators.T >= 0.0).astype(np.float64)[:, None, :],
+                  (block @ head._diff).reshape(-1, head.P, head.K), out=out[rows, None, :])
     return out
 
 

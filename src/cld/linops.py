@@ -27,17 +27,21 @@ The operator keeps no weight matrix: each pass forms the signed 0/1 weights
 of its rows from the bool masks. Every pass over the rows of X, of a feature
 file or of a served batch goes ``row_blocks`` at a time, each block within
 ``ROW_BLOCK_BYTES`` of float64 scratch (a quarter of one block row of the
-factor, 128 m floats, at m = 2,048).
+factor, 128 m floats, at m = 2,048). Float32 rows stay float32
+(``feature_array``); a pass upcasts each of their blocks to float64 first,
+so every result has the bits it has on the float64 upcast of the rows.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .gates import GateSet
+if TYPE_CHECKING:
+    from .gates import GateSet
 
 _CHOLESKY_BLOCK = 128
 ROW_BLOCK_BYTES = 2 ** 19   # float64 scratch of a pass over rows, per block of rows
@@ -50,11 +54,17 @@ def row_blocks(n: int, row_bytes: int) -> list[slice]:
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
+def feature_array(a) -> np.ndarray:
+    """``a`` as feature rows: float32 stays float32, anything else becomes float64 (uncopied)."""
+    a = np.asarray(a)
+    return a if a.dtype == np.float32 else np.asarray(a, dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class GatedOperator:
     """Stacked gated linear map between weight blocks (B,d,K) and logits (n,K)."""
 
-    X: np.ndarray
+    X: np.ndarray              # (n, d) float32 or float64 (``feature_array``)
     masks: np.ndarray          # (B, n) bool
     signs: np.ndarray          # (B,)
     K: int
@@ -64,23 +74,24 @@ class GatedOperator:
     _DENSE_CACHE_LIMIT = 1_000_000
 
     def __post_init__(self):
+        object.__setattr__(self, "X", feature_array(self.X))
         dense = None
         n, d = self.X.shape
         B = self.masks.shape[0]
         if n * B * d <= self._DENSE_CACHE_LIMIT:
-            dense = (self.weights().T[:, :, None] * self.X[None, :, :]).transpose(1, 0, 2)
-            dense = np.ascontiguousarray(dense.reshape(n, B * d))
+            dense = np.empty((n, B * d))
+            for rows in row_blocks(n, 8 * B * d):
+                X = np.asarray(self.X[rows], dtype=np.float64)
+                dense[rows] = (self.weights(rows)[:, :, None] * X[:, None, :]).reshape(-1, B * d)
         object.__setattr__(self, "_dense", dense)
 
     @classmethod
     def relaxed(cls, X: np.ndarray, gates: GateSet, K: int) -> "GatedOperator":
-        X = np.asarray(X, dtype=np.float64)
         return cls(X, gates.active, np.ones(gates.P), K)
 
     @classmethod
     def split(cls, X: np.ndarray, gates: GateSet, K: int) -> "GatedOperator":
         """Two signed copies of every pattern block: +V stack then -W stack."""
-        X = np.asarray(X, dtype=np.float64)
         masks = np.vstack([gates.active, gates.active])
         signs = np.concatenate([np.ones(gates.P), -np.ones(gates.P)])
         return cls(X, masks, signs, K)
@@ -112,7 +123,8 @@ class GatedOperator:
         S = S.transpose(1, 0, 2).reshape(d, B * K)
         out = np.empty((self.n, K))
         for rows in row_blocks(self.n, 8 * B * (K + 1)):   # X S is freed with the statement
-            np.matmul(self.weights(rows)[:, None, :], (self.X[rows] @ S).reshape(-1, B, K),
+            np.matmul(self.weights(rows)[:, None, :],
+                      (np.asarray(self.X[rows], dtype=np.float64) @ S).reshape(-1, B, K),
                       out=out[rows, None, :])
         return out
 
@@ -125,8 +137,8 @@ class GatedOperator:
             return (self._dense.T @ R).reshape(self.block_shape)
         out = np.zeros((self.d, self.B * self.K))
         for rows in row_blocks(self.n, 8 * self.B * (self.K + 1)):
-            out += self.X[rows].T @ (self.weights(rows)[:, :, None] * R[rows, None]).reshape(
-                -1, self.B * self.K)
+            out += np.asarray(self.X[rows], dtype=np.float64).T @ (
+                self.weights(rows)[:, :, None] * R[rows, None]).reshape(-1, self.B * self.K)
         return out.reshape(self.d, self.B, self.K).transpose(1, 0, 2)
 
     def weights(self, rows=slice(None)) -> np.ndarray:
@@ -172,11 +184,12 @@ def fit_gram(op: GatedOperator) -> list[np.ndarray]:
     ``op.weights()``, formed one block row at a time: rows k:e get
     (X_r X_c^T) o (W_r W_c^T) over columns 0:e. Nothing above the diagonal
     block of a row is stored; the Cholesky factor in ``gram_solver`` reads
-    only the lower triangle.
+    only the lower triangle. The kernel side upcasts a float32 X whole: each
+    block row is one GEMM over rows 0:e, which split in blocks rounds otherwise.
     """
     if gram_side(op) == "primal":
         return _primal_gram(op)
-    X, W = op.X, op.weights()
+    X, W = np.asarray(op.X, dtype=np.float64), op.weights()   # each GEMM reads rows 0:e
     rows = _block_rows(op.n)
     for row in rows:
         k, e = _span(row)
@@ -239,7 +252,8 @@ def _primal_gram(op: GatedOperator) -> list[np.ndarray]:
                 for block in gathers:
                     if block.start >= len(members):
                         break
-                    part = X[members[block]]   # a slice of members ends with the class
+                    # a slice of members ends with the class
+                    part = np.asarray(X[members[block]], dtype=np.float64)
                     if block.start == 0:
                         np.matmul(part.T, part, out=C[j])
                     else:

@@ -127,9 +127,10 @@ class DenseResult:
 
 
 def dense_matrix(prob: ConvexProblem) -> np.ndarray:
-    """Materialise [sign_1 D_1 X | ... | sign_B D_B X] of shape (n, B*d)."""
+    """Materialise [sign_1 D_1 X | ... | sign_B D_B X] of shape (n, B*d), in float64."""
     op = prob.op
-    cols = [op.signs[b] * op.masks[b][:, None] * op.X for b in range(op.B)]
+    X = np.asarray(op.X, dtype=np.float64)   # 1/B of the matrix it fills
+    cols = [op.signs[b] * op.masks[b][:, None] * X for b in range(op.B)]
     return np.hstack(cols)
 
 

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import re
 import shlex
+import shutil
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, event, example, given, settings
+from hypothesis import strategies as st
 
 from cld.cli import _FISTA_VERIFY_GUARD, _stratified_order, build_parser, main
 from cld.dataio import (LabelSet, SequenceFeature, read_features, write_features, write_labels,
@@ -606,6 +612,139 @@ class TestInputFiles:
         assert err.startswith(f"cld: error: {flag} must be a comma list of integers >= 1, got ")
         assert err.rstrip().endswith(f" in {argv[-1]!r}") and err.count("\n") == 1
         assert not out.exists()
+
+
+# --- input errors by property ---------------------------------------------
+
+# the files of the tiny set each mutation may hit, and the JSON documents among them
+MUTABLE = {"model": "model.json", "manifest": "manifest.json", "features": "features.cldf",
+           "sequence": "utt.clds", "labels": "labels.csv"}
+JSON_KINDS = ("model", "manifest")
+_DELETE = "<delete>"   # a json mutation that removes the node instead of replacing it
+
+JSON_VALUES = st.one_of(
+    st.sampled_from([None, True, False, 0, 1, -1, 2 ** 63, 10 ** 30, 0.5, 1e308, "", "x",
+                     "inf", "nan", "0x1p+0", "features.cldf", [], {}, [1], {"a": 1},
+                     _DELETE]),
+    st.integers(), st.text(max_size=4))
+MUTATIONS = st.one_of(
+    st.tuples(st.just("byte"), st.integers(0, 2 ** 16), st.integers(0, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 2 ** 16), st.none()),
+    st.tuples(st.just("insert"), st.integers(0, 2 ** 16), st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("delete"), st.integers(0, 2 ** 16), st.integers(1, 64)),
+    st.tuples(st.just("json"), st.integers(0, 2 ** 16), JSON_VALUES),
+)
+
+
+def _json_paths(doc, path=()):
+    """Every node of a JSON document, the root first, keys in sorted order."""
+    yield path
+    if isinstance(doc, dict):
+        children = sorted(doc.items())
+    else:
+        children = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield from _json_paths(value, (*path, key))
+
+
+def _mutate(data: bytes, mutation) -> bytes:
+    op, at, arg = mutation
+    if op == "json":   # replace (or delete) one node of the document
+        doc = json.loads(data)
+        paths = list(_json_paths(doc))
+        path = paths[at % len(paths)]
+        if not path:
+            return json.dumps(None if arg == _DELETE else arg).encode()
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if arg == _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = arg
+        return json.dumps(doc).encode()
+    at %= len(data) + 1
+    return {"byte": lambda: data[:at] + bytes([arg]) + data[at + 1:],
+            "truncate": lambda: data[:at],
+            "insert": lambda: data[:at] + arg + data[at:],
+            "delete": lambda: data[:at] + data[at + arg:]}[op]()
+
+
+@pytest.fixture(scope="module")
+def mutable_set(tmp_path_factory):
+    """A 20 x 4 synth set, a head trained on it and one frame sequence."""
+    base = tmp_path_factory.mktemp("mutable")
+    assert main(["synth", "--out", str(base), "--languages", "2", "--accents", "1,1",
+                 "--dim", "4", "--samples-per-accent", "10", "--seed", "1"]) == 0
+    assert main(["train", "--manifest", str(base / "manifest.json"), "--out",
+                 str(base / "model.json"), "--log", str(base / "train.log"), *FAST_TRAIN]) == 0
+    frames = np.random.default_rng(1).standard_normal((6, 4))
+    write_sequence(base / "utt.clds", SequenceFeature(frames, np.arange(6) % 3 > 0))
+    return base
+
+
+def _commands(work: Path, kind: str, train_too: bool) -> list[list[str]]:
+    """The commands that read the ``kind`` of file, on the copy of the set in ``work``."""
+    at = {name: str(work / name) for name in (*MUTABLE.values(), "p.csv", "q.csv", "c.csv",
+                                               "s.json", "r.json", "m.json", "run.log")}
+    serve = {
+        "predict": ["predict", "--model", at["model.json"], "--features", at["features.cldf"],
+                    "--out", at["p.csv"], "--log", at["run.log"]],
+        "predict --pool": ["predict", "--model", at["model.json"], "--pool",
+                           "--features", at["utt.clds"], "--out", at["q.csv"],
+                           "--log", at["run.log"]],
+        "certify": ["certify", "--model", at["model.json"], "--manifest", at["manifest.json"],
+                    "--out", at["c.csv"], "--summary", at["s.json"]],
+        "eval": ["eval", "--model", at["model.json"], "--manifest", at["manifest.json"],
+                 "--out", at["r.json"]],
+    }
+    names = {"model": ["predict", "predict --pool", "certify", "eval"],
+             "manifest": ["certify", "eval"], "features": ["predict", "certify", "eval"],
+             "sequence": ["predict --pool"], "labels": ["certify", "eval"]}[kind]
+    commands = [serve[name] for name in names]
+    if train_too and kind not in ("model", "sequence"):
+        commands.append(["train", "--manifest", at["manifest.json"], "--out", at["m.json"],
+                         "--log", at["run.log"], *FAST_TRAIN])
+    return commands
+
+
+class TestInputErrorsByProperty:
+    """Whatever its input files hold, cld exits 0, 2 or 3 and never with a
+    traceback, and an exit 2 prints exactly one ``cld: error:`` line.
+
+    Each example mutates one file of a tiny synth set (the model JSON, the
+    manifest, the CLDF features, a CLDS sequence or the labels CSV) and runs
+    every command that reads it; a third of the non-model mutations train too.
+    Warnings stay warnings here, as they are for a user of the command line.
+    """
+
+    @pytest.mark.filterwarnings("default::UserWarning", "default::RuntimeWarning")
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(sorted(MUTABLE)), MUTATIONS, st.sampled_from([True, False, False]))
+    # 10**30 does not fit an int64 class id (the label map's "zh" is its node 4)
+    @example("manifest", ("json", 4, 10 ** 30), True)
+    def test_exit_codes(self, mutable_set, kind, mutation, train_too):
+        assume(mutation[0] != "json" or kind in JSON_KINDS)
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            for name in MUTABLE.values():
+                shutil.copy(mutable_set / name, work / name)
+            target = work / MUTABLE[kind]
+            target.write_bytes(_mutate(target.read_bytes(), mutation))
+            for argv in _commands(work, kind, train_too):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    try:
+                        rc = main(argv)
+                    except Exception as exc:   # on the command line, a traceback
+                        pytest.fail(f"cld {argv[0]} escaped with {exc!r}")
+                event(f"{kind}: cld {argv[0]} exits {rc}")   # --hypothesis-show-statistics
+                assert rc in (0, 2, 3), (argv, rc)
+                lines = [line for line in err.getvalue().splitlines()
+                         if not line.startswith("cld: warning: ")]
+                if rc == 2:
+                    assert len(lines) == 1 and lines[0].startswith("cld: error: "), lines
 
 
 class TestCertifySeparated:

@@ -53,7 +53,7 @@ class TestFeatureFiles:
         p = tmp_path / "f.cldf"
         write_features(p, values)
         back = read_features(p)
-        assert back.values.dtype == np.float64
+        assert back.values.dtype == np.float32   # the stored precision
         np.testing.assert_array_equal(back.values, values)
         # second pass writes the identical file
         p2 = tmp_path / "g.cldf"
@@ -61,17 +61,16 @@ class TestFeatureFiles:
         assert p.read_bytes() == p2.read_bytes()
 
     def test_binary_read_holds_no_second_copy_of_the_payload(self, tmp_path):
-        # 40,000 x 64 entries: the float64 result is 20 MB and the file's
-        # float32 payload 10 MB. Beside the result the read holds one row
-        # block of the file and FeatureMatrix's finiteness mask (a byte an entry)
-        values = np.random.default_rng(8).standard_normal((40000, 64))
-        values = values.astype(np.float32).astype(np.float64)
+        # 40,000 x 64 entries: the float32 result is 10 MB, as is the file's
+        # payload. Beside the result the read holds one row block of the
+        # finiteness check's mask, never a float64 copy or an n x d mask
+        values = np.random.default_rng(8).standard_normal((40000, 64)).astype(np.float32)
         p = tmp_path / "f.cldf"
         write_features(p, values)
         back, peak = traced_peak(read_features, p)
+        assert back.values.dtype == np.float32
         np.testing.assert_array_equal(back.values, values)
-        assert peak <= values.nbytes + values.size + ROW_BLOCK_BYTES + 256 * 1024
-        assert peak < values.nbytes + values.nbytes // 2
+        assert peak <= values.nbytes + ROW_BLOCK_BYTES + 256 * 1024
 
     def test_csv_nan_reports_position(self, tmp_path):
         p = tmp_path / "f.csv"
@@ -98,7 +97,7 @@ class TestFeatureFiles:
 
     @pytest.mark.parametrize("fmt", sorted(CONTAINERS))
     def test_binary_nonfinite_reports_offset(self, tmp_path, monkeypatch, fmt):
-        # with 8-byte blocks each 2-float row is decoded alone, so the bad
+        # with 8-byte blocks each 2-float row is checked alone, so the bad
         # entry is found in the second block and its offset counts the first
         monkeypatch.setattr(cld.linops, "ROW_BLOCK_BYTES", 8)
         write, read = CONTAINERS[fmt]
