@@ -206,7 +206,8 @@ def train(X, labels: LabelSet, gate_cfg: GateConfig, cfg: AdmmConfig,
     gates = (enumerate_patterns(X) if gate_cfg.enumerate_all
              else sample_gates(X, gate_cfg.count_for(K), seed=gate_cfg.seed))
     if cfg.mode == "exact":
-        op, cones = GatedOperator.split(X, gates, K), gates.active
+        op = GatedOperator.split(X, gates, K)
+        cones = op.masks[:gates.P]
     else:
         op, cones = GatedOperator.relaxed(X, gates, K), ()
     prob = ConvexProblem(op, labels.one_hot(), cfg.beta, cfg.penalty_kind, cfg.mode, cones)

@@ -296,6 +296,7 @@ def cmd_certify(args, log) -> int:
     _write_csv(args.out, ["id", "pred", "true", "margin", "radius_feature", "radius_audio",
                           "certified"], zip(*columns, strict=True))
     curve = certified_accuracy(certs, labels.class_ids, eps)
+    radii = np.sort(certs.radius_feature)   # np.median would load numpy.ma for a NaN check
     summary = {
         "n": labels.n,
         "bounds": {"B_l21": head.cert.B_l21, "B_fro_scaled": head.cert.B_fro_scaled,
@@ -303,7 +304,7 @@ def cmd_certify(args, log) -> int:
         "relu_accuracy": float(np.mean(certs.pred == labels.class_ids)),
         "certified_fraction": float(np.mean(certs.certified)),
         "mean_radius": float(certs.radius_feature.mean()),
-        "median_radius": float(np.median(certs.radius_feature)),
+        "median_radius": float(np.mean(radii[(len(radii) - 1) // 2:len(radii) // 2 + 1])),
         "L_E": args.L_E,
         "certified_accuracy": {"eps": eps, "accuracy": curve.tolist()},
         "inference_mode": "relu",
@@ -355,7 +356,7 @@ def _stratified_order(group_ids: np.ndarray, pool: np.ndarray) -> np.ndarray:
     Benchmarks pass accent ids here so every training subset covers all
     accents equally, the same protocol the evaluation set follows.
     """
-    by_group = [pool[group_ids[pool] == g] for g in np.unique(group_ids[pool])]
+    by_group = [pool[group_ids[pool] == g] for g in sorted(set(group_ids[pool].tolist()))]
     return np.array([i for row in itertools.zip_longest(*by_group) for i in row if i is not None])
 
 
@@ -416,11 +417,12 @@ def cmd_gates_enum(args, log) -> int:
     gates = enumerate_patterns(fm.values)
     print(f"{gates.P} activation patterns over {fm.n} rows")
     if args.out:
+        codes = gates.patterns(fm.values).view(np.uint8) + ord("0")
         doc = {
             "n": fm.n,
             "d": fm.d,
             "count": gates.P,
-            "patterns": gates.bitstrings(),
+            "patterns": [row.tobytes().decode("ascii") for row in codes],
             "witnesses": gates.generators.tolist(),
         }
         atomic_write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -1,14 +1,15 @@
 """Sampling, geometry, and enumeration of ReLU activation patterns.
 
 A gate is a direction g in feature space; its pattern over a training matrix
-X is the boolean vector 1(Xg >= 0) (ties at zero count as active). The set of
-weights that realises a fixed pattern D is the polyhedral cone
-{v : (2D - I) X v >= 0}. ``project_cones`` is the one exact projector onto
-such cones: a Lawson-Hanson active set on the cone's dual nonnegative
-least-squares problem, written in numpy and run on a whole batch of columns
-at once from each column's hinted face of active rows. It returns every
-column's final face, which ``cvxprog.project_to_cones`` passes back as the
-next ADMM step's hint, so most columns are accepted in one round.
+X is the boolean vector 1(Xg >= 0) (ties at zero count as active). The rows
+fix it, so a ``GateSet`` keeps only the directions and forms the patterns
+where they are needed. The set of weights that realises a fixed pattern D is
+the polyhedral cone {v : (2D - I) X v >= 0}. ``project_cones`` is the one
+exact projector onto such cones: a Lawson-Hanson active set on the cone's
+dual nonnegative least-squares problem, written in numpy and run on a whole
+batch of columns at once from each column's hinted face of active rows. It
+returns every column's final face, which ``cvxprog.project_to_cones`` passes
+back as the next ADMM step's hint, so most columns are accepted in one round.
 
 ``enumerate_patterns`` lists every pattern of small X by walking sign
 prefixes, with no LP. A prefix is kept when a witness direction with slack
@@ -32,36 +33,38 @@ from .linops import feature_array, row_blocks
 
 @dataclass(frozen=True)
 class GateSet:
-    """Activation patterns of one training matrix, one row per pattern.
+    """Gate directions: row p of the (P, d) ``generators`` is gate p."""
 
-    ``active`` is the (P, n) boolean pattern matrix and ``generators`` the
-    (P, d) directions that induced its rows.
-    """
-
-    active: np.ndarray
     generators: np.ndarray
     seed: int | None = None
     dedup: bool = True
     shortfall: int = 0
 
     def __post_init__(self):
-        active = np.array(self.active, dtype=bool)
         generators = np.array(self.generators, dtype=np.float64)
-        if active.ndim != 2 or generators.ndim != 2 or len(active) != len(generators):
-            raise ValueError(f"need a (P, n) pattern matrix and (P, d) generators, "
-                             f"got shapes {active.shape} and {generators.shape}")
-        for name, a in (("active", active), ("generators", generators)):
-            a.setflags(write=False)     # heads predict from these; they must not change
-            object.__setattr__(self, name, a)
+        if generators.ndim != 2:
+            raise ValueError(f"need (P, d) generators, got shape {generators.shape}")
+        generators.setflags(write=False)    # heads predict from these; they must not change
+        object.__setattr__(self, "generators", generators)
 
     @property
     def P(self) -> int:
-        return len(self.active)
+        return len(self.generators)
 
-    def bitstrings(self) -> list[str]:
-        """Each pattern as a string of '0'/'1' characters."""
-        codes = np.where(self.active, ord("1"), ord("0")).astype(np.uint8)
-        return [row.tobytes().decode("ascii") for row in codes]
+    def patterns(self, X: np.ndarray) -> np.ndarray:
+        """The (P, n) patterns of the gates over the rows of X.
+
+        The one place where patterns are formed: a pass over X that upcasts
+        one ``linops.row_blocks`` block at a time and takes one ``pattern_of``
+        per gate, so a pattern has the same bits wherever it is formed.
+        """
+        X = feature_array(X)
+        out = np.empty((self.P, len(X)), dtype=bool)
+        for rows in row_blocks(len(X), 8 * X.shape[1]):
+            block = np.asarray(X[rows], dtype=np.float64)
+            for active, g in zip(out, self.generators):
+                active[rows] = pattern_of(block, g)
+        return out
 
 
 def pattern_of(X: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -82,34 +85,27 @@ def sample_gates(X: np.ndarray, count: int, seed: int = 0, dedup: bool = True) -
     found or a budget of ``8 * count`` draws is exhausted; in the latter case
     fewer patterns are returned and a warning reports the shortfall.
     Each batch of draws (as many as patterns are missing) passes over X once,
-    upcasting one ``linops.row_blocks`` block at a time.
+    through ``GateSet.patterns``.
     """
     X = feature_array(X)
     if count < 1:
         raise ValueError(f"need at least one pattern, got count={count}")
-    n, d = X.shape
-    actives: list[np.ndarray] = []
     gens: list[np.ndarray] = []
     seen: set[bytes] = set()
     budget = 8 * count if dedup else count
     drawn = 0
     while len(gens) < count and drawn < budget:
-        batch = [_draw_rng(seed, j).standard_normal(d)
+        batch = [_draw_rng(seed, j).standard_normal(X.shape[1])
                  for j in range(drawn, min(budget, drawn + count - len(gens)))]
         drawn += len(batch)
-        found = np.empty((len(batch), n), dtype=bool)
-        for rows in row_blocks(n, 8 * d):
-            block = np.asarray(X[rows], dtype=np.float64)
-            for active, g in zip(found, batch):
-                active[rows] = pattern_of(block, g)
-        for active, g in zip(found, batch):
-            if dedup:
-                key = np.packbits(active).tobytes()
-                if key in seen:
-                    continue
+        if not dedup:
+            gens += batch
+            continue
+        for active, g in zip(GateSet(batch).patterns(X), batch):
+            key = np.packbits(active).tobytes()
+            if key not in seen:
                 seen.add(key)
-            actives.append(active)
-            gens.append(g)
+                gens.append(g)
     shortfall = count - len(gens)
     if shortfall:
         warnings.warn(
@@ -117,8 +113,7 @@ def sample_gates(X: np.ndarray, count: int, seed: int = 0, dedup: bool = True) -
             f"{budget} draws ({shortfall} short)",
             stacklevel=2,
         )
-    return GateSet(np.stack(actives), np.stack(gens), seed=seed, dedup=dedup,
-                   shortfall=shortfall)
+    return GateSet(np.stack(gens), seed=seed, dedup=dedup, shortfall=shortfall)
 
 
 def _face_step(G: np.ndarray, A: np.ndarray, z: np.ndarray):
@@ -312,8 +307,9 @@ def enumerate_patterns(X: np.ndarray) -> GateSet:
         prefixes, witnesses = signs[keep], witnesses[keep]
     active = np.ones((len(prefixes), n), dtype=bool)
     active[:, nonzero] = prefixes > 0
-    wrong = np.flatnonzero(np.any(pattern_of(X, witnesses.T).T != active, axis=1))
-    if wrong.size:
-        raise RuntimeError(f"witness {witnesses[wrong[0]]} does not reproduce its pattern")
     order = np.lexsort(active.T[::-1])[::-1]     # descending bitstrings
-    return GateSet(active[order], witnesses[order], seed=None, dedup=True)
+    gates = GateSet(witnesses[order], seed=None, dedup=True)
+    wrong = np.flatnonzero(np.any(gates.patterns(X) != active[order], axis=1))
+    if wrong.size:
+        raise RuntimeError(f"witness {gates.generators[wrong[0]]} does not reproduce its pattern")
+    return gates

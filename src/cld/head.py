@@ -35,7 +35,7 @@ from .dataio import DataFormatError, atomic_write, read_document
 from .gates import GateSet
 from .linops import feature_array, row_blocks
 
-MODEL_VERSION = 1
+MODEL_VERSION = 2   # version 1 also stored each gate's training pattern and a zero W
 INFERENCE_MODES = ("gated", "relu")
 
 
@@ -232,6 +232,7 @@ def _dec_array(doc: dict, name: str, path) -> np.ndarray:
 
 
 def head_to_dict(head: TrainedHead) -> dict:
+    """The model document: W only where it is not the zero that loading restores."""
     return {
         "version": MODEL_VERSION,
         "d": head.d,
@@ -244,10 +245,9 @@ def head_to_dict(head: TrainedHead) -> dict:
             "seed": head.gates.seed,
             "dedup": head.gates.dedup,
             "generators": [[x.hex() for x in row] for row in head.gates.generators.tolist()],
-            "patterns": head.gates.bitstrings(),
         },
         "V": _enc_array(head.V),
-        "W": _enc_array(head.W),
+        **({"W": _enc_array(head.W)} if head.mode == "exact" or head.W.any() else {}),
         "cert": bundle_to_dict(head.cert),
         "train_meta": head.train_meta,
     }
@@ -259,63 +259,51 @@ def save_model(head: TrainedHead, path) -> None:
     atomic_write(path, itertools.chain(chunks, ["\n"]))
 
 
-def _decode_pattern(bits: str, path) -> np.ndarray:
-    """Boolean pattern from its stored string of '0'/'1' characters."""
-    # "replace" keeps one byte per character, so positions stay aligned
-    codes = np.frombuffer(bits.encode("ascii", "replace"), dtype=np.uint8)
-    bad = np.flatnonzero((codes != ord("0")) & (codes != ord("1")))
-    if bad.size:
-        raise ModelFormatError(
-            f"{path}: gate pattern has {bits[bad[0]]!r} at position {bad[0]}; "
-            "only 0 and 1 are allowed"
-        )
-    return codes == ord("1")
-
-
 def load_model(path) -> TrainedHead:
     """Read a model file, recomputing and checking its certificate bundle.
 
     A file that cannot be read or decoded as UTF-8, a syntax error, a
     document that is not a JSON object, a missing key, a field of the wrong
     JSON type, a mode or penalty kind the trainer does not know, a label map
-    whose values are not exactly 0..K-1, no gates (P < 1), gate patterns that
-    are not equal-length strings of 0 and 1, pattern or generator counts other
-    than P, generators not of length d, floats not stored as hex strings or
-    not finite, or arrays that disagree with their stated shapes raises
-    ModelFormatError naming the file;
-    ``"cert": null`` skips the check.
+    whose values are not exactly 0..K-1, no gates (P < 1), a generator count
+    other than P, generators not of length d, floats not stored as hex
+    strings or not finite, or arrays that disagree with their stated shapes
+    raises ModelFormatError naming the file; ``"cert": null`` skips the check.
+    An exact head must store W; a relaxed head without one has W = 0.
+    Version-1 files load too: their W is required, and their training
+    patterns must be P strings of one length, which are then ignored.
     """
     try:
         doc = read_document(path, "model")
     except DataFormatError as exc:
         raise ModelFormatError(str(exc)) from exc
     version = doc.get("version")
-    if version != MODEL_VERSION:
+    if version not in (1, MODEL_VERSION):
         raise ModelVersionError(f"{path}: unknown model version {version!r}")
     P, d, K = (_field(doc, key, (int,), path) for key in ("P", "d", "K"))
     if P < 1:
         raise ModelFormatError(f"{path}: a model needs at least one gate pattern, got P = {P}")
     gates_doc = _field(doc, "gates", (dict,), path)
-    bits = _field(gates_doc, "patterns", (list,), path, "gates.")
     gens = _field(gates_doc, "generators", (list,), path, "gates.")
-    if not all(isinstance(b, str) for b in bits) or not all(isinstance(g, list) for g in gens):
-        raise ModelFormatError(
-            f"{path}: gate patterns must be strings and generators lists of hex floats")
-    if not len(bits) == len(gens) == P or any(len(gen) != d for gen in gens):
-        raise ModelFormatError(
-            f"{path}: need P = {P} gate patterns, each with a generator of length d = {d}"
-        )
-    if len({len(b) for b in bits}) > 1:
-        raise ModelFormatError(f"{path}: gate patterns have unequal lengths")
-    gates = GateSet(np.stack([_decode_pattern(b, path) for b in bits]),
-                    np.stack([_dec_floats(gen, f"generator {i}", path)
+    if not all(isinstance(g, list) for g in gens):
+        raise ModelFormatError(f"{path}: gate generators must be lists of hex floats")
+    if len(gens) != P or any(len(gen) != d for gen in gens):
+        raise ModelFormatError(f"{path}: need P = {P} gate generators, each of length d = {d}")
+    if version == 1:
+        bits = _field(gates_doc, "patterns", (list,), path, "gates.")
+        if (len(bits) != P or not all(isinstance(b, str) for b in bits)
+                or len({len(b) for b in bits}) > 1):
+            raise ModelFormatError(
+                f"{path}: gate patterns must be P = {P} strings of equal length")
+    gates = GateSet(np.stack([_dec_floats(gen, f"generator {i}", path)
                               for i, gen in enumerate(gens)]),
                     seed=_field(gates_doc, "seed", (int, type(None)), path, "gates."),
                     dedup=_field(gates_doc, "dedup", (bool,), path, "gates."))
-    V = _dec_array(_field(doc, "V", (dict,), path), "V", path)
-    W = _dec_array(_field(doc, "W", (dict,), path), "W", path)
-    penalty_kind = _field(doc, "penalty_kind", (str,), path)
     mode = _field(doc, "mode", (str,), path)
+    V = _dec_array(_field(doc, "V", (dict,), path), "V", path)
+    W = (_dec_array(_field(doc, "W", (dict,), path), "W", path)
+         if "W" in doc or mode == "exact" or version == 1 else np.zeros(V.shape))
+    penalty_kind = _field(doc, "penalty_kind", (str,), path)
     label_map = _field(doc, "label_map", (dict,), path)
     train_meta = _field({"train_meta": {}, **doc}, "train_meta", (dict,), path)  # optional
     stored = doc.get("cert")

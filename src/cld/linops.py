@@ -87,14 +87,14 @@ class GatedOperator:
 
     @classmethod
     def relaxed(cls, X: np.ndarray, gates: GateSet, K: int) -> "GatedOperator":
-        return cls(X, gates.active, np.ones(gates.P), K)
+        """One block per gate, masked by its pattern over the rows of X."""
+        return cls(X, gates.patterns(X), np.ones(gates.P), K)
 
     @classmethod
     def split(cls, X: np.ndarray, gates: GateSet, K: int) -> "GatedOperator":
         """Two signed copies of every pattern block: +V stack then -W stack."""
-        masks = np.vstack([gates.active, gates.active])
-        signs = np.concatenate([np.ones(gates.P), -np.ones(gates.P)])
-        return cls(X, masks, signs, K)
+        active = gates.patterns(X)
+        return cls(X, np.vstack([active, active]), np.repeat([1.0, -1.0], gates.P), K)
 
     @property
     def n(self) -> int:

@@ -68,7 +68,7 @@ def evaluate(preds, labels, accents=None, class_names=None) -> EvalReport:
         if accents.shape != true.shape:
             raise ValueError("accent ids must align with labels")
         per_accent = {
-            int(a): float(correct[accents == a].mean()) for a in np.unique(accents)
+            int(a): float(correct[accents == a].mean()) for a in sorted(set(accents.tolist()))
         }
     return EvalReport(
         accuracy=float(correct.mean()),

@@ -134,7 +134,7 @@ def split(class_ids: np.ndarray, fractions: tuple[float, float, float] = (0.8, 0
         c2 = round((fractions[0] + fractions[1]) * class_ids.size)
         return perm[:c1], perm[c1:c2], perm[c2:]
     parts: list[list[np.ndarray]] = [[], [], []]
-    for cls in np.unique(class_ids):
+    for cls in np.flatnonzero(counts):
         members = np.flatnonzero(class_ids == cls)
         members = members[rng.permutation(members.size)]
         c1 = round(fractions[0] * members.size)

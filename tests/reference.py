@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from cld.cvxprog import ConvexProblem, loss
-from cld.gates import GateSet, pattern_of
+from cld.gates import pattern_of
 from cld.head import TrainedHead, margin, predict_batch
 
 
@@ -216,12 +216,13 @@ def max_slack_witness(rows: np.ndarray, signs: np.ndarray):
     return res.x[:d], float(res.x[-1])
 
 
-def reference_enumerate(X: np.ndarray) -> GateSet:
+def reference_enumerate(X: np.ndarray) -> list[str]:
     """The LP-only sign-prefix walk: a cell is kept when its box LP optimum exceeds 1e-9.
 
     Every prefix that its parent's witness does not already decide runs the
     max-slack LP, and every surviving pattern takes its generator from one
-    more LP over all its rows.
+    more LP over all its rows, which must reproduce it. Returns the kept
+    patterns as ``bitstrings``, in descending order.
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
@@ -250,7 +251,10 @@ def reference_enumerate(X: np.ndarray) -> GateSet:
         active[nonzero] = signs > 0
         if not np.array_equal(pattern_of(X, w), active):
             continue
-        patterns.append((active, w))
-    patterns.sort(key=lambda p: "".join("1" if a else "0" for a in p[0]), reverse=True)
-    return GateSet(np.array([a for a, _ in patterns]).reshape(-1, n),
-                   np.array([w for _, w in patterns]).reshape(-1, d), seed=None, dedup=True)
+        patterns.append(active)
+    return sorted(bitstrings(patterns), reverse=True)
+
+
+def bitstrings(active: np.ndarray) -> list[str]:
+    """Each pattern (a row of a (P, n) matrix) as a string of '0'/'1' characters."""
+    return ["".join("1" if a else "0" for a in row) for row in active]

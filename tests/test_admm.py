@@ -94,8 +94,8 @@ class TestObjectiveFromFactor:
         Y = np.eye(2)[rng.integers(0, 2, 60)]
         gates = sample_gates(X, 4, seed=seed)
         if mode == "exact":
-            return ConvexProblem(GatedOperator.split(X, gates, 2), Y, 1e-2, "l21", "exact",
-                                 gates.active)
+            op = GatedOperator.split(X, gates, 2)
+            return ConvexProblem(op, Y, 1e-2, "l21", "exact", op.masks[:gates.P])
         return ConvexProblem(GatedOperator.relaxed(X, gates, 2), Y, 1e-2)
 
     @pytest.mark.parametrize("mode", ["relaxed", "exact"])
@@ -226,8 +226,8 @@ class TestTrain:
         y = rng.integers(0, K, n)
         y[:K] = np.arange(K)
         gates = enumerate_patterns(X)
-        prob = ConvexProblem(GatedOperator.split(X, gates, K), np.eye(K)[y], 1e-3,
-                             mode="exact", cones=gates.active)
+        op = GatedOperator.split(X, gates, K)
+        prob = ConvexProblem(op, np.eye(K)[y], 1e-3, mode="exact", cones=op.masks[:gates.P])
         records = []
         admm_solve(prob, AdmmConfig(rho=0.1, admm_iters=20, mode="exact"), log=records.append)
         violations = [rec["cone_violation"] for rec in records if "iter" in rec]

@@ -19,9 +19,10 @@ from cld.dataio import (LabelSet, SequenceFeature, read_features, write_features
 from cld.gates import _ENUM_MAX_D, _ENUM_MAX_N
 from cld.head import ModelFormatError, load_model, predict_batch
 
+from reference import bitstrings
 from test_dataio import MALFORMED_MANIFESTS
 from test_gates import _cells_bound
-from test_head import MALFORMED_DOCS
+from test_head import MALFORMED_DOCS, as_version_1
 from test_linops import lower_block_rows
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -382,15 +383,17 @@ class TestPredict:
         seqdir.mkdir()
         write_sequence(seqdir / "utt0.clds", SequenceFeature(frames, mask))
         out = tmp_path / "pooled_preds.csv"
-        rc = main(["predict", "--model", str(model), "--features", str(seqdir),
-                   "--pool", "--out", str(out), "--log", str(tmp_path / "s.log")])
+        # the relu logits, since this row's gated ones are [0, 0] and would match anything
+        rc = main(["predict", "--model", str(model), "--features", str(seqdir), "--pool",
+                   "--inference", "relu", "--out", str(out), "--log", str(tmp_path / "s.log")])
         assert rc == 0
         line = out.read_text().strip().splitlines()[1].split(",")
         from cld.dataio import pool_masked_mean
 
-        pooled = pool_masked_mean(SequenceFeature(frames, mask))
-        head = load_model(model)
-        expected = predict_batch(head, pooled[None, :])[0]
+        # CLDS stores float32 frames, which read_sequence returns as they are
+        pooled = pool_masked_mean(SequenceFeature(frames.astype(np.float32), mask))
+        expected = predict_batch(load_model(model), pooled[None, :], "relu")[0]
+        assert np.all(expected != 0.0)
         got = np.array([float(x) for x in line[3:]])
         np.testing.assert_allclose(got, expected, rtol=1e-15)
         assert line[0] == "utt0"
@@ -444,7 +447,8 @@ class TestPredict:
         elif case in MALFORMED_DOCS:
             doc = MALFORMED_DOCS[case](doc)
         else:
-            doc["gates"]["patterns"][1] = doc["gates"]["patterns"][1][:-1]
+            # a version-1 file, whose training patterns must have one length
+            doc = as_version_1(doc, ["1" * 10, "1" * 9] + ["1" * 10] * (doc["P"] - 2))
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError):
@@ -1144,7 +1148,10 @@ class TestGatesEnum:
         assert main(["train", "--enumerate-gates", "--mode", mode, "--out", str(model),
                      "--manifest", str(tiny / "manifest.json"), "--log", str(tmp_path / "t.log"),
                      "--rho", "0.1", "--admm-iters", "20"]) == 0
-        assert load_model(model).gates.bitstrings() == json.loads(out.read_text())["patterns"]
+        doc = json.loads(out.read_text())
+        gates = load_model(model).gates
+        assert np.array_equal(gates.generators, doc["witnesses"])
+        assert bitstrings(gates.patterns(read_features(tiny / "x.csv").values)) == doc["patterns"]
 
 
 def test_readme_commands_parse():

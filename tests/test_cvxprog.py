@@ -190,7 +190,7 @@ class TestExactModeObjective:
         gates = sample_gates(X, 2, seed=8)
         op = GatedOperator.split(X, gates, K=2)
         Y = np.eye(2)[rng.integers(0, 2, 6)]
-        prob = ConvexProblem(op, Y, 0.1, "l21", "exact", gates.active)
+        prob = ConvexProblem(op, Y, 0.1, "l21", "exact", op.masks[:gates.P])
         S = rng.standard_normal(op.block_shape)
         val = objective(prob, S)
         assert val.cone_violation == pytest.approx(max_cone_violation(prob, S))
@@ -208,9 +208,9 @@ class TestExactModeObjective:
         gates = sample_gates(X, P, seed=seed, dedup=False)
         op = GatedOperator.split(X, gates, K)
         prob = ConvexProblem(op, np.eye(K)[rng.integers(0, K, n)], 0.1, "l21", "exact",
-                             gates.active)
+                             op.masks[:P])
         S = rng.standard_normal(op.block_shape) * (rng.random((op.B, 1, K)) < 0.6)
-        expected = max(cone_violation(Cone(gates.active[b % P], X), S[b, :, k])
+        expected = max(cone_violation(Cone(op.masks[b], X), S[b, :, k])
                        for b in range(op.B) for k in range(K))
         # the two sum the d-term products X @ s in different orders; bound the
         # difference by the forward error of a d-term dot product
@@ -231,7 +231,8 @@ def exact_problem(n, d, K, P, seed, zero_rows=0.25, duplicate=False):
         X[1] = X[0]
     gates = sample_gates(X, P, seed=seed, dedup=False)
     op = GatedOperator.split(X, gates, K)
-    return ConvexProblem(op, np.eye(K)[rng.integers(0, K, n)], 0.1, "l21", "exact", gates.active)
+    return ConvexProblem(op, np.eye(K)[rng.integers(0, K, n)], 0.1, "l21", "exact",
+                         op.masks[:gates.P])
 
 
 def face_hint(kind, shape, d, rng):
@@ -357,8 +358,8 @@ class TestConeProx:
             X = np.ones((1, d))
         n = X.shape[0]
         gates = enumerate_patterns(X)
-        prob = ConvexProblem(GatedOperator.split(X, gates, K), np.zeros((n, K)), 0.1, kind,
-                             "exact", gates.active)
+        op = GatedOperator.split(X, gates, K)
+        prob = ConvexProblem(op, np.zeros((n, K)), 0.1, kind, "exact", op.masks[:gates.P])
         B, P = prob.op.B, gates.P
         rng = np.random.default_rng(seed)
         S = 3.0 * rng.standard_normal(prob.op.block_shape)
@@ -382,6 +383,6 @@ class TestConeProx:
                   if abs(np.linalg.norm(proj[b][:, cols]) - t) >= 0.05 * t]
         for i in rng.choice(len(groups), size=min(4, len(groups)), replace=False):
             b, cols = groups[i]
-            ref, converged = prox_dykstra(Cone(gates.active[b % P], X), S[b][:, cols], t)
+            ref, converged = prox_dykstra(Cone(op.masks[b], X), S[b][:, cols], t)
             assert converged
             assert np.abs(got[b][:, cols] - ref).max() <= 1e-8

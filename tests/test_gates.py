@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -7,6 +8,8 @@ import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cld.linops
+from cld.dataio import FeatureMatrix, read_features, write_features
 from cld.gates import (
     GateSet,
     enumerate_patterns,
@@ -14,9 +17,11 @@ from cld.gates import (
     project_cones,
     sample_gates,
 )
+from cld.synth import SynthSpec, generate, split
 from conftest import project_one
 from reference import (
     Cone,
+    bitstrings,
     cone_violation,
     gate_identity_check,
     nnls_cone_project,
@@ -78,19 +83,18 @@ def sweep_oracle_2d(X, step_deg=None):
 
 def assert_same_enumeration(X):
     """Bitstrings equal the LP-only walk's; every generator is a verified witness."""
-    got, ref = enumerate_patterns(X), reference_enumerate(X)
-    assert got.bitstrings() == ref.bitstrings()
+    got = enumerate_patterns(X)
+    assert bitstrings(got.patterns(X)) == reference_enumerate(X)
     assert_generators_verified(X, got)
 
 
 def assert_generators_verified(X, gs):
-    """Every generator has slack > 1e-9 on every nonzero row and reproduces its pattern."""
+    """Every generator has slack > 1e-9 on every nonzero row of its pattern."""
     X = np.asarray(X, dtype=np.float64)
     nonzero = np.linalg.norm(X, axis=1) > 0.0
-    for active, g in zip(gs.active, gs.generators):
+    for active, g in zip(gs.patterns(X), gs.generators):
         slack = np.where(active, 1.0, -1.0) * (X @ g)
         assert slack[nonzero].min(initial=np.inf) > 1e-9
-        np.testing.assert_array_equal(pattern_of(X, g), active)
 
 
 class TestSampling:
@@ -104,7 +108,6 @@ class TestSampling:
         b = sample_gates(X, 6, seed=42)
         assert a.P == b.P == 6
         np.testing.assert_array_equal(a.generators, b.generators)
-        np.testing.assert_array_equal(a.active, b.active)
 
     def test_tie_at_zero_counts_active(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 1.0]])
@@ -122,24 +125,19 @@ class TestSampling:
     def test_sampled_generators_satisfy_gate_identity(self):
         X = np.random.default_rng(3).standard_normal((15, 4))
         gs = sample_gates(X, 12, seed=9)
-        for active, g in zip(gs.active, gs.generators):
+        for active, g in zip(gs.patterns(X), gs.generators):
             assert gate_identity_check(Cone(active, X), g)
 
-    @pytest.mark.parametrize("active, generators", [
-        (np.ones(3, dtype=bool), np.ones((1, 2))),          # a 1-D pattern
-        (np.ones((2, 3), dtype=bool), np.ones((3, 2))),     # P disagrees
-        (np.ones((2, 3), dtype=bool), np.ones(2)),          # 1-D generators
-    ])
-    def test_gate_set_rejects_misshapen_arrays(self, active, generators):
-        with pytest.raises(ValueError, match=r"\(P, n\)"):
-            GateSet(active, generators)
+    @pytest.mark.parametrize("generators", [np.ones(2), np.ones((1, 2, 3)), np.float64(1.0)],
+                             ids=["1-D", "3-D", "0-D"])
+    def test_gate_set_rejects_misshapen_arrays(self, generators):
+        with pytest.raises(ValueError, match=r"\(P, d\)"):
+            GateSet(generators)
 
     def test_gate_set_arrays_are_read_only(self):
         gs = sample_gates(np.eye(3), 2, seed=0)
         with pytest.raises(ValueError, match="read-only"):
             gs.generators[0, 0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            gs.active[0, 0] = False
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
@@ -162,7 +160,7 @@ class TestConeViolation:
     def test_generator_has_zero_violation(self):
         X = np.random.default_rng(5).standard_normal((8, 3))
         gs = sample_gates(X, 4, seed=5)
-        for active, g in zip(gs.active, gs.generators):
+        for active, g in zip(gs.patterns(X), gs.generators):
             assert cone_violation(Cone(active, X), g) == 0.0
 
     def test_orthant_violation_value(self):
@@ -171,7 +169,7 @@ class TestConeViolation:
 
     def test_zero_vector_in_every_cone(self):
         X = np.random.default_rng(6).standard_normal((8, 3))
-        for active in sample_gates(X, 5, seed=6).active:
+        for active in sample_gates(X, 5, seed=6).patterns(X):
             assert cone_violation(Cone(active, X), np.zeros(3)) == 0.0
 
 
@@ -185,7 +183,7 @@ class TestProjection:
     def test_fixed_point_inside_cone(self):
         X = np.random.default_rng(2).standard_normal((6, 3))
         gs = sample_gates(X, 1, seed=2)
-        cone = Cone(gs.active[0], X)
+        cone = Cone(gs.patterns(X)[0], X)
         out, ok = project_cone(cone, gs.generators[0])
         assert ok
         np.testing.assert_allclose(out, gs.generators[0], atol=1e-9)
@@ -195,7 +193,7 @@ class TestProjection:
         rng = np.random.default_rng(seed)
         n, d = rng.integers(3, 8), 2 + seed % 2
         X = rng.standard_normal((n, d))
-        cone = Cone(sample_gates(X, 1, seed=seed).active[0], X)
+        cone = Cone(sample_gates(X, 1, seed=seed).patterns(X)[0], X)
         v = 3.0 * rng.standard_normal(d)
         expected = qp_projection_oracle(cone.signed_rows(), v)
         dykstra, ok = project_cone(cone, v, tol=1e-10, max_iters=100000)
@@ -208,7 +206,7 @@ class TestProjection:
     def test_projection_violation_and_idempotence(self, seed):
         rng = np.random.default_rng(100 + seed)
         X = rng.standard_normal((7, 3))
-        cone = Cone(sample_gates(X, 1, seed=seed).active[0], X)
+        cone = Cone(sample_gates(X, 1, seed=seed).patterns(X)[0], X)
         v = 5.0 * rng.standard_normal(3)
         tol = 1e-8
         out, _ = project_cone(cone, v, tol=tol)
@@ -223,7 +221,7 @@ class TestProjection:
             rng = np.random.default_rng(seed)
             X = rng.standard_normal((n, d))
             gs = sample_gates(X, 6, seed=seed)
-            for active, g in zip(gs.active, gs.generators):
+            for active, g in zip(gs.patterns(X), gs.generators):
                 cone = Cone(active, X)
                 for x in (4.0 * rng.standard_normal(d), g + rng.standard_normal(d)):
                     out = project_one(cone, x)
@@ -295,16 +293,85 @@ class TestProjectCones:
         assert z.shape == (0, 2) and faces.shape == (0, 2) and missed.shape == (0,)
 
 
+# The (P, n) pattern matrices that gate sets stored before they came to keep
+# only their generators, as "PxN:" and the first 16 hex digits of the SHA-256
+# of their packed rows: the train_serve benchmark's training sets (synth
+# seeds 1-5, float32 rows, 32 gates), the ten criterion-1 instances (32
+# gates) and the five enumerated criterion-2 instances.
+STORED_PATTERNS = {
+    ("train_serve", 1): "32x9600:ba9f00bac911c73e",
+    ("train_serve", 2): "32x9600:94bd82d84cc53d07",
+    ("train_serve", 3): "32x9600:8249e3db9d5972b7",
+    ("train_serve", 4): "32x9600:ff4511df65b7073a",
+    ("train_serve", 5): "32x9600:d87ac9204da13bb6",
+    ("criterion_1", 0): "32x200:89a65550367a835b",
+    ("criterion_1", 1): "32x200:10f2bfc056e6f56f",
+    ("criterion_1", 2): "32x200:8f1fabac3726372a",
+    ("criterion_1", 3): "32x200:488853c081fc8edd",
+    ("criterion_1", 4): "32x200:49849233ac7a7cbb",
+    ("criterion_1", 5): "32x200:9041f34c94c5dda8",
+    ("criterion_1", 6): "32x200:a8c3e88c1ca13b75",
+    ("criterion_1", 7): "32x200:72423696a988ce1d",
+    ("criterion_1", 8): "32x200:310dd0600867b3f5",
+    ("criterion_1", 9): "32x200:fd83a9708d252743",
+    ("criterion_2", 3): "20x10:c5d825550872bd92",
+    ("criterion_2", 5): "24x12:3954826586e14f9f",
+    ("criterion_2", 11): "22x11:53bc9c6a528ad4f4",
+    ("criterion_2", 7): "74x9:fcb902e601702002",
+    ("criterion_2", 13): "58x8:b946d7285862071c",
+}
+
+
+def pattern_digest(active):
+    digest = hashlib.sha256(np.packbits(active, axis=1).tobytes()).hexdigest()[:16]
+    return f"{active.shape[0]}x{active.shape[1]}:{digest}"
+
+
+class TestPatternsFromGenerators:
+    """Patterns formed from the generators equal the ones gate sets used to store."""
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_train_serve_sets(self, seed, tmp_path):
+        data = generate(SynthSpec(seed=seed))
+        rows, _, _ = split(data.labels.class_ids, seed=seed)
+        write_features(tmp_path / "train.cldf", FeatureMatrix(data.features.values[rows]))
+        X = read_features(tmp_path / "train.cldf").values
+        gates = sample_gates(X, 32, seed=seed)
+        assert pattern_digest(gates.patterns(X)) == STORED_PATTERNS[("train_serve", seed)]
+
+    @pytest.mark.parametrize("instance", range(10))
+    def test_criterion_1_instances(self, instance):
+        X = np.random.default_rng(100 + instance).standard_normal((200, 16))
+        gates = sample_gates(X, 32, seed=100 + instance)
+        assert pattern_digest(gates.patterns(X)) == STORED_PATTERNS[("criterion_1", instance)]
+
+    @pytest.mark.parametrize("n, d, seed", [(10, 2, 3), (12, 2, 5), (11, 2, 11), (9, 3, 7),
+                                            (8, 3, 13)])
+    def test_criterion_2_instances(self, n, d, seed):
+        X = np.random.default_rng(seed).standard_normal((n, d))
+        gates = enumerate_patterns(X)
+        assert pattern_digest(gates.patterns(X)) == STORED_PATTERNS[("criterion_2", seed)]
+
+    def test_row_blocks_and_float32_rows_change_no_bit(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((50, 5)).astype(np.float32)
+        G = rng.standard_normal((7, 5))
+        whole = np.stack([pattern_of(X, g) for g in G])
+        monkeypatch.setattr(cld.linops, "ROW_BLOCK_BYTES", 3 * 8 * 5)   # blocks of 3 rows
+        assert np.array_equal(GateSet(G).patterns(X), whole)
+        assert np.array_equal(GateSet(G).patterns(X.astype(np.float64)), whole)
+
+
 class TestEnumeration:
     def test_identity_two_by_two(self):
         gs = enumerate_patterns(np.eye(2))
-        assert gs.bitstrings() == ["11", "10", "01", "00"]
+        assert bitstrings(gs.patterns(np.eye(2))) == ["11", "10", "01", "00"]
         # dense grid of unit directions finds the same four cells
         assert len(sweep_oracle_2d(np.eye(2), step_deg=0.5)) == 4
 
     def test_single_row_splits_line(self):
         gs = enumerate_patterns(np.array([[1.0]]))
-        assert gs.bitstrings() == ["1", "0"]
+        assert bitstrings(gs.patterns(np.array([[1.0]]))) == ["1", "0"]
 
     def test_six_rows_matches_sweep_and_bound(self):
         rng = np.random.default_rng(17)
@@ -312,7 +379,7 @@ class TestEnumeration:
         gs = enumerate_patterns(X)
         sweep = sweep_oracle_2d(X)
         assert gs.P == len(sweep)
-        assert {a.tobytes() for a in gs.active} == sweep
+        assert {a.tobytes() for a in gs.patterns(X)} == sweep
         # arrangement bound: 2 * sum_{k<=d-1} C(n-1, k) = 2 * (1 + 5) = 12
         assert gs.P <= 12
 
@@ -320,15 +387,15 @@ class TestEnumeration:
         rng = np.random.default_rng(23)
         X = rng.standard_normal((7, 3))
         gs = enumerate_patterns(X)
-        np.testing.assert_array_equal(pattern_of(X, gs.generators.T).T, gs.active)
+        assert bitstrings(pattern_of(X, gs.generators.T).T) == reference_enumerate(X)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_superset_of_sampled(self, seed):
         rng = np.random.default_rng(40 + seed)
         X = rng.standard_normal((8, 2))
-        full = {a.tobytes() for a in enumerate_patterns(X).active}
+        full = {a.tobytes() for a in enumerate_patterns(X).patterns(X)}
         sampled = sample_gates(X, 6, seed=seed)
-        assert {a.tobytes() for a in sampled.active} <= full
+        assert {a.tobytes() for a in sampled.patterns(X)} <= full
 
     def test_size_guard(self):
         with pytest.raises(ValueError, match="enumeration"):
@@ -338,7 +405,7 @@ class TestEnumeration:
 
     def test_zero_rows_always_active(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0]])
-        assert enumerate_patterns(X).bitstrings() == ["11", "10"]
+        assert bitstrings(enumerate_patterns(X).patterns(X)) == ["11", "10"]
 
 
 def _cells_bound(n, d):
@@ -384,7 +451,7 @@ class TestScreenedEnumeration:
     def test_no_lp_on_criterion_2(self, monkeypatch):
         Xs = [np.random.default_rng(seed).standard_normal((n, d))
               for n, d, seed in ((10, 2, 3), (12, 2, 5), (11, 2, 11), (9, 3, 7), (8, 3, 13))]
-        refs = [reference_enumerate(X).bitstrings() for X in Xs]
+        refs = [reference_enumerate(X) for X in Xs]
 
         def no_lp(*args, **kwargs):
             raise AssertionError("enumerate_patterns ran an LP")
@@ -393,7 +460,7 @@ class TestScreenedEnumeration:
         total = 0
         for X, ref in zip(Xs, refs):
             gs = enumerate_patterns(X)
-            assert gs.bitstrings() == ref
+            assert bitstrings(gs.patterns(X)) == ref
             assert_generators_verified(X, gs)
             total += gs.P
         assert total == 198

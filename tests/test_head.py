@@ -27,7 +27,13 @@ from cld.head import (
 from cld.linops import ROW_BLOCK_BYTES
 
 from conftest import cluster_data, traced_peak
-from reference import nonconvex_objective
+from reference import bitstrings, nonconvex_objective
+
+
+def as_version_1(doc, patterns):
+    """``doc`` as a version-1 file: each gate's pattern string, and W even where it is zero."""
+    zero_w = {"shape": doc["V"]["shape"], "data": [(0.0).hex()] * len(doc["V"]["data"])}
+    return {"W": zero_w, **doc, "version": 1, "gates": {**doc["gates"], "patterns": patterns}}
 
 
 # documents that load_model must reject with a ModelFormatError naming the file
@@ -38,8 +44,7 @@ MALFORMED_DOCS = {
     "V-not-object": lambda doc: {**doc, "V": doc["V"]["data"]},
     "gates-not-object": lambda doc: {**doc, "gates": "gates"},
     "list-label-map": lambda doc: {**doc, "label_map": sorted(doc["label_map"])},
-    "non-string-pattern": lambda doc: {
-        **doc, "gates": {**doc["gates"], "patterns": [7] + doc["gates"]["patterns"][1:]}},
+    "non-string-pattern": lambda doc: as_version_1(doc, [7] + ["1"] * (doc["P"] - 1)),
     "string-P": lambda doc: {**doc, "P": "x"},
     "string-dedup": lambda doc: {**doc, "gates": {**doc["gates"], "dedup": "yes"}},
     "list-seed": lambda doc: {**doc, "gates": {**doc["gates"], "seed": [1, 2]}},
@@ -49,13 +54,13 @@ MALFORMED_DOCS = {
     "inf-V": lambda doc: {**doc, "cert": None,
                           "V": {**doc["V"], "data": ["inf", *doc["V"]["data"][1:]]}},
     "nan-W": lambda doc: {**doc, "cert": None,
-                          "W": {**doc["W"], "data": ["nan", *doc["W"]["data"][1:]]}},
+                          "W": {**doc["V"], "data": ["nan", *doc["V"]["data"][1:]]}},
     "nan-generator": lambda doc: {**doc, "cert": None, "gates": {
         **doc["gates"], "generators": [["nan", *doc["gates"]["generators"][0][1:]],
                                        *doc["gates"]["generators"][1:]]}},
     "no-gates": lambda doc: {
         **doc, "P": 0, "cert": None,
-        "gates": {**doc["gates"], "patterns": [], "generators": []},
+        "gates": {**doc["gates"], "generators": []},
         **{key: {"shape": [0, doc["d"], doc["K"]], "data": []} for key in ("V", "W")}},
 }
 
@@ -63,7 +68,7 @@ MALFORMED_DOCS = {
 def make_head(V, W=None, mode="relaxed", seed=0):
     P, d, K = V.shape
     rng = np.random.default_rng(seed)
-    gates = GateSet(np.ones((P, 3), dtype=bool), rng.standard_normal((P, d)), seed=seed)
+    gates = GateSet(rng.standard_normal((P, d)), seed=seed)
     W = np.zeros_like(V) if W is None else W
     label_map = {f"l{k}": k for k in range(K)}
     return TrainedHead(gates, V, W, "l21", mode, label_map)
@@ -384,18 +389,43 @@ class TestModelIO:
         save_model(head, path)
         back = load_model(path)
         np.testing.assert_array_equal(head.gates.generators, back.gates.generators)
-        np.testing.assert_array_equal(head.gates.active, back.gates.active)
+        assert (back.gates.seed, back.gates.dedup) == (head.gates.seed, head.gates.dedup)
 
-    @pytest.mark.parametrize("bad", ["x", "\u00e9"])
-    def test_tampered_pattern_rejected(self, trained, tmp_path, bad):
+    def test_version_1_file_loads_to_the_same_head(self, trained, tmp_path):
+        head, X, labels = trained
+        path = tmp_path / "v1.json"
+        patterns = bitstrings(head.gates.patterns(X))
+        path.write_text(json.dumps(as_version_1(head_to_dict(head), patterns), indent=1))
+        back = load_model(path)
+        assert back.cert == head.cert and head_to_dict(back) == head_to_dict(head)
+        for inference in INFERENCE_MODES:
+            assert np.array_equal(predict_batch(back, X, inference),
+                                  predict_batch(head, X, inference))
+        got, want = (certify_batch(h, X, labels.class_ids) for h in (back, head))
+        for field in ("pred", "margin", "radius_feature", "certified"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+
+    def test_version_2_stores_no_patterns_and_w_only_for_exact_heads(self, trained, tmp_path):
         head, _, _ = trained
-        path = tmp_path / "model.json"
-        save_model(head, path)
-        doc = json.loads(path.read_text())
-        bits = doc["gates"]["patterns"][1]
-        doc["gates"]["patterns"][1] = bits[:2] + bad + bits[3:]
+        doc = head_to_dict(head)
+        assert doc["version"] == 2 and "W" not in doc and "patterns" not in doc["gates"]
+        rng = np.random.default_rng(5)
+        V, W = rng.standard_normal((2, 3, 6, 2))
+        # a W that loading would not restore as zero is kept, whatever the mode
+        for mode, W in (("exact", W), ("exact", np.zeros(V.shape)), ("relaxed", W)):
+            path = tmp_path / f"{mode}.json"
+            save_model(make_head(V, W, mode=mode, seed=5), path)
+            assert "W" in json.loads(path.read_text())
+            np.testing.assert_array_equal(load_model(path).W, W)
+
+    def test_exact_file_without_w_rejected(self, tmp_path):
+        rng = np.random.default_rng(6)
+        V = rng.standard_normal((3, 6, 2))
+        doc = head_to_dict(make_head(V, rng.standard_normal(V.shape), mode="exact", seed=6))
+        del doc["W"]
+        path = tmp_path / "exact.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFormatError, match="position 2"):
+        with pytest.raises(ModelFormatError, match=r"exact\.json: missing key 'W'"):
             load_model(path)
 
     @pytest.mark.parametrize("case", ["stated-K", "generator-count", "pattern-count",
@@ -413,9 +443,8 @@ class TestModelIO:
         elif case == "generator-count":
             doc["gates"]["generators"].pop()
         elif case == "pattern-count":
-            # V still has one weight block per original gate
-            doc["gates"]["patterns"].pop()
-            doc["gates"]["generators"].pop()
+            # a version-1 file with one training pattern fewer than P
+            doc = as_version_1(doc, ["1" * 80] * (doc["P"] - 1))
         elif case == "generator-length":
             doc["gates"]["generators"][0].pop()
         else:
@@ -434,6 +463,8 @@ class TestModelIO:
         if where == "generator 1":
             doc["gates"]["generators"][1][0] = bad
         else:
+            # a relaxed head stores no W; one that is given is read
+            doc.setdefault("W", {**doc["V"], "data": list(doc["V"]["data"])})
             doc[where]["data"][0] = bad
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match=rf"model\.json: {where} holds"):
@@ -458,7 +489,7 @@ class TestModelIO:
 
     def test_head_rejects_generators_not_of_width_d(self):
         head = make_head(np.ones((2, 3, 2)))
-        gates = GateSet(head.gates.active, np.ones((2, 4)))
+        gates = GateSet(np.ones((2, 4)))
         with pytest.raises(ModelFormatError, match="width"):
             TrainedHead(gates, head.V, head.W, "l21", "relaxed", head.label_map)
 

@@ -12,8 +12,16 @@ from cld.linops import GatedOperator, gram_solver, power_iteration
 from conftest import random_problem, traced_peak
 
 
-def all_on_gates(n, d, count=1):
-    return GateSet(np.ones((count, n), dtype=bool), np.ones((count, d)))
+def all_on_gates(d, count=1):
+    return GateSet(np.zeros((count, d)))   # 0 >= 0: every row is active
+
+
+def mask_operator(X, active, K, split=False):
+    """The relaxed (or split) operator of arbitrary (P, n) pattern rows ``active``."""
+    P = len(active)
+    if split:
+        return GatedOperator(X, np.vstack([active, active]), np.repeat([1.0, -1.0], P), K)
+    return GatedOperator(X, active, np.ones(P), K)
 
 
 def dense_blocks(op):
@@ -24,7 +32,7 @@ class TestGatedOperator:
     def test_single_ungated_block_is_plain_matmul(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((6, 3))
-        op = GatedOperator.relaxed(X, all_on_gates(6, 3), K=2)
+        op = GatedOperator.relaxed(X, all_on_gates(3), K=2)
         S = rng.standard_normal((1, 3, 2))
         np.testing.assert_allclose(op.apply(S), X @ S[0])
 
@@ -46,7 +54,7 @@ class TestGatedOperator:
     def test_adjoint_single_ungated_block(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((6, 3))
-        op = GatedOperator.relaxed(X, all_on_gates(6, 3), K=2)
+        op = GatedOperator.relaxed(X, all_on_gates(3), K=2)
         R = rng.standard_normal((6, 2))
         np.testing.assert_allclose(op.adjoint(R)[0], X.T @ R)
 
@@ -80,7 +88,7 @@ class TestGatedOperator:
 
     def test_shape_mismatch(self):
         X = np.eye(3)
-        op = GatedOperator.relaxed(X, all_on_gates(3, 3), K=2)
+        op = GatedOperator.relaxed(X, all_on_gates(3), K=2)
         with pytest.raises(ValueError):
             op.apply(np.zeros((2, 3, 2)))
         with pytest.raises(ValueError):
@@ -105,11 +113,11 @@ class TestGatedOperator:
         # bytes a row: 23 rows in blocks of 4 leave 3 over, 3 rows one a block
         rng = np.random.default_rng(14)
         X = rng.standard_normal((n, 4))
-        gates = GateSet(rng.random((6, n)) < 0.5, np.ones((6, 4)))
-        cached = GatedOperator.relaxed(X, gates, K=K)
+        active = rng.random((6, n)) < 0.5
+        cached = mask_operator(X, active, K)
         monkeypatch.setattr(GatedOperator, "_DENSE_CACHE_LIMIT", 0)
         monkeypatch.setattr(cld.linops, "ROW_BLOCK_BYTES", rows * 8 * 6 * (K + 1))
-        free = GatedOperator.relaxed(X, gates, K=K)
+        free = mask_operator(X, active, K)
         assert free._dense is None and cached._dense is not None
         R = rng.standard_normal((n, K))
         np.testing.assert_allclose(free.adjoint(R), cached.adjoint(R), rtol=1e-13, atol=1e-13)
@@ -270,7 +278,7 @@ class TestGramSolver:
         rng = np.random.default_rng(40)
         n, d, P = 8200, 64, 32
         X = rng.standard_normal((n, d))
-        op = GatedOperator.relaxed(X, GateSet(rng.random((P, n)) < 0.5, np.ones((P, d))), K=2)
+        op = mask_operator(X, rng.random((P, n)) < 0.5, K=2)
         return op, 8 * sum(r * e for r, e in lower_block_rows(op.B * op.d))
 
     def test_class_gram_table_is_capped(self):
@@ -300,7 +308,7 @@ class TestGramSolver:
         rng = np.random.default_rng(41)
         n, d = 40000, 64
         X = rng.standard_normal((n, d))
-        op = GatedOperator.relaxed(X, GateSet(rng.random((2, n)) < 0.5, np.ones((2, d))), K=2)
+        op = mask_operator(X, rng.random((2, n)) < 0.5, K=2)
         assert cld.linops._group_size(n, d, op.B) == 2
         largest = 8 * d * np.bincount(op.masks[0] + 2 * op.masks[1].astype(int)).max()
         packed = 8 * sum(r * e for r, e in lower_block_rows(op.B * d))
@@ -361,8 +369,7 @@ def masked_operator(n, d, P, split, kind, seed):
         active[:] = False
     elif kind == "mixed":
         active[0], active[-1] = True, False
-    gates = GateSet(active, np.ones((P, d)))
-    return (GatedOperator.split if split else GatedOperator.relaxed)(X, gates, K=2)
+    return mask_operator(X, active, K=2, split=split)
 
 
 def assert_primal_gram_exact(op):

@@ -84,9 +84,9 @@ class TestBitIdentity:
         return heads, X32, X64, labels
 
     def test_train(self, trained):
-        (h32, h64), X32, *_ = trained
-        assert np.array_equal(h32.gates.active, h64.gates.active)
+        (h32, h64), X32, X64, _ = trained
         assert np.array_equal(h32.gates.generators, h64.gates.generators)
+        assert np.array_equal(h32.gates.patterns(X32), h64.gates.patterns(X64))
         assert np.array_equal(h32.V, h64.V) and np.array_equal(h32.W, h64.W)
         assert h32.train_meta == h64.train_meta
         assert h32.cert.B_l21 > 0.0
@@ -103,10 +103,13 @@ class TestBitIdentity:
     def test_objective(self, trained):
         (head, _), X32, X64, labels = trained
         S = np.concatenate([head.V, head.W]) if head.mode == "exact" else head.V
-        cones = head.gates.active if head.mode == "exact" else ()
-        v32, v64 = (objective(ConvexProblem(training_operator(head, X, labels.K),
-                                            labels.one_hot(), 1e-3, "l21", head.mode, cones), S)
-                    for X in (X32, X64))
+
+        def problem(X):
+            op = training_operator(head, X, labels.K)
+            cones = op.masks[:head.P] if head.mode == "exact" else ()
+            return ConvexProblem(op, labels.one_hot(), 1e-3, "l21", head.mode, cones)
+
+        v32, v64 = (objective(problem(X), S) for X in (X32, X64))
         assert v32 == v64 and v32.fit > 0.0
 
     def test_pooling(self):
@@ -148,9 +151,9 @@ class TestMemory:
     def test_sample_gates_holds_no_float64_copy(self):
         X, X64 = float32_rows(40000, 64, seed=7)
         gates, peak = traced_peak(sample_gates, X, 8)
-        reference = sample_gates(X64, 8)
-        assert np.array_equal(gates.active, reference.active)
-        assert peak <= 2 * gates.active.nbytes + ROW_BLOCK_BYTES + 256 * 1024
+        patterns = gates.patterns(X)
+        assert np.array_equal(patterns, sample_gates(X64, 8).patterns(X64))
+        assert peak <= 2 * patterns.nbytes + ROW_BLOCK_BYTES + 256 * 1024
 
     def test_read_sequence_keeps_float32_frames(self, tmp_path):
         frames, _ = float32_rows(30, 4, seed=8)
