@@ -21,18 +21,33 @@ F^T Y once. From u = z = lam = 0 each iteration then performs
               columns pass the KKT check on that face in the first round,
     3. lam  <- lam + (u - z),
 
-with primal residual ||u - z||_F and dual residual r ||z - z_prev||_F,
-until both are at most ``stop_tol`` or ``admm_iters`` have run. Fixed
-points are exactly the minimisers of the convex objective. Each objective's
-fit is read off the factor of F^T F (with the kernel, one apply forms it).
+with primal residual ||u - z||_F and dual residual r ||z - z_in||_F (z_in
+the copy the step started from), until both are at most ``stop_tol`` or
+``admm_iters`` have run. Fixed points are exactly the minimisers of the
+convex objective. Each objective's fit is read off the factor of F^T F
+(with the kernel, one apply forms it).
+
+Steps 1-3 are a map T of the state w = (z, lam), run with type-II
+Anderson acceleration (Walker and Ni, 2011; Zhang, O'Donoghue and Boyd,
+2020): the newest residual f = T(w) - w is fitted by the stored residual
+differences, and the next w is T(w) minus the same combination of the
+stored T(w) differences. The least squares carries a Tikhonov term of
+``AA_RIDGE`` times the squared norms of all stored differences, so w lands
+at most 1e3 ||f|| from T(w) even where the residual differences vanish.
+Each evaluation of T is one iteration, with its record and stop check. The
+first two steps are plain; an extrapolated w is kept only if ||T(w) - w||
+fell, else the loop takes the plain step from the last kept w and clears
+the memory: at most ``AA_MEMORY`` difference pairs that fit in
+``ROW_BLOCK_BYTES`` (one at the train_serve shape).
 
 The penalty is r = rho in relaxed mode and r = 2 rho in split mode
 (``AdmmConfig.r``), where the copy carries two constraints, the penalty and
 the cones, each weighted rho, so the u-system is F^T F + 2 rho I (r = rho
-converges more slowly at the benchmark's budget). Final weights are read
-from z, whose prox step gives exact group sparsity; a shrunk projection
-stays in its cone, so split-mode weights are feasible to roundoff. Training
-loads no scipy module, with sampled or enumerated patterns.
+converges more slowly at the benchmark's budget). Final weights are the
+last evaluated prox output z, never an extrapolated copy: the prox step
+gives exact group sparsity, and a shrunk projection stays in its cone, so
+split-mode weights are feasible to roundoff. Training loads no scipy
+module, with sampled or enumerated patterns.
 
 Note on defaults: rho = 1e-4 and beta = 1e-3 give a prox threshold beta/rho
 of 10, far above the weight scale of unit-scale embedding problems, so short
@@ -43,6 +58,7 @@ larger rho and budget, e.g. rho ~ 0.1, a few hundred iterations, ``stop_tol``.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -54,7 +70,11 @@ from .cvxprog import (ConvexProblem, ObjectiveValue, group_norms, group_prox, ob
                       penalty, project_to_cones)
 from .dataio import FeatureMatrix, LabelSet
 from .gates import enumerate_patterns, sample_gates
-from .linops import GatedOperator, PcgConfig, gram_side, gram_solver
+from .linops import ROW_BLOCK_BYTES, GatedOperator, PcgConfig, gram_side, gram_solver
+
+AA_MEMORY = 10     # Anderson difference pairs kept, at most ROW_BLOCK_BYTES of them
+AA_RIDGE = 1e-6    # Tikhonov weight of the Anderson least squares, times the squared
+                   # norms of the stored differences
 
 
 @dataclass(frozen=True)
@@ -139,7 +159,9 @@ def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmResult:
     record: why the run stopped (``tol`` or ``cap``), the iterations run, the
     last iteration's numbers, z's l21 norm (``B_l21``, the head's certificate
     bound), the number of nonzero penalty groups in z, whether z is all zero,
-    and in split mode the cone projection's misses summed over the run.
+    the Anderson candidates kept and rejected (``aa_accepted``,
+    ``aa_rejected``), and in split mode the cone projection's misses summed
+    over the run.
     """
     problem = (prob.mode, prob.beta, prob.penalty_kind)
     config = (cfg.mode, cfg.beta, cfg.penalty_kind)
@@ -152,35 +174,74 @@ def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmResult:
     if log is not None:
         log({"phase": "u_factor", "side": gram_side(op), "size": min(op.n, op.B * op.d),
              **stats, "seconds": time.perf_counter() - tick})
-    z, lam = np.zeros(op.block_shape), np.zeros(op.block_shape)
+    # w = (z, lam) is the state and g = T(w); once T is evaluated, w's buffer
+    # holds f = g - w. Rows [:count] of dF, dG hold residual and image
+    # differences, row j the last kept (f, g), the next evaluation's base.
+    w, g = np.zeros((2,) + op.block_shape), np.empty((2,) + op.block_shape)
+    mem = min(AA_MEMORY, ROW_BLOCK_BYTES // (2 * w.nbytes))
+    dF, dG = np.empty((mem, w.size)), np.empty((mem, w.size))
+    gram, gsq = np.empty((mem, mem)), np.empty(mem)
+    count = j = accepted = rejected = fallbacks = 0
+    candidate, res_prev, history = False, np.inf, []
     faces = np.zeros((op.B, op.K, op.n), dtype=bool) if exact else None
-    history, fallbacks = [], 0
     for it in range(cfg.admm_iters):
         tick = time.perf_counter()
-        u = solve(fty + r * (z - lam))
-        v = u + lam
+        u = solve(fty + r * (w[0] - w[1]))
+        v = np.add(u, w[1], out=g[1])
         if exact:
             v, faces, misses = project_to_cones(prob, v, faces)
             fallbacks += misses
-        z_prev, z = z, group_prox(v, cfg.beta / r, prob.penalty_kind)
-        lam = lam + u - z
-        record = IterationRecord(
-            objective=objective(prob, z, fit(z, prob.Y, fty)),
-            primal=float(np.sqrt(np.vdot(u - z, u - z))),
-            dual=r * float(np.sqrt(np.vdot(z - z_prev, z - z_prev))),
-        )
+        z = group_prox(v, cfg.beta / r, prob.penalty_kind)
+        g[1] -= z                                 # lam + u - z
+        np.subtract(z, w[0], out=w[0])            # f = (z - z_in, u - z)
+        np.subtract(u, z, out=w[1])
+        g[0] = z
+        f0, f1 = float(np.vdot(w[0], w[0])), float(np.vdot(w[1], w[1]))
+        record = IterationRecord(objective=objective(prob, z, fit(z, prob.Y, fty)),
+                                 primal=math.sqrt(f1), dual=r * math.sqrt(f0))
         history.append(record)
         if log is not None:
             log({"iter": it, **record.fields(), "seconds": time.perf_counter() - tick,
                  **({"cone_fallbacks": misses} if exact else {})})
         converged = cfg.stop_tol is not None and max(record.primal, record.dual) <= cfg.stop_tol
-        if converged:
+        kept = not candidate or f0 + f1 < res_prev
+        accepted, rejected = accepted + (candidate and kept), rejected + (not kept)
+        if converged or it + 1 == cfg.admm_iters:
             break
+        if not kept:                              # back to the plain step, memory cleared
+            w.reshape(-1)[:] = dG[j]
+            dF[0], dG[0] = dF[j], dG[j]
+            count = j = 0
+            candidate = False
+            continue
+        res_prev = f0 + f1
+        f, gf = w.reshape(-1), g.reshape(-1)
+        if it == 0 or not mem:                    # plain step; keep (f, g) for the next
+            if mem:
+                dF[0], dG[0] = f, gf
+            w, g = g, w
+            continue
+        np.subtract(f, dF[j], out=dF[j])
+        np.subtract(gf, dG[j], out=dG[j])
+        n = count + 1
+        gram[j, :n] = gram[:n, j] = dF[:n] @ dF[j]
+        gsq[j] = np.vdot(dG[j], dG[j])
+        lhs = gram[:n, :n].copy()
+        ridge = AA_RIDGE * float(np.trace(lhs) + gsq[:n].sum())
+        candidate = ridge > 0.0                   # all differences zero: the plain step
+        lhs.flat[::n + 1] += ridge
+        gamma = np.linalg.solve(lhs, dF[:n] @ f) if candidate else np.zeros(n)
+        nxt = (j + 1) % mem                       # empty, or the oldest difference
+        dF[nxt] = f
+        np.subtract(gf, np.dot(gamma, dG[:n], out=f), out=f)   # w = g - dG gamma
+        dG[nxt] = gf
+        count, j = min(n, mem - 1), nxt
     if log is not None:
         active = int(np.count_nonzero(group_norms(z, prob.penalty_kind)))
         log({"phase": "summary", "stopped": "tol" if converged else "cap",
              "iters": len(history), **history[-1].fields(),
              "B_l21": penalty(z, "l21"), "active_groups": active, "zero_head": active == 0,
+             "aa_accepted": accepted, "aa_rejected": rejected,
              **({"cone_fallbacks": fallbacks} if exact else {})})
     return AdmmResult(z, tuple(history))
 

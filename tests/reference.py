@@ -8,17 +8,19 @@ ADMM step, the per-cone violation against ``cvxprog.max_cone_violation``,
 the LP-only sign-prefix walk against ``gates.enumerate_patterns``, the gate
 identity behind the exact-mode ReLU mapping, the fit gradient and a
 finite-difference check of it, the margin-stability inequality behind every
-certificate, and the nonconvex ReLU objective the convex program stands in
-for.
+certificate, the nonconvex ReLU objective the convex program stands in
+for, and the plain consensus ADMM loop against ``admm.admm_solve``'s
+Anderson-accelerated one.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from cld.cvxprog import ConvexProblem, loss
+from cld.cvxprog import ConvexProblem, group_prox, loss, project_to_cones
 from cld.gates import pattern_of
 from cld.head import TrainedHead, margin, predict_batch
+from cld.linops import gram_solver
 
 
 class Cone(NamedTuple):
@@ -258,3 +260,30 @@ def reference_enumerate(X: np.ndarray) -> list[str]:
 def bitstrings(active: np.ndarray) -> list[str]:
     """Each pattern (a row of a (P, n) matrix) as a string of '0'/'1' characters."""
     return ["".join("1" if a else "0" for a in row) for row in active]
+
+
+def reference_admm(prob: ConvexProblem, r: float, iters: int,
+                   stop_tol: float) -> tuple[np.ndarray, bool]:
+    """The plain consensus ADMM loop at penalty r: (z, whether it stopped on stop_tol).
+
+    From u = z = lam = 0 each step solves (F^T F + r I) u = F^T Y + r (z - lam),
+    sets z to the group prox (threshold beta / r) of u + lam, projected onto
+    the cones first in exact mode, and lam to lam + u - z; it stops once the
+    primal residual ||u - z|| and the dual residual r ||z - z_prev|| are
+    both at most ``stop_tol``, or after ``iters`` steps.
+    """
+    op = prob.op
+    solve = gram_solver(op, r)[0]
+    fty = op.adjoint(prob.Y)
+    z, lam = np.zeros(op.block_shape), np.zeros(op.block_shape)
+    faces = np.zeros((op.B, op.K, op.n), dtype=bool)
+    for _ in range(iters):
+        u = solve(fty + r * (z - lam))
+        v = u + lam
+        if prob.mode == "exact":
+            v, faces, _ = project_to_cones(prob, v, faces)
+        z_prev, z = z, group_prox(v, prob.beta / r, prob.penalty_kind)
+        lam = lam + u - z
+        if max(np.linalg.norm(u - z), r * np.linalg.norm(z - z_prev)) <= stop_tol:
+            return z, True
+    return z, False

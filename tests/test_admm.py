@@ -1,10 +1,14 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import cld.admm
 from cld.admm import AdmmConfig, GateConfig, TrainingError, admm_solve, train
-from cld.cvxprog import ConvexProblem, group_prox, objective
+from cld.cvxprog import ConvexProblem, group_norms, group_prox, objective
 from cld.dataio import DataFormatError, LabelSet
 from cld.gates import enumerate_patterns, sample_gates
 from cld.head import predict_batch
@@ -13,6 +17,7 @@ from cld.oracle import FistaConfig, dense_solve_smallest, fista_solve
 from cld.synth import SynthSpec, generate, split
 
 from conftest import cluster_data, random_problem, traced_peak
+from reference import reference_admm
 
 CONVERGED = dict(rho=0.1, admm_iters=600, stop_tol=1e-9)
 
@@ -365,7 +370,10 @@ class TestTrain:
             "phase": "summary", "stopped": "cap", "iters": 7,
             **{k: iters[-1][k] for k in fields}, "B_l21": summary["B_l21"],
             "active_groups": summary["active_groups"], "zero_head": False,
+            "aa_accepted": summary["aa_accepted"], "aa_rejected": summary["aa_rejected"],
         }
+        # the first two steps are plain: no differences are stored before them
+        assert summary["aa_accepted"] + summary["aa_rejected"] < summary["iters"]
         assert 0 < summary["active_groups"] <= 4 * 2
         assert summary["B_l21"] == pytest.approx(head.cert.B_l21, rel=1e-12, abs=0.0)
 
@@ -413,6 +421,17 @@ class TestSolverContracts:
         for lo, hi in zip(pens[1:], pens[:-1]):
             assert lo <= hi + 1e-8
 
+    def test_criterion_1_instances_stop_on_tol(self):
+        # plain ADMM needs 858-1,289 iterations to reach stop_tol on these
+        # ten instances; with Anderson acceleration each stops within the cap
+        cfg = AdmmConfig(rho=0.1, beta=1e-3, admm_iters=250, stop_tol=1e-8)
+        for i in range(10):
+            prob = random_problem(n=200, d=16, K=3, P=32, beta=1e-3, seed=100 + i)
+            records = []
+            admm_solve(prob, cfg, log=records.append)
+            summary = records[-1]
+            assert summary["stopped"] == "tol" and summary["iters"] < 250, (i, summary)
+
     def test_early_stop_on_stop_tol(self):
         prob = random_problem(n=20, d=3, K=2, P=3, beta=0.0, seed=18)
         cfg = AdmmConfig(beta=0.0, rho=0.5, admm_iters=500, stop_tol=1e-8)
@@ -434,3 +453,67 @@ class TestSolverContracts:
         assert stopped == capped[:first + 1]
         assert all(max(r.primal, r.dual) > stop_tol for r in stopped[:-1])
         assert max(stopped[-1].primal, stopped[-1].dual) <= stop_tol
+
+
+class TestAnderson:
+    @staticmethod
+    def _problem(mode, n, d, K, P, beta, kind, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d))
+        Y = np.eye(K)[rng.integers(0, K, n)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # fewer distinct patterns than P
+            gates = sample_gates(X, P, seed=seed)
+        if mode == "exact":
+            op = GatedOperator.split(X, gates, K)
+            return ConvexProblem(op, Y, beta, kind, mode, op.masks[:gates.P])
+        return ConvexProblem(GatedOperator.relaxed(X, gates, K), Y, beta, kind)
+
+    @pytest.mark.parametrize("mode", ["relaxed", "exact"])
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(4, 16), d=st.integers(1, 4), K=st.integers(2, 3), P=st.integers(1, 4),
+           rho=st.sampled_from([0.1, 0.3, 1.0]), beta=st.floats(1e-3, 1e-1),
+           kind=st.sampled_from(["l21", "frobenius"]), seed=st.integers(0, 2**32 - 1))
+    def test_reaches_the_plain_loops_optimum(self, mode, n, d, K, P, rho, beta, kind, seed):
+        prob = self._problem(mode, n, d, K, P, beta, kind, seed)
+        cfg = AdmmConfig(rho=rho, beta=beta, mode=mode, penalty_kind=kind,
+                         admm_iters=3002, stop_tol=1e-10)
+        plain, reached = reference_admm(prob, cfg.r, 1500, 1e-10)
+        assume(reached)              # plain ADMM is slow on some degenerate instances
+        seen = []
+
+        def recording_prox(v, threshold, penalty_kind):
+            seen[:] = [np.array(v), threshold]
+            return group_prox(v, threshold, penalty_kind)
+
+        with mock.patch.object(cld.admm, "group_prox", recording_prox):
+            records = []
+            z = admm_solve(prob, cfg, log=records.append).z
+        assert records[-1]["stopped"] == "tol"
+        ours, ref = objective(prob, z), objective(prob, plain)
+        assert abs(ours.total - ref.total) <= 1e-9 * abs(ref.total)
+        # z is the last prox output: the groups the prox zeroes are exactly zero
+        v, threshold = seen
+        zeroed = group_norms(v, kind) <= threshold
+        np.testing.assert_array_equal(group_norms(z, kind) == 0.0, zeroed)
+        if mode == "exact":
+            assert ours.cone_violation <= 1e-10
+
+    def test_no_memory_is_the_plain_loop(self, monkeypatch):
+        # when not even one difference pair fits in ROW_BLOCK_BYTES, every step is plain
+        monkeypatch.setattr(cld.admm, "AA_MEMORY", 0)
+        prob = random_problem(n=40, d=5, K=2, P=6, beta=1e-3, seed=15)
+        cfg = AdmmConfig(rho=0.1, beta=1e-3, admm_iters=80)
+        np.testing.assert_array_equal(admm_solve(prob, cfg).z,
+                                      reference_admm(prob, cfg.r, 80, 0.0)[0])
+
+    def test_step_stays_bounded_where_residual_differences_vanish(self):
+        # here plain ADMM drifts at a constant residual for hundreds of steps;
+        # with a ridge on the residual differences alone a candidate jumped
+        # to |z| ~ 1e12 and the run stopped there on rounding (objective 3e9)
+        prob = self._problem("exact", n=4, d=1, K=2, P=2, beta=1e-3, kind="l21", seed=4)
+        cfg = AdmmConfig(rho=1.0, beta=1e-3, mode="exact", admm_iters=3002, stop_tol=1e-10)
+        plain, reached = reference_admm(prob, cfg.r, 3000, 1e-10)
+        assert reached
+        ours = objective(prob, admm_solve(prob, cfg).z).total
+        assert ours == pytest.approx(objective(prob, plain).total, rel=1e-9, abs=0.0)
