@@ -24,8 +24,8 @@ F^T Y once. From u = z = lam = 0 each iteration then performs
 with primal residual ||u - z||_F and dual residual r ||z - z_in||_F (z_in
 the copy the step started from), until both are at most ``stop_tol`` or
 ``admm_iters`` have run. Fixed points are exactly the minimisers of the
-convex objective. Each objective's fit is read off the factor of F^T F
-(with the kernel, one apply forms it).
+convex objective. Each objective's fit is read off the factor of F^T F;
+with the kernel, ``objective`` takes the loss by its one apply.
 
 Steps 1-3 are a map T of the state w = (z, lam), run with type-II
 Anderson acceleration (Walker and Ni, 2011; Zhang, O'Donoghue and Boyd,
@@ -197,7 +197,7 @@ def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmResult:
         np.subtract(u, z, out=w[1])
         g[0] = z
         f0, f1 = float(np.vdot(w[0], w[0])), float(np.vdot(w[1], w[1]))
-        record = IterationRecord(objective=objective(prob, z, fit(z, prob.Y, fty)),
+        record = IterationRecord(objective=objective(prob, z, fit and fit(z, prob.Y, fty)),
                                  primal=math.sqrt(f1), dual=r * math.sqrt(f0))
         history.append(record)
         if log is not None:
@@ -254,8 +254,6 @@ def train(X, labels: LabelSet, gate_cfg: GateConfig, cfg: AdmmConfig,
     K = labels.K
     if labels.n != n:
         raise TrainingError(f"{n} feature rows but {labels.n} labels")
-    if n < K:
-        raise TrainingError(f"need at least K={K} examples, got {n}")
     counts = np.bincount(labels.class_ids, minlength=K)
     if np.any(counts == 0):
         missing = [labels.names[k] for k in np.flatnonzero(counts == 0)]

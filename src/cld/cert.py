@@ -81,23 +81,15 @@ def amgm_bound(net: "_head.ReluNetwork") -> float:
     return 0.5 * float(np.sum(net.hidden * net.hidden) + np.sum(net.output * net.output))
 
 
-def bundle_from_weights(V: np.ndarray, W: np.ndarray, K: int, penalty_kind: str) -> CertificateBundle:
-    V = np.asarray(V, dtype=np.float64)
-    W = np.asarray(W, dtype=np.float64)
-    P = V.shape[0]
-    fro = np.linalg.norm(V.reshape(P, -1), axis=1).sum() + np.linalg.norm(W.reshape(P, -1), axis=1).sum()
+def bundle_from_weights(head: "_head.TrainedHead") -> CertificateBundle:
+    """The head's bundle: ``var_bound_l21``, ``var_bound_fro`` and its relu form's B_amgm."""
     # atoms of the mapped ReLU network: nonzero columns with unit outputs
-    col_v = np.linalg.norm(V, axis=1)
-    col_w = np.linalg.norm(W, axis=1)
+    col_v = np.linalg.norm(head.V, axis=1)
+    col_w = np.linalg.norm(head.W, axis=1)
     amgm = 0.5 * float(np.sum(col_v[col_v > 0] ** 2) + np.count_nonzero(col_v)
                        + np.sum(col_w[col_w > 0] ** 2) + np.count_nonzero(col_w))
-    return CertificateBundle(
-        B_l21=float(col_v.sum() + col_w.sum()),
-        B_fro_scaled=float(np.sqrt(K) * fro),
-        B_amgm=amgm,
-        K=K,
-        penalty_kind_used=penalty_kind,
-    )
+    return CertificateBundle(B_l21=var_bound_l21(head), B_fro_scaled=var_bound_fro(head),
+                             B_amgm=amgm, K=head.K, penalty_kind_used=head.penalty_kind)
 
 
 def bundle_to_dict(bundle: CertificateBundle) -> dict:

@@ -231,6 +231,14 @@ def _check_width(source, d: int, head) -> None:
         raise DataFormatError(f"{source}: embeddings have dimension {d}, head expects {head.d}")
 
 
+def _labelled_inputs(args):
+    """--model, and --manifest's rows and labels checked against it and numbered by its classes."""
+    head = load_model(args.model)
+    X, labels = load_manifest(args.manifest)
+    _check_width(args.manifest, X.d, head)
+    return head, X, labels.relabel(head.label_map)
+
+
 def _pooled_inputs(path, head):
     """Pool one CLDS file or a directory of them into embedding rows; a bad file is named."""
     path = Path(path)
@@ -284,10 +292,7 @@ def _comma_list(flag: str, text: str, kind, low) -> list:
 def cmd_certify(args, log) -> int:
     _check_out_dirs(args.out, args.summary)
     eps = _comma_list("--eps-grid", args.eps_grid, float, 0)   # before anything is read or written
-    head = load_model(args.model)
-    X, labels = load_manifest(args.manifest)
-    _check_width(args.manifest, X.d, head)
-    labels = labels.relabel(head.label_map)
+    head, X, labels = _labelled_inputs(args)
     certs = certify_batch(head, X.values, labels.class_ids, L_E=args.L_E)
     audio = certs.radius_audio if certs.radius_audio is not None else [None] * labels.n
     columns = (labels.ids, certs.pred, labels.class_ids, map(_fmt, certs.margin),
@@ -319,10 +324,7 @@ def cmd_certify(args, log) -> int:
 
 def cmd_eval(args, log) -> int:
     _check_out_dirs(args.out, args.confusion_csv)
-    head = load_model(args.model)
-    X, labels = load_manifest(args.manifest)
-    _check_width(args.manifest, X.d, head)
-    labels = labels.relabel(head.label_map)
+    head, X, labels = _labelled_inputs(args)
     logits = predict_batch(head, X.values, args.inference)
     accents = None
     if args.accents:

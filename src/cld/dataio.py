@@ -111,12 +111,14 @@ class LabelSet:
             raise LabelError(f"label_map values must be integer class indices, not {bad}")
         if sorted(self.label_map.values()) != list(range(K)):
             raise LabelError("label_map values must be exactly 0..K-1")
-        cid = np.asarray(self.class_ids, dtype=np.int64)
+        cid = np.asarray(self.class_ids)
         if cid.ndim != 1 or cid.size < 1:
             raise LabelError("class_ids must be a non-empty 1-D sequence")
+        if cid.dtype.kind not in "iu":   # bools, floats and strings are refused, not cast
+            raise LabelError(f"class_ids must be integer class indices, got {cid.dtype} values")
         if cid.min() < 0 or cid.max() >= K:
             raise LabelError(f"class id out of range [0, {K}) in class_ids")
-        object.__setattr__(self, "class_ids", cid)
+        object.__setattr__(self, "class_ids", cid.astype(np.int64, copy=False))
         if not self.ids:
             object.__setattr__(self, "ids", tuple(str(i) for i in range(cid.size)))
         elif len(self.ids) != cid.size:

@@ -55,20 +55,20 @@ class GateSet:
         """The (P, n) patterns of the gates over the rows of X.
 
         The one place where patterns are formed: a pass over X that upcasts
-        one ``linops.row_blocks`` block at a time and takes one ``pattern_of``
-        per gate, so a pattern has the same bits wherever it is formed.
+        one ``linops.row_blocks`` block at a time (d floats and P products a
+        row) and gates it with one GEMM, ``block @ generators.T >= 0``, the
+        product gated ``head.predict_batch`` takes, so a pattern has the same
+        bits wherever it is formed.
         """
         X = feature_array(X)
         out = np.empty((self.P, len(X)), dtype=bool)
-        for rows in row_blocks(len(X), 8 * X.shape[1]):
-            block = np.asarray(X[rows], dtype=np.float64)
-            for active, g in zip(out, self.generators):
-                active[rows] = pattern_of(block, g)
+        for rows in row_blocks(len(X), 8 * (X.shape[1] + self.P)):
+            out[:, rows] = (np.asarray(X[rows], dtype=np.float64) @ self.generators.T >= 0.0).T
         return out
 
 
 def pattern_of(X: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Activation pattern 1(Xg >= 0); ties at zero are active."""
+    """Activation pattern 1(Xg >= 0) of one gate; ties at zero are active."""
     return np.asarray(X, dtype=np.float64) @ np.asarray(g, dtype=np.float64) >= 0.0
 
 

@@ -116,7 +116,7 @@ class TrainedHead:
         object.__setattr__(self, "_diff", (V - W).transpose(1, 0, 2).reshape(d, P * K))
         for a in (V, W, net.hidden, net.output):  # both forms are built from these once
             a.setflags(write=False)
-        object.__setattr__(self, "cert", bundle_from_weights(V, W, K, self.penalty_kind))
+        object.__setattr__(self, "cert", bundle_from_weights(self))
 
     @property
     def P(self) -> int:

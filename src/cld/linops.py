@@ -20,7 +20,8 @@ and the factor overwrites them: about 4 m^2 + 4 * 128 * m bytes for
 m = min(n, B*d), 260 MB at m = 8,000; an input whose packed Gram does not
 fit in memory fails with MemoryError. With L L^T = F^T F + sigma I the
 primal side's fit is 1/2 (||L^T S||^2 - sigma ||S||^2) - <S, F^T Y> +
-1/2 ||Y||^2, one pass over L; the kernel side forms it by the apply. Also
+1/2 ||Y||^2, one pass over L; the kernel side has no such fit, and
+``cvxprog.objective`` takes its loss by one apply. Also
 provided: power iteration for largest-eigenvalue estimates (FISTA oracle).
 
 The operator keeps no weight matrix: each pass forms the signed 0/1 weights
@@ -316,14 +317,15 @@ def _cholesky_solver(rows: list[np.ndarray]):
 def gram_solver(op: GatedOperator, sigma: float):
     """``(solve, fit, stats)`` for (F^T F + sigma I) u = rhs on (B, d, K) blocks.
 
-    ``solve(rhs)`` is the exact u, ``fit(S, Y, fty)`` is 1/2 ||F S - Y||^2
-    with ``fty`` = F^T Y; ``stats`` has the ``bytes`` of the packed block rows
-    and the ``gram_seconds`` and ``factor_seconds`` spent forming and
-    factoring, once, the shifted smaller Gram (``fit_gram``). With B*d <= n
-    every solve is two triangular solves and the fit is read off the factor.
-    With B*d > n it uses the matrix-inversion lemma on the n x n kernel:
+    ``solve(rhs)`` is the exact u; ``stats`` has the ``bytes`` of the packed
+    block rows and the ``gram_seconds`` and ``factor_seconds`` spent forming
+    and factoring, once, the shifted smaller Gram (``fit_gram``). With
+    B*d <= n every solve is two triangular solves, and ``fit(S, Y, fty)``,
+    1/2 ||F S - Y||^2 with ``fty`` = F^T Y, is read off the factor. With
+    B*d > n it uses the matrix-inversion lemma on the n x n kernel:
     z = (sigma I + F F^T)^-1 F rhs, then u = (rhs - F^T z) / sigma, i.e. one
-    apply, one pair of triangular solves and one adjoint; the fit is one apply.
+    apply, one pair of triangular solves and one adjoint; ``fit`` is None, as
+    the factor gives no cheaper loss than ``cvxprog.objective``'s one apply.
     """
     B, d, K = op.block_shape
     tick = time.perf_counter()
@@ -342,11 +344,7 @@ def gram_solver(op: GatedOperator, sigma: float):
 
         return lambda rhs: solve(rhs.reshape(B * d, K)).reshape(B, d, K), fit, stats
 
-    def fit(S, Y, fty):
-        diff = op.apply(S) - Y
-        return 0.5 * float(np.vdot(diff, diff))
-
-    return lambda rhs: (rhs - op.adjoint(solve(op.apply(rhs)))) / sigma, fit, stats
+    return lambda rhs: (rhs - op.adjoint(solve(op.apply(rhs)))) / sigma, None, stats
 
 
 def power_iteration(matvec, dim: int, iters: int = 100, seed: int = 0, shape=None) -> float:

@@ -17,9 +17,6 @@ class EvalReport:
     n: int
     per_accent: dict[int, float] | None = None
     class_names: list[str] | None = None
-    # reserved for externally computed transcription metrics
-    wer: float | None = None
-    cer: float | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -34,8 +31,6 @@ class EvalReport:
                 {str(k): v for k, v in sorted(self.per_accent.items())}
                 if self.per_accent is not None else None
             ),
-            "wer": self.wer,
-            "cer": self.cer,
         }
 
 

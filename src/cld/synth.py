@@ -18,6 +18,7 @@ import numpy as np
 from .dataio import FeatureMatrix, LabelSet
 
 _DEFAULT_LANGS = ("en", "zh", "id", "ms", "hi")
+SPLIT = (0.8, 0.1, 0.1)   # train, test and validation shares of every class in ``split``
 
 
 @dataclass(frozen=True)
@@ -112,34 +113,26 @@ def generate(spec: SynthSpec) -> SynthData:
     )
 
 
-def split(class_ids: np.ndarray, fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
-          seed: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stratified (train, test, validation) index split.
+def split(class_ids: np.ndarray, seed: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stratified (train, test, validation) index split in the shares ``SPLIT``.
 
     Per-class proportions land within one sample of the targets. Classes with
     fewer than 3 members cannot be stratified; a warning is emitted and the
     split falls back to one global shuffle.
     """
-    fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9 or min(fractions) < 0:
-        raise ValueError("fractions must be three nonnegative numbers summing to 1")
+    def cut(idx):
+        c1, c2 = round(SPLIT[0] * idx.size), round((SPLIT[0] + SPLIT[1]) * idx.size)
+        return idx[:c1], idx[c1:c2], idx[c2:]
+
     class_ids = np.asarray(class_ids)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
     counts = np.bincount(class_ids)
     if counts[counts > 0].min() < 3:
         warnings.warn("a class has fewer than 3 examples; falling back to a global shuffle",
                       stacklevel=2)
-        perm = rng.permutation(class_ids.size)
-        c1 = round(fractions[0] * class_ids.size)
-        c2 = round((fractions[0] + fractions[1]) * class_ids.size)
-        return perm[:c1], perm[c1:c2], perm[c2:]
-    parts: list[list[np.ndarray]] = [[], [], []]
+        return cut(rng.permutation(class_ids.size))
+    parts = []
     for cls in np.flatnonzero(counts):
         members = np.flatnonzero(class_ids == cls)
-        members = members[rng.permutation(members.size)]
-        c1 = round(fractions[0] * members.size)
-        c2 = round((fractions[0] + fractions[1]) * members.size)
-        parts[0].append(members[:c1])
-        parts[1].append(members[c1:c2])
-        parts[2].append(members[c2:])
-    return tuple(np.sort(np.concatenate(p)) for p in parts)
+        parts.append(cut(members[rng.permutation(members.size)]))
+    return tuple(np.sort(np.concatenate(p)) for p in zip(*parts))

@@ -296,7 +296,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("rows, class_ids, names, message", [
         (6, [0, 1, 0, 1, 0], "ab", "6 feature rows but 5 labels"),
-        (2, [0, 1], "abc", "need at least K=3 examples, got 2"),
+        (2, [0, 1], "abc", r"classes with no training examples: \['c'\]"),
     ])
     def test_malformed_training_input_rejected(self, rows, class_ids, names, message):
         X = np.random.default_rng(12).standard_normal((rows, 2))

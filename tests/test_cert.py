@@ -8,6 +8,7 @@ from cld.cert import (
     CertificateBundle,
     amgm_bound,
     bundle_from_weights,
+    bundle_to_dict,
     certified_accuracy,
     certify_batch,
     var_bound_fro,
@@ -67,12 +68,36 @@ class TestBounds:
 
     def test_bundle_matches_direct_bounds(self, trained):
         head, _, _ = trained
-        bundle = bundle_from_weights(head.V, head.W, head.K, head.penalty_kind)
+        bundle = bundle_from_weights(head)
         assert bundle.B_l21 == pytest.approx(var_bound_l21(head))
         assert bundle.B_fro_scaled == pytest.approx(var_bound_fro(head))
         assert bundle.B_amgm == pytest.approx(amgm_bound(to_relu(head)), rel=1e-12)
         assert bundle.B_l21 <= bundle.B_fro_scaled + 1e-12
         assert bundle.B_l21 <= bundle.B_amgm + 1e-12
+
+    def test_bundle_bits_are_pinned(self):
+        # stored certificates are compared as hex on load, so a change to the
+        # bound arithmetic would make every stored model fail its check; with
+        # weights over several decades a reordered sum changes some of these
+        pinned = {   # (seed, mode): B_l21, B_fro_scaled, B_amgm
+            (0, "relaxed"): ("0x1.7bc5e4bcb2836p+7", "0x1.cefef09af935fp+7",
+                             "0x1.4f5b5c557172dp+11"),
+            (0, "exact"): ("0x1.2b10d991688d0p+9", "0x1.b2736221fd22dp+9",
+                           "0x1.71673402ad4c0p+14"),
+            (6, "relaxed"): ("0x1.3c391e2f3506ep+7", "0x1.87f77c7a6a215p+7",
+                             "0x1.befe728779a24p+10"),
+            (6, "exact"): ("0x1.63b8fb04e128fp+8", "0x1.c9824d7e80809p+8",
+                           "0x1.73500266f4efdp+12"),
+        }
+        for (seed, mode), (l21, fro, amgm) in pinned.items():
+            rng = np.random.default_rng(seed)
+            V, W = (rng.standard_normal((4, 6, 3)) * np.exp(2 * rng.standard_normal((4, 6, 3)))
+                    for _ in range(2))
+            V[1, :, 2] = 0.0
+            W[0, :, 1] = 0.0
+            head = make_head(V) if mode == "relaxed" else make_head(V, W, mode="exact")
+            assert bundle_to_dict(head.cert) == {"B_l21": l21, "B_fro_scaled": fro, "B_amgm": amgm,
+                                                 "K": 3, "penalty_kind_used": "l21"}
 
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):

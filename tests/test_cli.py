@@ -921,6 +921,19 @@ class TestBench:
         assert "seconds" in log
         assert "seconds" not in csv1.decode()
 
+    def test_eval_report_and_metrics_keys(self, dataset, model, tmp_path):
+        # the exact key sets, so that any new field is added on purpose
+        report = {"n", "accuracy", "confusion", "per_class", "per_accent"}
+        out = tmp_path / "report.json"
+        assert main(["eval", "--model", str(model), "--manifest", str(dataset / "manifest.json"),
+                     "--out", str(out)]) == 0
+        assert set(json.loads(out.read_text())) == report
+        assert main(["bench", "--languages", "2", "--accents", "1,1", "--dim", "4",
+                     "--samples-per-accent", "20", "--sizes", "12", "--out", str(tmp_path / "r"),
+                     "--log", str(tmp_path / "b.log"), "--admm-iters", "3", "--rho", "0.1"]) == 0
+        metrics = json.loads((tmp_path / "r" / "metrics_12.json").read_text())
+        assert set(metrics) == report | {"certified_fraction", "mean_radius", "n_train"}
+
     def test_log_holds_admm_iterations_for_every_size(self, tmp_path):
         log = tmp_path / "b.log"
         rc = main(["bench", "--languages", "2", "--accents", "1,1", "--dim", "4",

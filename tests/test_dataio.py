@@ -384,6 +384,13 @@ INPUT_ERRORS = {
                          LabelError, r"integer class indices, not \{'b': 1.0\}"),
     "labels-id-out-of-range": (lambda tmp: LabelSet(np.array([0, 2]), {"a": 0, "b": 1}),
                                LabelError, r"out of range \[0, 2\)"),
+    # ids that are not integers are refused, not truncated or cast
+    "labels-ids-float": (lambda tmp: LabelSet([0.5, 1.7], {"a": 0, "b": 1}),
+                         LabelError, "integer class indices, got float64 values"),
+    "labels-ids-bool": (lambda tmp: LabelSet([True, False], {"a": 0, "b": 1}),
+                        LabelError, "integer class indices, got bool values"),
+    "labels-ids-str": (lambda tmp: LabelSet(["1", "0"], {"a": 0, "b": 1}),
+                       LabelError, "integer class indices, got <U1 values"),
     "labels-ids-length": (lambda tmp: LabelSet(np.array([0, 1]), {"a": 0, "b": 1}, ("x",)),
                           LabelError, "lengths differ"),
     "sequence-1d-frames": (lambda tmp: SequenceFeature(np.ones(3), np.ones(3, dtype=bool)),

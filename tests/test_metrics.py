@@ -62,9 +62,3 @@ class TestEvaluate:
     def test_accents_not_aligned_with_labels_rejected(self):
         with pytest.raises(ValueError, match="accent ids must align with labels"):
             evaluate(np.array([0, 1]), np.array([0, 1]), accents=np.array([5, 5, 9]))
-
-    def test_json_dict_reserves_transcription_fields(self):
-        report = evaluate(np.array([0, 1]), np.array([0, 1]))
-        doc = report.to_json_dict()
-        assert doc["wer"] is None and doc["cer"] is None
-        assert doc["accuracy"] == 1.0

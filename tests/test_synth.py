@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cld.synth import SynthSpec, generate, split
+from cld.synth import SPLIT, SynthSpec, generate, split
 
 from conftest import traced_peak
 
@@ -112,8 +112,8 @@ class TestSplit:
     def test_stratification_within_one_sample(self):
         rng = np.random.default_rng(2)
         ids = rng.integers(0, 4, 203)
-        tr, te, va = split(ids, fractions=(0.7, 0.2, 0.1), seed=3)
-        for frac, part in zip((0.7, 0.2, 0.1), (tr, te, va)):
+        tr, te, va = split(ids, seed=3)
+        for frac, part in zip(SPLIT, (tr, te, va)):
             for c in range(4):
                 m = int((ids == c).sum())
                 got = int((ids[part] == c).sum())
@@ -124,7 +124,3 @@ class TestSplit:
         with pytest.warns(UserWarning, match="fewer than 3"):
             tr, te, va = split(ids, seed=0)
         assert len(tr) + len(te) + len(va) == 7
-
-    def test_fraction_validation(self):
-        with pytest.raises(ValueError):
-            split(np.array([0, 1]), fractions=(0.5, 0.5, 0.5))
