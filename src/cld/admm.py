@@ -24,8 +24,8 @@ F^T Y once. From u = z = lam = 0 each iteration then performs
 with primal residual ||u - z||_F and dual residual r ||z - z_in||_F (z_in
 the copy the step started from), until both are at most ``stop_tol`` or
 ``admm_iters`` have run. Fixed points are exactly the minimisers of the
-convex objective. Each objective's fit is read off the factor of F^T F;
-with the kernel, ``objective`` takes the loss by its one apply.
+convex objective, and the loop decides on the residuals alone: the
+objective is evaluated once, at the returned z, after the factor is freed.
 
 Steps 1-3 are a map T of the state w = (z, lam), run with type-II
 Anderson acceleration (Walker and Ni, 2011; Zhang, O'Donoghue and Boyd,
@@ -61,7 +61,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -127,22 +127,19 @@ class AdmmConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    objective: ObjectiveValue
     primal: float
     dual: float
 
     def fields(self) -> dict:
-        """The iteration's numbers as logged, summarised and kept in ``train_meta``."""
-        obj = self.objective
-        return {"objective": obj.total, "fit": obj.fit, "penalty": obj.penalty,
-                "cone_violation": obj.cone_violation,
-                "primal_residual": self.primal, "dual_residual": self.dual}
+        """The residuals the loop stops on, as logged, summarised and kept in ``train_meta``."""
+        return {"primal_residual": self.primal, "dual_residual": self.dual}
 
 
 @dataclass(frozen=True)
 class AdmmResult:
     z: np.ndarray                            # the trained weights: the final consensus copy
     history: tuple[IterationRecord, ...]     # one record per iteration run
+    objective: ObjectiveValue                # objective(prob, z), evaluated once after the loop
 
 
 class TrainingError(ValueError):
@@ -155,13 +152,13 @@ def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmResult:
     The config must state the problem's mode, beta and penalty kind. ``log``
     gets one ``u_factor`` record (the Gram's side and size, the bytes its
     factor keeps, the seconds spent forming and factoring it and building
-    the whole u-update), then one record per iteration, then one ``summary``
+    the whole u-update), then one record per iteration (its residuals,
+    seconds and, in split mode, cone projection misses), then one ``summary``
     record: why the run stopped (``tol`` or ``cap``), the iterations run, the
-    last iteration's numbers, z's l21 norm (``B_l21``, the head's certificate
-    bound), the number of nonzero penalty groups in z, whether z is all zero,
-    the Anderson candidates kept and rejected (``aa_accepted``,
-    ``aa_rejected``), and in split mode the cone projection's misses summed
-    over the run.
+    objective at z, the last residuals, z's l21 norm as the certificate sums
+    it (``B_l21``), the number of nonzero penalty groups in z, whether z is
+    all zero, the Anderson candidates kept and rejected (``aa_accepted``,
+    ``aa_rejected``), and in split mode the projection misses of the run.
     """
     problem = (prob.mode, prob.beta, prob.penalty_kind)
     config = (cfg.mode, cfg.beta, cfg.penalty_kind)
@@ -169,7 +166,7 @@ def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmResult:
         raise ValueError(f"problem (mode, beta, penalty_kind) {problem} != config {config}")
     op, r, exact = prob.op, cfg.r, prob.mode == "exact"
     tick = time.perf_counter()
-    solve, fit, stats = gram_solver(op, r)
+    solve, stats = gram_solver(op, r)
     fty = op.adjoint(prob.Y)
     if log is not None:
         log({"phase": "u_factor", "side": gram_side(op), "size": min(op.n, op.B * op.d),
@@ -197,8 +194,7 @@ def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmResult:
         np.subtract(u, z, out=w[1])
         g[0] = z
         f0, f1 = float(np.vdot(w[0], w[0])), float(np.vdot(w[1], w[1]))
-        record = IterationRecord(objective=objective(prob, z, fit and fit(z, prob.Y, fty)),
-                                 primal=math.sqrt(f1), dual=r * math.sqrt(f0))
+        record = IterationRecord(primal=math.sqrt(f1), dual=r * math.sqrt(f0))
         history.append(record)
         if log is not None:
             log({"iter": it, **record.fields(), "seconds": time.perf_counter() - tick,
@@ -236,14 +232,18 @@ def admm_solve(prob: ConvexProblem, cfg: AdmmConfig, log=None) -> AdmmResult:
         np.subtract(gf, np.dot(gamma, dG[:n], out=f), out=f)   # w = g - dG gamma
         dG[nxt] = gf
         count, j = min(n, mem - 1), nxt
+    del solve                                     # frees the factor before the objective's apply
+    obj = objective(prob, z)
     if log is not None:
         active = int(np.count_nonzero(group_norms(z, prob.penalty_kind)))
-        log({"phase": "summary", "stopped": "tol" if converged else "cap",
-             "iters": len(history), **history[-1].fields(),
-             "B_l21": penalty(z, "l21"), "active_groups": active, "zero_head": active == 0,
-             "aa_accepted": accepted, "aa_rejected": rejected,
+        P = op.B // 2 if exact else op.B          # the V blocks; W follows in exact mode
+        log({"phase": "summary", "stopped": "tol" if converged else "cap", "iters": len(history),
+             "objective": obj.total, "fit": obj.fit, "penalty": obj.penalty,
+             "cone_violation": obj.cone_violation, **history[-1].fields(),
+             "B_l21": penalty(z[:P], "l21") + penalty(z[P:], "l21"), "active_groups": active,
+             "zero_head": active == 0, "aa_accepted": accepted, "aa_rejected": rejected,
              **({"cone_fallbacks": fallbacks} if exact else {})})
-    return AdmmResult(z, tuple(history))
+    return AdmmResult(z, tuple(history), obj)
 
 
 def train(X, labels: LabelSet, gate_cfg: GateConfig, cfg: AdmmConfig,
@@ -284,6 +284,7 @@ def train(X, labels: LabelSet, gate_cfg: GateConfig, cfg: AdmmConfig,
         "gates": {"count": gate_cfg.count_for(K), "seed": gate_cfg.seed,
                   "enumerate_all": gate_cfg.enumerate_all, "shortfall": gates.shortfall},
         "history": [r.fields() for r in result.history],
+        "objective": asdict(result.objective),
         "n_train": n,
     }
     head = _head.TrainedHead(

@@ -8,7 +8,7 @@ solvers lean on. In split mode the weight stack carries two signed copies per
 pattern and each column is additionally constrained to its pattern cone.
 ``project_to_cones`` projects every column exactly with the one batched
 numpy projector ``gates.project_cones``, warm-started from the active face
-each column had last time.
+each column had last time. ``objective`` takes its fit by one apply.
 """
 
 from __future__ import annotations
@@ -136,11 +136,10 @@ def project_to_cones(prob: ConvexProblem, S: np.ndarray, faces: np.ndarray):
     return out, faces, int(missed.sum())
 
 
-def objective(prob: ConvexProblem, S: np.ndarray, fit: float | None = None) -> ObjectiveValue:
-    """Fit (one apply, unless already known), penalty, and split mode's cone violation at S."""
+def objective(prob: ConvexProblem, S: np.ndarray) -> ObjectiveValue:
+    """Fit (one apply), penalty, and split mode's cone violation at S."""
     S = np.asarray(S, dtype=np.float64)
-    if fit is None:
-        fit = loss(prob.op.apply(S), prob.Y)
+    fit = loss(prob.op.apply(S), prob.Y)
     pen = penalty(S, prob.penalty_kind)
     viol = 0.0
     if prob.mode == "exact" and len(prob.cones):

@@ -18,11 +18,9 @@ place (``_cholesky_solver``), so training in relaxed mode loads no scipy
 module. Only the lower block rows of the Gram are stored, in one flat buffer,
 and the factor overwrites them: about 4 m^2 + 4 * 128 * m bytes for
 m = min(n, B*d), 260 MB at m = 8,000; an input whose packed Gram does not
-fit in memory fails with MemoryError. With L L^T = F^T F + sigma I the
-primal side's fit is 1/2 (||L^T S||^2 - sigma ||S||^2) - <S, F^T Y> +
-1/2 ||Y||^2, one pass over L; the kernel side has no such fit, and
-``cvxprog.objective`` takes its loss by one apply. Also
-provided: power iteration for largest-eigenvalue estimates (FISTA oracle).
+fit in memory fails with MemoryError. The factor only solves; losses come
+from ``cvxprog.objective``'s apply. Also provided: power iteration for
+largest-eigenvalue estimates (FISTA oracle).
 
 The operator keeps no weight matrix: each pass forms the signed 0/1 weights
 of its rows from the bool masks. Every pass over the rows of X, of a feature
@@ -272,10 +270,9 @@ def _primal_gram(op: GatedOperator) -> list[np.ndarray]:
 
 
 def _cholesky_solver(rows: list[np.ndarray]):
-    """Factor the SPD Gram held in ``rows`` as L L^T in place; return ``solve``
-    and ``sq_norm``, b (m, K).
+    """Factor the SPD Gram held in ``rows`` as L L^T in place; return ``solve``,
+    where ``solve(b)`` is x with gram x = b for b (m, K).
 
-    ``solve(b)`` is x with gram x = b, ``sq_norm(b)`` is ||L^T b||^2.
     Left-looking blocked Cholesky (Golub and Van Loan, ch. 4) on the block
     rows of ``_block_rows``: block row j subtracts, one block column c < j at
     a time, its product with row c of L and multiplies by c's diagonal
@@ -283,7 +280,7 @@ def _cholesky_solver(rows: list[np.ndarray]):
     diagonal block. Each GEMM writes one block in place, so no panel is
     copied; only the lower triangle is read and L overwrites it. A solve is a
     blocked forward and back substitution on the transposed right-hand side,
-    all GEMMs; ``sq_norm`` is one pass over the block rows of L.
+    all GEMMs.
     """
     spans = [_span(row) for row in rows]
     inverses = []
@@ -304,47 +301,31 @@ def _cholesky_solver(rows: list[np.ndarray]):
             y[:, :k] -= y[:, k:e] @ row[:, :k]
         return y.T
 
-    def sq_norm(b):
-        bt = np.array(b.T, order="C")
-        y = np.zeros_like(bt)                        # (L^T b)^T, one block row of L at a time
-        for row, (k, e) in zip(rows, spans):
-            y[:, :e] += bt[:, k:e] @ row
-        return float(np.vdot(y, y))
-
-    return solve, sq_norm
+    return solve
 
 
 def gram_solver(op: GatedOperator, sigma: float):
-    """``(solve, fit, stats)`` for (F^T F + sigma I) u = rhs on (B, d, K) blocks.
+    """``(solve, stats)`` for (F^T F + sigma I) u = rhs on (B, d, K) blocks.
 
     ``solve(rhs)`` is the exact u; ``stats`` has the ``bytes`` of the packed
     block rows and the ``gram_seconds`` and ``factor_seconds`` spent forming
     and factoring, once, the shifted smaller Gram (``fit_gram``). With
-    B*d <= n every solve is two triangular solves, and ``fit(S, Y, fty)``,
-    1/2 ||F S - Y||^2 with ``fty`` = F^T Y, is read off the factor. With
-    B*d > n it uses the matrix-inversion lemma on the n x n kernel:
+    B*d <= n every solve is two triangular solves. With B*d > n it uses the
+    matrix-inversion lemma on the n x n kernel:
     z = (sigma I + F F^T)^-1 F rhs, then u = (rhs - F^T z) / sigma, i.e. one
-    apply, one pair of triangular solves and one adjoint; ``fit`` is None, as
-    the factor gives no cheaper loss than ``cvxprog.objective``'s one apply.
+    apply, one pair of triangular solves and one adjoint.
     """
-    B, d, K = op.block_shape
     tick = time.perf_counter()
     rows = fit_gram(op)
     for row in rows:
         np.einsum("ii->i", row[:, -len(row):])[...] += sigma   # a writable view of the diagonal
     formed = time.perf_counter()
-    solve, sq_norm = _cholesky_solver(rows)
+    solve = _cholesky_solver(rows)
     stats = {"bytes": sum(row.nbytes for row in rows), "gram_seconds": formed - tick,
              "factor_seconds": time.perf_counter() - formed}
     if gram_side(op) == "primal":
-        def fit(S, Y, fty):
-            S = S.reshape(B * d, K)
-            quad = sq_norm(S) - sigma * float(np.vdot(S, S))   # <S, F^T F S>
-            return 0.5 * quad - float(np.vdot(S, fty)) + 0.5 * float(np.vdot(Y, Y))
-
-        return lambda rhs: solve(rhs.reshape(B * d, K)).reshape(B, d, K), fit, stats
-
-    return lambda rhs: (rhs - op.adjoint(solve(op.apply(rhs)))) / sigma, None, stats
+        return lambda rhs: solve(rhs.reshape(-1, op.K)).reshape(op.block_shape), stats
+    return lambda rhs: (rhs - op.adjoint(solve(op.apply(rhs)))) / sigma, stats
 
 
 def power_iteration(matvec, dim: int, iters: int = 100, seed: int = 0, shape=None) -> float:

@@ -41,16 +41,19 @@ def evaluate(preds, labels, accents=None, class_names=None) -> EvalReport:
     adds a per-accent accuracy map.
     """
     if isinstance(labels, LabelSet):
-        true = labels.class_ids
-        K = labels.K
         class_names = labels.names if class_names is None else class_names
+        true, K = labels.class_ids, labels.K
     else:
-        true = np.asarray(labels, dtype=np.int64)
-        K = int(true.max()) + 1
-    preds = np.asarray(preds, dtype=np.int64)
+        true, K = np.asarray(labels), 0
+    preds = np.asarray(preds)
+    for what, ids in (("labels", true), ("predictions", preds)):
+        if ids.dtype.kind not in "iu":   # bools, floats and strings are refused, not cast
+            raise ValueError(f"{what} must be integer class ids, got {ids.dtype} values")
+        if ids.min(initial=0) < 0:
+            raise ValueError(f"{what} must be non-negative class ids, got {ids.min()}")
     if preds.shape != true.shape:
         raise ValueError(f"{preds.size} predictions for {true.size} labels")
-    K = max(K, int(preds.max()) + 1)
+    K = max(K, int(true.max()) + 1, int(preds.max()) + 1)
     confusion = np.zeros((K, K), dtype=np.int64)
     np.add.at(confusion, (true, preds), 1)
     correct = preds == true

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import cld.admm
 from cld.admm import AdmmConfig, GateConfig, TrainingError, admm_solve, train
-from cld.cvxprog import ConvexProblem, group_norms, group_prox, objective
+from cld.cvxprog import ConvexProblem, group_norms, group_prox, max_cone_violation, objective
 from cld.dataio import DataFormatError, LabelSet
 from cld.gates import enumerate_patterns, sample_gates
 from cld.head import predict_batch
@@ -20,6 +21,18 @@ from conftest import cluster_data, random_problem, traced_peak
 from reference import reference_admm
 
 CONVERGED = dict(rho=0.1, admm_iters=600, stop_tol=1e-9)
+
+
+def prox_outputs(monkeypatch) -> list:
+    """Make the ADMM loop's ``group_prox`` record its outputs, the iterates z, in a list."""
+    outputs = []
+
+    def recording_prox(*args):
+        outputs.append(group_prox(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(cld.admm, "group_prox", recording_prox)
+    return outputs
 
 
 class TestAdmmStep:
@@ -106,49 +119,53 @@ class TestObjectiveFromFactor:
     @pytest.mark.parametrize("mode", ["relaxed", "exact"])
     @pytest.mark.parametrize("iters", [1, 3, 8])
     def test_history_objective_matches_apply(self, mode, iters):
-        # on the primal side each iteration's fit comes from the u-system's
-        # factor; it must agree with the apply-based objective at z
+        # the objective is evaluated once, at the returned weights, by the
+        # apply-based objective itself: the same bits
         prob = self._problem(mode, seed=40 + iters)
         assert gram_side(prob.op) == "primal"
         cfg = AdmmConfig(rho=0.3, beta=1e-2, admm_iters=iters, mode=mode)
         result = admm_solve(prob, cfg)
-        last, ref = result.history[-1].objective, objective(prob, result.z)
-        z, fty = result.z, prob.op.adjoint(prob.Y)
-        bound = 1e-12 * (0.5 * np.vdot(prob.Y, prob.Y) + 0.5 * cfg.r * np.vdot(z, z)
-                         + abs(np.vdot(z, fty)))
-        assert abs(last.fit - ref.fit) <= bound
-        assert abs(last.total - ref.total) <= bound
-        assert (last.penalty, last.cone_violation) == (ref.penalty, ref.cone_violation)
+        assert len(result.history) == iters
+        assert result.objective == objective(prob, result.z)
 
     @staticmethod
-    def _count_calls(monkeypatch):
-        counts = {"apply": 0, "adjoint": 0}
-        for name in counts:
+    def _record_calls(monkeypatch) -> list:
+        """Names of the operator passes and prox steps, in the order they run."""
+        calls = []
+        for name in ("apply", "adjoint"):
             method = getattr(GatedOperator, name)
 
             def counted(self, arg, _name=name, _method=method):
-                counts[_name] += 1
+                calls.append(_name)
                 return _method(self, arg)
 
             monkeypatch.setattr(GatedOperator, name, counted)
-        return counts
+
+        def recording_prox(*args):
+            calls.append("prox")
+            return group_prox(*args)
+
+        monkeypatch.setattr(cld.admm, "group_prox", recording_prox)
+        return calls
 
     @pytest.mark.parametrize("mode", ["relaxed", "exact"])
     def test_primal_side_loop_makes_no_apply(self, monkeypatch, mode):
-        # one adjoint forms F^T Y; the u-solves and the objectives read the factor
+        # one adjoint forms F^T Y and the u-solves read the factor; the one
+        # apply is the objective's, after the last iteration
         prob = self._problem(mode, seed=50)
-        counts = self._count_calls(monkeypatch)
+        calls = self._record_calls(monkeypatch)
         admm_solve(prob, AdmmConfig(rho=0.3, beta=1e-2, admm_iters=5, mode=mode))
-        assert counts == {"apply": 0, "adjoint": 1}
+        assert calls == ["adjoint"] + ["prox"] * 5 + ["apply"]
 
     def test_kernel_side_counts_unchanged(self, monkeypatch):
-        # B*d = 24 > n = 10: each u-solve is one apply and one adjoint, and
-        # each objective one apply, besides the adjoint that forms F^T Y
+        # B*d = 24 > n = 10: each u-solve is one apply and one adjoint, besides
+        # the adjoint that forms F^T Y and the objective's apply after the loop,
+        # 6 of each over 5 iterations
         prob = random_problem(n=10, d=3, K=2, P=8, beta=1e-2, seed=51)
         assert gram_side(prob.op) == "kernel"
-        counts = self._count_calls(monkeypatch)
+        calls = self._record_calls(monkeypatch)
         admm_solve(prob, AdmmConfig(rho=0.3, beta=1e-2, admm_iters=5))
-        assert counts == {"apply": 10, "adjoint": 6}
+        assert calls == ["adjoint"] + ["apply", "adjoint", "prox"] * 5 + ["apply"]
 
 
 class TestResiduals:
@@ -222,7 +239,7 @@ class TestTrain:
         assert np.max(np.abs(gated - relu)) <= 1e-6
 
     @pytest.mark.parametrize("n, d, seed", [(10, 2, 3), (9, 3, 7)])
-    def test_exact_mode_cone_copy_stays_feasible(self, n, d, seed):
+    def test_exact_mode_cone_copy_stays_feasible(self, n, d, seed, monkeypatch):
         # the copy is a shrunk exact projection, so every iterate lies in its
         # pattern cones to roundoff, not just to an iteration tolerance
         rng = np.random.default_rng(seed)
@@ -233,9 +250,9 @@ class TestTrain:
         gates = enumerate_patterns(X)
         op = GatedOperator.split(X, gates, K)
         prob = ConvexProblem(op, np.eye(K)[y], 1e-3, mode="exact", cones=op.masks[:gates.P])
-        records = []
-        admm_solve(prob, AdmmConfig(rho=0.1, admm_iters=20, mode="exact"), log=records.append)
-        violations = [rec["cone_violation"] for rec in records if "iter" in rec]
+        iterates = prox_outputs(monkeypatch)
+        admm_solve(prob, AdmmConfig(rho=0.1, admm_iters=20, mode="exact"))
+        violations = [max_cone_violation(prob, z) for z in iterates]
         assert len(violations) == 20
         assert max(violations) <= 1e-10
 
@@ -361,21 +378,47 @@ class TestTrain:
         assert min(factor["gram_seconds"], factor["factor_seconds"]) >= 0.0
         assert factor["gram_seconds"] + factor["factor_seconds"] <= factor["seconds"]
         assert [rec["iter"] for rec in iters] == list(range(7))
-        fields = ("objective", "fit", "penalty", "cone_violation",
-                  "primal_residual", "dual_residual")
+        # an iteration records what the loop decides on: its two residuals
+        residuals = ("primal_residual", "dual_residual")
+        assert all(set(rec) == {"iter", *residuals, "seconds"} for rec in iters)
         # the model's history holds the same numbers as the log
-        assert head.train_meta["history"] == [{k: rec[k] for k in fields} for rec in iters]
+        assert head.train_meta["history"] == [{k: rec[k] for k in residuals} for rec in iters]
+        # the objective, evaluated once at the returned weights
+        obj = head.train_meta["objective"]
+        assert set(obj) == {"total", "fit", "penalty", "cone_violation"}
+        prob = ConvexProblem(GatedOperator.relaxed(X, head.gates, 2), labels.one_hot(), 1e-3)
+        assert obj == asdict(objective(prob, head.V))
         # one closing record: no stop_tol, so the run ends on its cap
         assert summary == {
             "phase": "summary", "stopped": "cap", "iters": 7,
-            **{k: iters[-1][k] for k in fields}, "B_l21": summary["B_l21"],
-            "active_groups": summary["active_groups"], "zero_head": False,
+            "objective": obj["total"], "fit": obj["fit"], "penalty": obj["penalty"],
+            "cone_violation": obj["cone_violation"], **{k: iters[-1][k] for k in residuals},
+            "B_l21": head.cert.B_l21, "active_groups": summary["active_groups"],
+            "zero_head": False,
             "aa_accepted": summary["aa_accepted"], "aa_rejected": summary["aa_rejected"],
         }
         # the first two steps are plain: no differences are stored before them
         assert summary["aa_accepted"] + summary["aa_rejected"] < summary["iters"]
         assert 0 < summary["active_groups"] <= 4 * 2
-        assert summary["B_l21"] == pytest.approx(head.cert.B_l21, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    def test_exact_summary_B_l21_is_the_certificates(self, seed):
+        # V's and W's column norms are summed apart, as the certificate sums
+        # them; one sum over all 2P blocks differed from it in the last bit
+        # on these enumerated instances
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(8, 13)), int(rng.integers(2, 4))
+        X = rng.standard_normal((n, d))
+        y = rng.integers(0, 2, n)
+        y[:2] = [0, 1]
+        records = []
+        head = train(X, LabelSet(y, {"a": 0, "b": 1}), GateConfig(enumerate_all=True),
+                     AdmmConfig(rho=0.1, admm_iters=60, mode="exact"), log=records.append)
+        assert records[-1]["B_l21"] == head.cert.B_l21 > 0.0
+        op = GatedOperator.split(X, head.gates, 2)
+        prob = ConvexProblem(op, np.eye(2)[y], 1e-3, mode="exact", cones=op.masks[:head.P])
+        obj = objective(prob, np.concatenate([head.V, head.W]))
+        assert head.train_meta["objective"] == asdict(obj)
 
     def test_summary_record_says_why_the_run_stopped(self):
         X, labels, _ = cluster_data(n=30, d=4, K=2, seed=14)
@@ -403,10 +446,12 @@ class TestSolverContracts:
         rel = abs(admm_obj - fista.objective) / max(abs(fista.objective), 1e-12)
         assert rel <= 1e-4
 
-    def test_history_finite_and_running_min_non_increasing(self):
+    def test_history_finite_and_running_min_non_increasing(self, monkeypatch):
         prob = random_problem(n=25, d=4, K=2, P=4, beta=1e-3, seed=16)
+        iterates = prox_outputs(monkeypatch)
         result = admm_solve(prob, AdmmConfig(rho=0.1, beta=1e-3, admm_iters=50))
-        objs = np.array([r.objective.total for r in result.history])
+        assert len(iterates) == len(result.history) == 50
+        objs = np.array([objective(prob, z).total for z in iterates])
         assert np.all(np.isfinite(objs))
         running = np.minimum.accumulate(objs)
         assert np.all(np.diff(running) <= 0.0)

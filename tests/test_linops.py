@@ -234,25 +234,26 @@ class TestGramSolver:
                              + [(True, m) for m in (_NB - 2, _NB, _NB + 2, 2 * _NB + 2)])
     @pytest.mark.parametrize("sigma", [1e-4, 1.0, 100.0])
     def test_factor_fit_matches_apply(self, split, m, sigma, monkeypatch):
-        # on the primal side the fit is read off the factor, whose block rows
-        # are checked as above; split stacks have an even B*d, so they take
-        # the even sizes around the block
+        # the primal-side factored solve at sizes around the block, checked
+        # against the operator's apply and adjoint, with its block rows checked
+        # as above; split stacks have an even B*d, so they take the even sizes.
+        # A split Gram is singular, so u grows as 1/sigma: the bound is on the
+        # backward error, ||residual|| / ((||F||_F^2 + sigma) ||u||), about 1e-17
         op = masked_operator(m + 40, m // 2 if split else m, 1, split, "random", seed=m)
         assert op.B * op.d == m and cld.linops.gram_side(op) == "primal"
         shapes = []
         monkeypatch.setattr(cld.linops, "fit_gram",
                             partial(nan_above_diagonal, cld.linops.fit_gram, shapes))
-        rng = np.random.default_rng(m)
-        Y, z = rng.standard_normal((op.n, op.K)), rng.standard_normal(op.block_shape)
-        fty = op.adjoint(Y)
-        diff = op.apply(z) - Y
-        bound = 1e-12 * (0.5 * np.vdot(Y, Y) + 0.5 * sigma * np.vdot(z, z) + abs(np.vdot(z, fty)))
-        assert abs(gram_solver(op, sigma)[1](z, Y, fty) - 0.5 * np.vdot(diff, diff)) <= bound
+        rhs = np.random.default_rng(m).standard_normal(op.block_shape)
+        u = gram_solver(op, sigma)[0](rhs)
         assert shapes == [lower_block_rows(m)]
+        residual = op.adjoint(op.apply(u)) + sigma * u - rhs
+        fro2 = float(((op.weights() ** 2).sum(axis=1) * (op.X ** 2).sum(axis=1)).sum())
+        assert np.linalg.norm(residual) <= 1e-15 * (fro2 + sigma) * np.linalg.norm(u)
 
     def test_factor_reports_its_packed_bytes(self):
         op, _ = _primal_sized(2 * _NB + 1)
-        stats = gram_solver(op, 1.0)[2]
+        _, stats = gram_solver(op, 1.0)
         assert stats["bytes"] == 8 * sum(r * e for r, e in lower_block_rows(2 * _NB + 1))
 
     def test_factor_copies_no_panel(self):
@@ -267,7 +268,7 @@ class TestGramSolver:
         for row in rows:
             r, e = row.shape
             row[:] = gram[e - r:e, :e]
-        (solve, _), peak = traced_peak(cld.linops._cholesky_solver, rows)
+        solve, peak = traced_peak(cld.linops._cholesky_solver, rows)
         assert peak <= 8 * _NB * _NB * (len(rows) + 4)
         b = rng.standard_normal((m, 3))
         assert np.linalg.norm(gram @ solve(b) - b) <= 1e-10 * np.linalg.norm(b)

@@ -62,3 +62,15 @@ class TestEvaluate:
     def test_accents_not_aligned_with_labels_rejected(self):
         with pytest.raises(ValueError, match="accent ids must align with labels"):
             evaluate(np.array([0, 1]), np.array([0, 1]), accents=np.array([5, 5, 9]))
+
+    @pytest.mark.parametrize("preds, labels, message", [
+        ([0.7, 1.2], [0, 1], "predictions must be integer class ids, got float64 values"),
+        ([0, 1], [0.9, 1.9], "labels must be integer class ids, got float64 values"),
+        ([True, False], [1, 0], "predictions must be integer class ids, got bool values"),
+        ([0, 1], [0, -1], "labels must be non-negative class ids, got -1"),
+    ], ids=["float-predictions", "float-labels", "bool-predictions", "negative-label"])
+    def test_ids_that_are_not_class_indices_refused(self, preds, labels, message):
+        # cast to int64 these would score as valid: floats truncate, bools
+        # count as 0 and 1, and a label of -1 indexes the last confusion row
+        with pytest.raises(ValueError, match=message):
+            evaluate(preds, labels)
